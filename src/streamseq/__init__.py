@@ -8,10 +8,11 @@ without re-mining it (incremental), a set distance for trending pattern
 change (distance), the update-timing analysis that recommends how far a
 window may grow before re-mining pays off (tradeoff), a reproducible
 synthetic stream generator (generate), and text formats plus a CLI on
-top (patternfile, cli).
+top (patternfile, cli).  The brute-force references that tests check the
+counter and the miner against live in oracle and are not exported.
 """
 
-from .distance import PatternKeySet, distance, pattern_keys, symmetric_difference
+from .distance import distance, pattern_keys
 from .errors import (
     BoundsError,
     ContractError,
@@ -31,8 +32,6 @@ from .model import (
     StreamQueue,
     StreamTuple,
     ViewWindow,
-    WindowPartition,
-    extend,
     parse_event_log,
     serialize_event_log,
     window,
@@ -40,10 +39,7 @@ from .model import (
 from .occurrence import (
     CostCounter,
     CountParams,
-    brute_force_frequent,
-    contains,
     occur,
-    occur_bruteforce,
     occur_partitioned,
     support,
 )
@@ -76,7 +72,6 @@ __all__ = [
     "MiningParams",
     "ParameterError",
     "PatternFileError",
-    "PatternKeySet",
     "PatternSet",
     "Recommendation",
     "Sequence",
@@ -89,14 +84,10 @@ __all__ = [
     "UndefinedSupportError",
     "UpdateInput",
     "ViewWindow",
-    "WindowPartition",
     "as_fraction",
     "block_ranges",
-    "brute_force_frequent",
-    "contains",
     "distance",
     "dump_pattern_file",
-    "extend",
     "find_intersections",
     "gen_candidates",
     "generate",
@@ -105,7 +96,6 @@ __all__ = [
     "min_max_normalize",
     "mine",
     "occur",
-    "occur_bruteforce",
     "occur_partitioned",
     "parse_event_log",
     "pattern_keys",
@@ -116,7 +106,6 @@ __all__ = [
     "speedup",
     "support",
     "sweep_csv",
-    "symmetric_difference",
     "type_labels",
     "window",
 ]

@@ -129,19 +129,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
 def cmd_update(args: argparse.Namespace) -> int:
     queue = parse_event_log(_read_text(args.log))
     old = load_pattern_file(_read_text(args.old))
-    for flag, have in (
-        ("min_supp", args.min_supp),
-        ("min_nbd_supp", args.min_nbd_supp),
-    ):
-        if have is not None and have != getattr(old.params, flag):
+    for flag in ("min_supp", "min_nbd_supp", "span", "max_len"):
+        have, want = getattr(args, flag), getattr(old.params, flag)
+        if have is not None and have != want:
             raise StreamSeqError(
                 f"--{flag.replace('_', '-')} {have} does not match the "
-                f"pattern file's {getattr(old.params, flag)}"
+                f"pattern file's {want}"
             )
-    if args.span is not None and args.span != old.params.span:
-        raise StreamSeqError(
-            f"--span {args.span} does not match the pattern file's {old.params.span}"
-        )
     params = old.params
     old_blocks = [window(queue, s, e - s) for s, e in block_ranges(old)]
     start = args.start

@@ -20,15 +20,6 @@ from .model import Sequence
 
 T = TypeVar("T", bound=Hashable)
 
-# A pattern key set is just a frozenset of Sequence; the metric itself
-# works over any finite sets of hashables.
-PatternKeySet = frozenset
-
-
-def symmetric_difference(a: AbstractSet[T], b: AbstractSet[T]) -> frozenset[T]:
-    """Elements in exactly one of a, b."""
-    return frozenset(a ^ b)
-
 
 def distance(a: AbstractSet[T], b: AbstractSet[T]) -> Fraction:
     """|a symmetric-difference b| / |a union b|; 0 when both are empty."""

@@ -2,40 +2,32 @@
 
 Given the mined pattern sets of a window and of the increment appended
 to it, ius_update produces the pattern set of the composed window while
-rescanning as little stream data as possible.  The rules, per level m:
+rescanning as little stream data as possible.  It is mine()'s level-wise
+search over the composed window with another count source: each side's
+count is the stored one when that side's pattern set holds the sequence,
+else a rescan of that side's blocks, and the composed count is their
+sum.  This is the negative-border scheme of Thomas et al. (KDD 1997).
 
-  * frequent in the old window: the old count is stored; only the
-    increment needs a count, by lookup when the increment stored one,
-    else by a rescan of the increment blocks alone.  A sequence that
-    falls out of the frequent family here drags every stored
-    supersequence out of the old working sets with it, since none of
-    them can stay frequent either.
-  * frequent in the increment but not in the old window: symmetric.
-  * border on one side and unknown on the other: the unknown side is
-    counted and the sequence can survive only as border; two counts
-    that were each at or below their side's frequent threshold can
-    never sum past the composed threshold.
-  * everything else: candidates joined from the composed frequent
-    level m-1, counted by stored-count lookup where possible and rescan
-    where not, and classified by the strict rules.
+The result equals mine(old_blocks + delta_blocks) exactly, both sections
+and every count:
 
-Classification of the composed window is against min_supp * (combined
-size) in exact rationals, same as a full re-mine; since composed counts
-are by definition per-block sums, the frequent family that comes out
-equals a full re-mine of the composed blocks exactly.
+  * Level 1 is seeded with the singles either side stored.  A single
+    neither side stored is at or below the border threshold on both
+    sides, so its composed count is at or below the composed one.
+  * Every longer candidate comes from gen_candidates over the composed
+    frequent level, as in mine(), and the count source returns the same
+    per-block sum that mine() would count.
 
-A sequence is classified at most once per update (a decided set guards
-all four passes), and no (sequence, side) count that is stored in the
-supplied pattern sets is ever recomputed from the stream.
+No (sequence, side) count that is stored in the supplied pattern sets
+is ever recomputed from the stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import ContractError, IncompatiblePatternSetsError, ParameterError
-from .mining import MiningParams, PatternSet, gen_candidates
+from .mining import MiningParams, PatternSet, _levelwise
 from .model import Sequence, ViewWindow
 from .occurrence import CostCounter, occur_partitioned
 
@@ -47,7 +39,9 @@ class UpdateInput:
     old/delta are the mined pattern sets of the two window parts;
     old_blocks/delta_blocks are the underlying windows, kept around only
     for rescans.  params must equal the params both sets were mined
-    with.
+    with.  Blocks of one queue must not overlap, or their shared tuples
+    would be counted twice.  Gaps between blocks are allowed: counts are
+    additive over any disjoint blocks.
     """
 
     old: PatternSet
@@ -71,142 +65,38 @@ class UpdateInput:
                 f"delta blocks cover {sum(b.size for b in self.delta_blocks)} tuples "
                 f"but the pattern set says {self.delta.window_size}"
             )
+        spans = sorted(
+            (id(b.queue), b.start, b.end)
+            for b in (*self.old_blocks, *self.delta_blocks)
+            if b.size
+        )
+        for (q0, s0, e0), (q1, s1, e1) in zip(spans, spans[1:]):
+            if q0 == q1 and s1 < e0:
+                raise ContractError(f"blocks {s0}:{e0} and {s1}:{e1} overlap")
 
 
 def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:
     """Update the old pattern set with the increment's.
 
-    Returns the PatternSet of the composed window; its frequent section
-    matches mine(old_blocks + delta_blocks, params) exactly, counts
-    included.  Only rescans are charged to `cost`; stored-count lookups
-    are free.
+    Returns the PatternSet of the composed window; it matches
+    mine(old_blocks + delta_blocks, params) exactly, counts included.
+    Only rescans are charged to `cost`; stored-count lookups are free.
     """
     inp.validate()
-    p = inp.params
-    cp = p.count_params
+    cp = inp.params.count_params
     old, dlt = inp.old, inp.delta
-    n_union = old.window_size + dlt.window_size
-    thr_l = p.supp_threshold(n_union)
-    thr_n = p.nbd_threshold(n_union)
 
-    # Working copies drive iteration and take demotion pruning; the
-    # originals keep every stored count available for lookups.
-    l_old = dict(old.frequent)
-    n_old = dict(old.border)
-    l_dlt = dict(dlt.frequent)
-    n_dlt = dict(dlt.border)
+    def side(ps: PatternSet, blocks: list[ViewWindow], seq: Sequence) -> int:
+        c = ps.stored_count(seq)
+        return occur_partitioned(seq, blocks, cp, cost) if c is None else c
 
-    freq: dict[Sequence, int] = {}
-    bord: dict[Sequence, int] = {}
-    decided: set[Sequence] = set()
-
-    def old_count(seq: Sequence) -> int:
-        c = old.stored_count(seq)
-        if c is None:
-            c = occur_partitioned(seq, inp.old_blocks, cp, cost)
-        return c
-
-    def dlt_count(seq: Sequence) -> int:
-        c = dlt.stored_count(seq)
-        if c is None:
-            c = occur_partitioned(seq, inp.delta_blocks, cp, cost)
-        return c
-
-    def classify(seq: Sequence, total: int) -> bool:
-        """File seq by its composed count; True when it became frequent."""
-        if total > thr_l:
-            freq[seq] = total
-            return True
-        if total > thr_n:
-            bord[seq] = total
-        return False
-
-    def subsets_ok(seq: Sequence) -> bool:
-        return all(sub in freq for sub in seq.shrink_by_one())
-
-    def demote_prune(seq: Sequence, dicts: Iterable[dict[Sequence, int]]) -> None:
-        # seq lost frequency, so no stored supersequence can keep it;
-        # drop them (and seq itself) from the sets still to be walked.
-        for d in dicts:
-            for t in [t for t in d if seq.is_subsequence_of(t)]:
-                del d[t]
-
-    # Level 1: every single item either side has a count for.
-    singles = {s for s in (*l_old, *n_old, *l_dlt, *n_dlt) if len(s) == 1}
-    for seq in sorted(singles):
-        classify(seq, old_count(seq) + dlt_count(seq))
-        decided.add(seq)
-
-    m = 2
-    l_size = 0
-    while len(freq) > l_size and (p.max_len is None or m <= p.max_len):
-        l_size = len(freq)
-
-        # (a) frequent in the old window: add the increment's count.
-        for seq in sorted(s for s in l_old if len(s) == m):
-            if seq in decided or not subsets_ok(seq):
-                continue
-            total = l_old[seq] + dlt_count(seq)
-            if not classify(seq, total):
-                demote_prune(seq, (l_old, n_old))
-            decided.add(seq)
-
-        # (b) frequent in the increment, unseen above: add the old count.
-        for seq in sorted(s for s in l_dlt if len(s) == m):
-            if seq in decided or seq in l_old or not subsets_ok(seq):
-                continue
-            total = old_count(seq) + l_dlt[seq]
-            if not classify(seq, total):
-                demote_prune(seq, (l_dlt, n_dlt))
-            decided.add(seq)
-
-        # (c) border on one side only: can survive only as border, since
-        # two counts each at most their side's frequent threshold sum to
-        # at most the composed threshold and the comparison is strict.
-        for seq in sorted(s for s in n_old if len(s) == m):
-            if (
-                seq in decided
-                or seq in l_dlt
-                or seq in n_dlt
-                or not subsets_ok(seq)
-            ):
-                continue
-            total = n_old[seq] + dlt_count(seq)
-            if total > thr_n:
-                bord[seq] = total
-            decided.add(seq)
-        for seq in sorted(s for s in n_dlt if len(s) == m):
-            if (
-                seq in decided
-                or seq in l_old
-                or seq in n_old
-                or not subsets_ok(seq)
-            ):
-                continue
-            total = old_count(seq) + n_dlt[seq]
-            if total > thr_n:
-                bord[seq] = total
-            decided.add(seq)
-
-        # (d) fresh candidates joined from the composed frequent level.
-        prev_level = [s for s in freq if len(s) == m - 1]
-        for cand in gen_candidates(prev_level):
-            if cand in decided:
-                continue
-            classify(cand, old_count(cand) + dlt_count(cand))
-            decided.add(cand)
-
-        m += 1
-
-    result = PatternSet(
-        params=p,
-        window_size=n_union,
-        frequent=freq,
-        border=bord,
-        block_ids=old.block_ids + dlt.block_ids,
-    ).sorted_copy()
-    result.validate()
-    return result
+    return _levelwise(
+        {s for ps in (old, dlt) for s in (*ps.frequent, *ps.border) if len(s) == 1},
+        lambda seq: side(old, inp.old_blocks, seq) + side(dlt, inp.delta_blocks, seq),
+        inp.params,
+        old.window_size + dlt.window_size,
+        old.block_ids + dlt.block_ids,
+    )
 
 
 def speedup(t_full: float, t_ius: float) -> float:

@@ -17,14 +17,15 @@ m-1 frequent set and pruned by full one-shorter-subsequence containment,
 so counting work is only ever spent on candidates whose subsequences all
 survived.  Counts are accumulated per block and summed; see the
 occurrence module for why that sum is the definition of the composed
-count rather than an approximation of it.
+count rather than an approximation of it.  The incremental update runs
+the same search and differs only in where its counts come from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence as PySequence, Union
+from typing import Callable, Iterable, Sequence as PySequence, Union
 
 from .errors import ContractError, ParameterError
 from .model import Sequence, ViewWindow
@@ -105,12 +106,6 @@ class PatternSet:
     border: dict[Sequence, int]
     block_ids: tuple[str, ...] = ()
 
-    def frequent_keys(self) -> frozenset[Sequence]:
-        return frozenset(self.frequent)
-
-    def border_keys(self) -> frozenset[Sequence]:
-        return frozenset(self.border)
-
     def stored_count(self, seq: Sequence) -> int | None:
         """The known count for seq, looking in both sections."""
         c = self.frequent.get(seq)
@@ -147,16 +142,6 @@ class PatternSet:
                             f"{seq!r} kept but subsequence {sub!r} is not frequent"
                         )
 
-    def sorted_copy(self) -> PatternSet:
-        """Same content with both sections in Sequence order."""
-        return PatternSet(
-            params=self.params,
-            window_size=self.window_size,
-            frequent={s: self.frequent[s] for s in sorted(self.frequent)},
-            border={s: self.border[s] for s in sorted(self.border)},
-            block_ids=self.block_ids,
-        )
-
 
 def gen_candidates(level: Iterable[Sequence]) -> list[Sequence]:
     """Join a frequent level into the next level's candidates.
@@ -188,6 +173,53 @@ def gen_candidates(level: Iterable[Sequence]) -> list[Sequence]:
     return sorted(out)
 
 
+def _levelwise(
+    singles: Iterable[Sequence],
+    count: Callable[[Sequence], int],
+    params: MiningParams,
+    window_size: int,
+    block_ids: tuple[str, ...],
+) -> PatternSet:
+    """The level-wise search shared by mine() and the incremental update.
+
+    Level 1 counts `singles`; level m counts gen_candidates(frequent
+    level m-1).  Each candidate is counted once, by `count`, and filed
+    as frequent or border against the thresholds for window_size.  The
+    search stops at the first empty frequent level or past max_len.
+    Candidates are visited in Sequence order, so any cost `count`
+    charges is reproducible run to run.
+    """
+    thr_l = params.supp_threshold(window_size)
+    thr_n = params.nbd_threshold(window_size)
+    frequent: dict[Sequence, int] = {}
+    border: dict[Sequence, int] = {}
+
+    candidates = sorted(singles)
+    m = 1
+    while candidates:
+        level: list[Sequence] = []
+        for cand in candidates:
+            c = count(cand)
+            if c > thr_l:
+                frequent[cand] = c
+                level.append(cand)
+            elif c > thr_n:
+                border[cand] = c
+        m += 1
+        within = params.max_len is None or m <= params.max_len
+        candidates = gen_candidates(level) if level and within else []
+
+    result = PatternSet(
+        params=params,
+        window_size=window_size,
+        frequent=frequent,
+        border=border,
+        block_ids=block_ids,
+    )
+    result.validate()
+    return result
+
+
 def mine(
     blocks: PySequence[ViewWindow],
     params: MiningParams,
@@ -202,46 +234,11 @@ def mine(
     reproducible run to run.
     """
     blocks = list(blocks)
-    window_size = sum(b.size for b in blocks)
-    thr_l = params.supp_threshold(window_size)
-    thr_n = params.nbd_threshold(window_size)
     cp = params.count_params
-
-    frequent: dict[Sequence, int] = {}
-    border: dict[Sequence, int] = {}
-
-    alphabet: set = set()
-    for b in blocks:
-        alphabet.update(b.alphabet())
-    level: list[Sequence] = []
-    for et in sorted(alphabet):
-        seq = Sequence((et,))
-        c = occur_partitioned(seq, blocks, cp, cost)
-        if c > thr_l:
-            frequent[seq] = c
-            level.append(seq)
-        elif c > thr_n:
-            border[seq] = c
-
-    m = 2
-    while level and (params.max_len is None or m <= params.max_len):
-        nxt: list[Sequence] = []
-        for cand in gen_candidates(level):
-            c = occur_partitioned(cand, blocks, cp, cost)
-            if c > thr_l:
-                frequent[cand] = c
-                nxt.append(cand)
-            elif c > thr_n:
-                border[cand] = c
-        level = nxt
-        m += 1
-
-    result = PatternSet(
-        params=params,
-        window_size=window_size,
-        frequent=frequent,
-        border=border,
-        block_ids=tuple(b.ident for b in blocks),
+    return _levelwise(
+        {Sequence((et,)) for b in blocks for et in b.alphabet()},
+        lambda seq: occur_partitioned(seq, blocks, cp, cost),
+        params,
+        sum(b.size for b in blocks),
+        tuple(b.ident for b in blocks),
     )
-    result.validate()
-    return result

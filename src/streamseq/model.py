@@ -4,8 +4,8 @@ An event stream is a queue of tuples: each tuple is the set of event types
 observed at one timestamp, and tuples are kept in strictly increasing
 timestamp order.  Mining never copies stream data; it works on ViewWindow
 objects, which are (queue, start, size) views over a contiguous run of
-tuples.  A WindowPartition splits one covering window into contiguous
-blocks so that counts can be maintained per block.
+tuples.  A window mined in pieces is a list of such views, one per block,
+so that counts can be maintained per block.
 
 Everything here is immutable after construction, which is what makes the
 window views safe to share between the miner, the incremental updater and
@@ -227,55 +227,6 @@ def window(queue: StreamQueue, start: int, size: int) -> ViewWindow:
     return ViewWindow(queue, start, size)
 
 
-def extend(w: ViewWindow, delta_size: int) -> tuple[ViewWindow, ViewWindow]:
-    """Grow `w` by the next `delta_size` tuples of its queue.
-
-    Returns (delta_window, extended_window): the increment alone, and the
-    covering window.  Raises BoundsError when the queue is too short.
-    """
-    if delta_size < 0:
-        raise ParameterError(f"delta_size must be >= 0, got {delta_size}")
-    delta = ViewWindow(w.queue, w.end, delta_size)
-    extended = ViewWindow(w.queue, w.start, w.size + delta_size)
-    return delta, extended
-
-
-@dataclass(frozen=True)
-class WindowPartition:
-    """A covering window cut into contiguous blocks over one queue.
-
-    `initial` is the first block; `increments` follow it back to back.
-    Concatenating all blocks reproduces the covering window exactly.
-    """
-
-    initial: ViewWindow
-    increments: tuple[ViewWindow, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "increments", tuple(self.increments))
-        at = self.initial.end
-        for blk in self.increments:
-            if blk.queue is not self.initial.queue:
-                raise ParameterError("partition blocks must share one queue")
-            if blk.start != at:
-                raise ParameterError(
-                    f"partition blocks must be contiguous: expected start {at}, "
-                    f"got {blk.start}"
-                )
-            at = blk.end
-
-    @property
-    def blocks(self) -> tuple[ViewWindow, ...]:
-        return (self.initial, *self.increments)
-
-    def covering(self) -> ViewWindow:
-        total = sum(len(b) for b in self.blocks)
-        return ViewWindow(self.initial.queue, self.initial.start, total)
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-
 class Sequence:
     """An ordered list of event types, repeats allowed, never empty.
 
@@ -351,11 +302,6 @@ class Sequence:
         if len(self.items) < 2:
             return []
         return sorted({self.drop(i) for i in range(len(self.items))})
-
-    def is_subsequence_of(self, other: Sequence) -> bool:
-        """Order-preserving containment (indices strictly increase)."""
-        it = iter(other.items)
-        return all(any(mine == theirs for theirs in it) for mine in self.items)
 
 
 def parse_event_log(text: str) -> StreamQueue:

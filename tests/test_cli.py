@@ -107,12 +107,28 @@ def test_update_rejects_contradicting_flags(tmp_path):
         "mine", str(log), str(base),
         "--size", "150",
         "--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3",
+        "--max-len", "3",
     )
-    code = run(
-        "update", str(log), str(base), str(tmp_path / "x.patterns"),
-        "--size", "50", "--min-supp", "0.2",
+    for flags in (["--min-supp", "0.2"], ["--max-len", "2"]):
+        code = run(
+            "update", str(log), str(base), str(tmp_path / "x.patterns"),
+            "--size", "50", *flags,
+        )
+        assert code == 3, flags
+
+
+def test_update_rejects_an_increment_overlapping_the_mined_window(tmp_path):
+    log = gen_log(tmp_path / "s.log")
+    base = tmp_path / "base.patterns"
+    out = tmp_path / "x.patterns"
+    run(
+        "mine", str(log), str(base),
+        "--size", "150",
+        "--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3",
     )
+    code = run("update", str(log), str(base), str(out), "--start", "0", "--size", "150")
     assert code == 3
+    assert not out.exists()
 
 
 def test_diff_reports_exact_distance(tmp_path, capsys):

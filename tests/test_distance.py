@@ -8,15 +8,8 @@ from streamseq import (
     distance,
     mine,
     pattern_keys,
-    symmetric_difference,
 )
 from conftest import alternating_ab
-
-
-def test_symmetric_difference():
-    got = symmetric_difference({1, 2, 3}, {3, 4})
-    assert got == frozenset({1, 2, 4})
-    assert isinstance(got, frozenset)
 
 
 def test_known_values_are_exact_rationals():

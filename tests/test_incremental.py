@@ -169,6 +169,27 @@ class TestInputValidation:
         with pytest.raises(ContractError):
             ius_update(inp)
 
+    def test_overlapping_blocks_rejected_but_gaps_allowed(self):
+        q = queue_of("a", "b", "a", "b", "a", "b")
+        params = MiningParams(Fraction(1, 2), Fraction(1, 5), CountParams(2))
+        w0 = window(q, 0, 3)
+        for dw, overlaps in ((window(q, 2, 3), True), (window(q, 0, 3), True),
+                             (window(q, 4, 2), False)):
+            inp = UpdateInput(
+                old=mine([w0], params),
+                delta=mine([dw], params),
+                old_blocks=[w0],
+                delta_blocks=[dw],
+                params=params,
+            )
+            if overlaps:
+                with pytest.raises(ContractError):
+                    ius_update(inp)
+            else:
+                upd = ius_update(inp)
+                full = mine([w0, dw], params)
+                assert (upd.frequent, upd.border) == (full.frequent, full.border)
+
 
 class TestUpdateCost:
     def test_rescans_only_what_the_parts_never_counted(self):

@@ -10,12 +10,12 @@ from streamseq import (
     ParameterError,
     PatternSet,
     Sequence,
-    brute_force_frequent,
     gen_candidates,
     mine,
     window,
 )
 from streamseq.mining import as_fraction
+from streamseq.oracle import brute_force_frequent
 from conftest import alternating_ab, queue_of, random_queue
 
 SPAN2 = CountParams(2)

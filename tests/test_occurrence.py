@@ -9,16 +9,14 @@ from streamseq import (
     ParameterError,
     Sequence,
     UndefinedSupportError,
-    brute_force_frequent,
-    contains,
     mine,
     occur,
-    occur_bruteforce,
     occur_partitioned,
     support,
     window,
 )
 from streamseq.mining import MiningParams
+from streamseq.oracle import brute_force_frequent, contains, occur_bruteforce
 from conftest import alternating_ab, queue_of, random_queue
 
 SPAN2 = CountParams(2)
@@ -177,19 +175,6 @@ class TestCostCounter:
         c = CostCounter()
         occur(Sequence.of("z"), alternating_ab(), SPAN2, cost=c)
         assert (c.window_evaluations, c.scans) == (3, 1)
-
-    def test_absorb_matches_serial_accumulation(self):
-        serial = CostCounter()
-        left, right = CostCounter(), CostCounter()
-        jobs = [(12, 4), (3, 3), (7, 1), (2, 6)]
-        for i, (n, s) in enumerate(jobs):
-            serial.charge(n, s)
-            (left if i % 2 else right).charge(n, s)
-        left.absorb(right)
-        assert (left.window_evaluations, left.scans) == (
-            serial.window_evaluations,
-            serial.scans,
-        )
 
     def test_mining_cost_is_reproducible(self):
         rng = random.Random(21)
