@@ -100,12 +100,13 @@ class StreamTuple:
 class StreamQueue:
     """An immutable run of stream tuples in strictly increasing time order.
 
-    Also owns a lazily built index mapping each event type to the sorted
-    list of tuple positions where it appears; the fast occurrence counter
-    reads that index through positions().
+    Also owns one lazily built bitmap per event type, a Python int whose
+    bit i is set when the type is in tuple i.  The masks are built in one
+    pass on first use and shared by every window over the queue; the
+    occurrence counter and alphabet() read them through mask().
     """
 
-    __slots__ = ("tuples", "_positions")
+    __slots__ = ("tuples", "_masks")
 
     def __init__(self, tuples: Iterable[StreamTuple]) -> None:
         tps = tuple(tuples)
@@ -115,7 +116,7 @@ class StreamQueue:
                     f"timestamps must strictly increase: {prev.time} then {cur.time}"
                 )
         self.tuples = tps
-        self._positions: dict[EventType, list[int]] | None = None
+        self._masks: dict[EventType, int] | None = None
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -137,22 +138,29 @@ class StreamQueue:
     def __repr__(self) -> str:
         return f"StreamQueue(<{len(self.tuples)} tuples>)"
 
-    def positions(self, item: EventType) -> list[int]:
-        """Sorted tuple indices at which `item` occurs (whole queue)."""
-        if self._positions is None:
-            index: dict[EventType, list[int]] = {}
+    def _type_masks(self) -> dict[EventType, int]:
+        if self._masks is None:
+            nbytes = (len(self.tuples) + 7) >> 3
+            rows: dict[EventType, bytearray] = {}
             for i, t in enumerate(self.tuples):
+                byte, bit = i >> 3, 1 << (i & 7)
                 for et in t.types:
-                    index.setdefault(et, []).append(i)
-            self._positions = index
-        return self._positions.get(item, [])
+                    row = rows.get(et)
+                    if row is None:
+                        row = rows[et] = bytearray(nbytes)
+                    row[byte] |= bit
+            self._masks = {
+                et: int.from_bytes(row, "little") for et, row in rows.items()
+            }
+        return self._masks
+
+    def mask(self, item: EventType) -> int:
+        """Bitmap of the tuples holding `item`: bit i is set for tuple i."""
+        return self._type_masks().get(item, 0)
 
     def alphabet(self) -> list[EventType]:
         """All event types present, sorted by label."""
-        seen: set[EventType] = set()
-        for t in self.tuples:
-            seen.update(t.types)
-        return sorted(seen)
+        return sorted(self._type_masks())
 
 
 class ViewWindow:
@@ -214,12 +222,13 @@ class ViewWindow:
             )
         return ViewWindow(self.queue, self.start + offset, size)
 
+    def mask(self, item: EventType) -> int:
+        """The queue's bitmap of `item` cut to this window: bit i is tuple i."""
+        return (self.queue.mask(item) >> self.start) & ((1 << self.size) - 1)
+
     def alphabet(self) -> list[EventType]:
         """Event types present in this window, sorted by label."""
-        seen: set[EventType] = set()
-        for t in self:
-            seen.update(t.types)
-        return sorted(seen)
+        return [et for et in self.queue.alphabet() if self.mask(et)]
 
 
 def window(queue: StreamQueue, start: int, size: int) -> ViewWindow:

@@ -12,14 +12,24 @@ occurrence belongs to exactly one block and never straddles a boundary.
 That definition is what lets stored per-block counts be reused verbatim
 when a window grows.
 
-occur() walks per-type position indexes and counts whole runs of start
-positions at once.  The oracle module keeps an independent brute-force
-counter that tests hold it to.
+occur() is bit-parallel in the manner of SPAM's vertical bitmaps (Ayres
+et al., KDD 2002): each event type has one bitmap per queue, a Python
+int with bit i set when the type is in tuple i, and a set of start
+positions is an int too.  Matching one item moves every start at once
+with a few big-int operations per offset inside the span, so the cost
+is O(len(seq) * min(span, gap) * W / word) for a window of W tuples,
+where gap is the longest run of tuples without the item and word is
+the int digit width (30 bits in CPython).  The trade-off is the rare
+item at a huge span: on 20,000 tuples at span 10,000, a type that
+occurs twice costs about 28 ms per call, where a walk over its two
+positions would cost microseconds.  At the spans the benchmark uses, 4
+and 32, a type in one tuple of 50 counts 4 to 25 times faster than
+that walk did.  The oracle module keeps an independent brute-force
+counter that tests hold occur() to.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -66,49 +76,47 @@ def occur(
 ) -> int:
     """Count start positions of w whose span-wide sub-window contains seq.
 
-    Runs off the queue's per-type position index.  For each occurrence p
-    of the first item, the minimal chain completion e(p) is found by
-    repeated successor lookups; every start position s with
-    prev(p) < s <= p and s >= e(p) - span + 1 then matches at p first.
-    e(p) is non-decreasing in p, so the scan stops at the first p whose
-    chain cannot complete inside the window.
+    Works on sets of start positions held as int bitmaps, bit i for start
+    i.  After a prefix of seq is matched greedily (each item at the
+    earliest tuple after the previous one), ends[d] is the set of starts
+    whose match of that prefix ends at offset d < span.  The next item Y
+    is matched by walking d upward with the set `pending` of starts still
+    waiting for Y: at offset d, pending & (Y >> d) are the starts that
+    find Y there and become the new ends[d]; the rest keep waiting, and
+    the old ends[d] join them, since the next item must sit strictly
+    later.  The empty prefix has every legal start pending at offset 0.
+    A match that would end at offset span or later is dropped, so the
+    count is the number of starts left in the final ends.  The walk for
+    one item stops once nothing waits past the last ends entry, so it
+    costs O(min(span, gap) * W / word) as the module docstring says.
     """
     if cost is not None:
         cost.charge(w.size, params.span)
     span = params.span
     if span > w.size:
         return 0
-    lo_abs = w.start
-    hi_abs = w.end                      # exclusive
-    limit = hi_abs - span               # last legal start, inclusive
-    q = w.queue
-    first = q.positions(seq.items[0])
-    rest = [q.positions(it) for it in seq.items[1:]]
-
-    total = 0
-    prev = lo_abs - 1                   # previous first-item position
-    i = bisect_left(first, lo_abs)
-    while i < len(first):
-        p = first[i]
-        if p >= hi_abs:
-            break
-        e = p
-        complete = True
-        for plist in rest:
-            j = bisect_right(plist, e)  # strictly after e
-            if j == len(plist) or plist[j] >= hi_abs:
-                complete = False
+    pending = (1 << (w.size - span + 1)) - 1    # every legal start
+    ends: list[int] = []
+    for item in seq.items:
+        y = w.mask(item)
+        if not y:
+            return 0
+        hits: list[int] = []
+        n_ends = len(ends)
+        for d in range(span):
+            if d >= n_ends and not pending:
                 break
-            e = plist[j]
-        if not complete:
-            break                       # later p only pushes e further right
-        lo = max(prev + 1, e - span + 1, lo_abs)
-        hi = min(p, limit)
-        if hi >= lo:
-            total += hi - lo + 1
-        prev = p
-        i += 1
-    return total
+            hit = pending & (y >> d)
+            hits.append(hit)
+            pending ^= hit
+            if d < n_ends:
+                pending |= ends[d]
+        while hits and not hits[-1]:
+            hits.pop()
+        if not hits:
+            return 0
+        ends, pending = hits, 0
+    return sum(b.bit_count() for b in ends)
 
 
 def support(seq: Sequence, w: ViewWindow, params: CountParams) -> Fraction:

@@ -2,9 +2,9 @@
 
 contains() and occur_bruteforce() test every start position directly;
 brute_force_frequent() mines by exhaustive embedding enumeration.  None
-of them shares code with the indexed counter in the occurrence module or
-with the level-wise miner, so agreement with them is evidence, not
-tautology.  Not exported from the package.
+of them shares code with the bit-parallel counter in the occurrence
+module or with the level-wise miner, so agreement with them is
+evidence, not tautology.  Not exported from the package.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def brute_force_frequent(
     sequence up to max_len items that embeds in that span-wide sub-window,
     and credits each one occurrence.  Classification into frequent and
     border sets then follows the strict threshold rules.  Shares no code
-    with the level-wise miner or the indexed counter; exists to check
+    with the level-wise miner or the bit-parallel counter; exists to check
     them.
 
     Refuses (ParameterError) when the instance exceeds the small-instance

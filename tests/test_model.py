@@ -83,19 +83,21 @@ class TestStreamQueue:
         assert q[1].time == 2
         assert [t.time for t in q] == [1, 2, 3]
 
-    def test_positions_index(self):
+    def test_mask_index(self):
         q = queue_of("ab", "b", "a", "c")
-        assert q.positions(EventType("a")) == [0, 2]
-        assert q.positions(EventType("b")) == [0, 1]
-        assert q.positions(EventType("nope")) == []
+        assert q.mask(EventType("a")) == 0b0101
+        assert q.mask(EventType("b")) == 0b0011
+        assert q.mask(EventType("nope")) == 0
 
-    def test_positions_consistent_with_scan(self):
+    def test_mask_consistent_with_scan(self):
         rng = random.Random(7)
         q = random_queue(rng, 60, ["a", "b", "c", "d"])
         for label in "abcd":
             et = EventType(label)
             expected = [i for i, t in enumerate(q) if et in t]
-            assert q.positions(et) == expected
+            m = q.mask(et)
+            assert [i for i in range(len(q)) if m >> i & 1] == expected
+            assert m.bit_length() <= len(q)
 
     def test_alphabet_sorted(self):
         q = queue_of("cb", "a")
@@ -135,6 +137,14 @@ class TestViewWindow:
     def test_window_alphabet_is_window_local(self):
         q = queue_of("a", "z", "a")
         assert [et.label for et in window(q, 0, 1).alphabet()] == ["a"]
+
+    def test_window_alphabet_matches_scan(self):
+        rng = random.Random(8)
+        q = random_queue(rng, 90, ["a", "b", "c", "d", "e"], max_fill=1)
+        for _ in range(40):
+            start = rng.randint(0, 90)
+            w = window(q, start, rng.randint(0, 90 - start))
+            assert w.alphabet() == sorted({et for t in w for et in t.types})
 
 
 class TestSequence:

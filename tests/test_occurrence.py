@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamseq import (
     CostCounter,
@@ -111,6 +112,73 @@ class TestOccur:
             span = rng.randint(1, 6)
             s = Sequence.of(*[rng.choice("ab") for _ in range(rng.randint(1, 3))])
             assert occur(s, w, CountParams(span)) <= max(0, len(w) - span + 1)
+
+
+# Rows are 4-bit sets over "abcd"; an empty set becomes the filler "z",
+# which no drawn sequence uses.  CPython stores ints in 30-bit digits, so
+# the pinned offsets put window starts on and beside digit edges, and
+# every window is longer than a 64-bit word.
+_ROW_LABELS = "abcd"
+_DIGIT_EDGES = (0, 1, 29, 30, 31, 59, 60, 61, 63, 64, 65, 89, 90, 91, 127, 128)
+_PROPERTY = settings(
+    derandomize=True, database=None, max_examples=150, deadline=None
+)
+
+
+def _rows_queue(rows):
+    return queue_of(*(
+        [lb for i, lb in enumerate(_ROW_LABELS) if r >> i & 1] or ["z"] for r in rows
+    ))
+
+
+@st.composite
+def _long_windows(draw):
+    offset = draw(st.sampled_from(_DIGIT_EDGES) | st.integers(0, 200))
+    size = draw(st.integers(65, 200))
+    n = offset + size + draw(st.integers(0, 40))
+    rows = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+    return window(_rows_queue(rows), offset, size)
+
+
+_sequences = st.lists(st.sampled_from(_ROW_LABELS), min_size=1, max_size=4).map(
+    lambda labels: Sequence.of(*labels)
+)
+
+
+class TestOccurProperties:
+    @_PROPERTY
+    @given(_long_windows(), _sequences, st.data())
+    def test_equals_bruteforce_on_long_windows(self, w, s, data):
+        p = CountParams(data.draw(st.integers(1, w.size + 1), label="span"))
+        assert occur(s, w, p) == occur_bruteforce(s, w, p)
+
+    @_PROPERTY
+    @given(_long_windows(), st.sampled_from(_ROW_LABELS), st.integers(2, 4), st.data())
+    def test_repeated_items(self, w, label, times, data):
+        s = Sequence.of(*[label] * times)
+        p = CountParams(data.draw(st.integers(1, w.size + 1), label="span"))
+        assert occur(s, w, p) == occur_bruteforce(s, w, p)
+
+    @_PROPERTY
+    @given(
+        st.lists(st.integers(0, 15), min_size=1, max_size=150),
+        _sequences,
+        st.integers(1, 8),
+        st.data(),
+    )
+    def test_partitioned_count_is_the_sum_over_blocks(self, rows, s, span, data):
+        n = len(rows)
+        q = _rows_queue(rows)
+        cuts = data.draw(st.sets(st.integers(0, n), max_size=6), label="cuts")
+        edges = sorted({0, n, *cuts})
+        blocks = [window(q, lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
+        p = CountParams(span)
+        c = CostCounter()
+        assert occur_partitioned(s, blocks, p, c) == sum(
+            occur_bruteforce(s, b, p) for b in blocks
+        )
+        assert c.scans == len(blocks)
+        assert c.window_evaluations == sum(max(0, b.size - span + 1) for b in blocks)
 
 
 class TestSupport:
