@@ -28,7 +28,7 @@ def tup(time, *labels):
 # the running example: a and b strictly alternating over four tuples
 q = StreamQueue([tup(1, "a"), tup(2, "b"), tup(3, "a"), tup(4, "b")])
 w = window(q, 0, len(q))
-print("window:", w.ident, "holding", w.size, "tuples")
+print(f"window: {w.start}:{w.end} holding {w.size} tuples")
 
 # at span 2, a start position sees the tuple under it and the next one
 span2 = CountParams(span=2)

@@ -48,8 +48,7 @@ old = mine([w0], params)
 part = mine([dw], params)
 ius_cost = CostCounter()
 upd = ius_update(
-    UpdateInput(old=old, delta=part, old_blocks=[w0], delta_blocks=[dw],
-                params=params),
+    UpdateInput(old=old, delta=part, old_blocks=[w0], delta_blocks=[dw]),
     cost=ius_cost,
 )
 
@@ -58,8 +57,8 @@ full_cost = CostCounter()
 full = mine([w0, dw], params, cost=full_cost)
 
 assert upd.frequent == full.frequent
-print(f"composed window: {upd.window_size} tuples in blocks "
-      f"{', '.join(upd.block_ids)}")
+blocks = ", ".join(f"{start}:{end}" for start, end in upd.blocks)
+print(f"composed window: {upd.window_size} tuples in blocks {blocks}")
 print(f"frequent sections agree on all {len(full.frequent)} sequences, "
       f"counts included")
 

@@ -43,9 +43,8 @@ from .occurrence import (
     occur_partitioned,
     support,
 )
-from .patternfile import block_ranges, dump_pattern_file, load_pattern_file
+from .patternfile import dump_pattern_file, load_pattern_file
 from .tradeoff import (
-    Curve,
     Recommendation,
     SweepConfig,
     SweepPoint,
@@ -64,7 +63,6 @@ __all__ = [
     "ContractError",
     "CostCounter",
     "CountParams",
-    "Curve",
     "EventLogParseError",
     "EventType",
     "GenConfig",
@@ -85,7 +83,6 @@ __all__ = [
     "UpdateInput",
     "ViewWindow",
     "as_fraction",
-    "block_ranges",
     "distance",
     "dump_pattern_file",
     "find_intersections",

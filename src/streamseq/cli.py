@@ -21,7 +21,7 @@ from .incremental import UpdateInput, ius_update
 from .mining import MiningParams, mine
 from .model import Sequence, parse_event_log, serialize_event_log, window
 from .occurrence import CostCounter, CountParams
-from .patternfile import block_ranges, dump_pattern_file, load_pattern_file
+from .patternfile import dump_pattern_file, load_pattern_file
 from .tradeoff import (
     COST_UNITS,
     WALL_CLOCK,
@@ -136,22 +136,14 @@ def cmd_update(args: argparse.Namespace) -> int:
                 f"--{flag.replace('_', '-')} {have} does not match the "
                 f"pattern file's {want}"
             )
-    params = old.params
-    old_blocks = [window(queue, s, e - s) for s, e in block_ranges(old)]
+    old_blocks = [window(queue, s, e - s) for s, e in old.blocks]
     start = args.start
     if start is None:
-        ranges = block_ranges(old)
-        start = ranges[-1][1] if ranges else 0
+        start = old.blocks[-1][1] if old.blocks else 0
     dw = window(queue, start, args.size)
-    part = mine([dw], params)
+    part = mine([dw], old.params)
     result = ius_update(
-        UpdateInput(
-            old=old,
-            delta=part,
-            old_blocks=old_blocks,
-            delta_blocks=[dw],
-            params=params,
-        )
+        UpdateInput(old=old, delta=part, old_blocks=old_blocks, delta_blocks=[dw])
     )
     _write_text(args.out, dump_pattern_file(result))
     return 0

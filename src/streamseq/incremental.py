@@ -9,7 +9,8 @@ else a rescan of that side's blocks, and the composed count is their
 sum.  This is the negative-border scheme of Thomas et al. (KDD 1997).
 
 The result equals mine(old_blocks + delta_blocks) exactly, both sections
-and every count:
+and every count, provided each side's blocks are the ones its pattern
+set was mined over (UpdateInput.validate checks their ranges):
 
   * Level 1 is seeded with the singles either side stored.  A single
     neither side stored is at or below the border threshold on both
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError, IncompatiblePatternSetsError, ParameterError
-from .mining import MiningParams, PatternSet, _levelwise
+from .mining import PatternSet, _levelwise
 from .model import Sequence, ViewWindow
 from .occurrence import CostCounter, occur_partitioned
 
@@ -38,53 +39,45 @@ class UpdateInput:
 
     old/delta are the mined pattern sets of the two window parts;
     old_blocks/delta_blocks are the underlying windows, kept around only
-    for rescans.  params must equal the params both sets were mined
-    with.  Blocks of one queue must not overlap, or their shared tuples
-    would be counted twice.  Gaps between blocks are allowed: counts are
-    additive over any disjoint blocks.
+    for rescans.  Each side's blocks must sit at the ranges its pattern
+    set records, or stored and rescanned counts would describe different
+    tuples.  Both sets must share their mining parameters.  The composed
+    window is old's blocks then delta's; like any pattern set's blocks
+    they may leave gaps but may not overlap.
     """
 
     old: PatternSet
     delta: PatternSet
     old_blocks: list[ViewWindow]
     delta_blocks: list[ViewWindow]
-    params: MiningParams
 
     def validate(self) -> None:
-        if self.old.params != self.params or self.delta.params != self.params:
+        if self.delta.params != self.old.params:
             raise IncompatiblePatternSetsError(
                 "pattern sets were mined under different parameters"
             )
-        if sum(b.size for b in self.old_blocks) != self.old.window_size:
-            raise ContractError(
-                f"old blocks cover {sum(b.size for b in self.old_blocks)} tuples "
-                f"but the pattern set says {self.old.window_size}"
-            )
-        if sum(b.size for b in self.delta_blocks) != self.delta.window_size:
-            raise ContractError(
-                f"delta blocks cover {sum(b.size for b in self.delta_blocks)} tuples "
-                f"but the pattern set says {self.delta.window_size}"
-            )
-        spans = sorted(
-            (id(b.queue), b.start, b.end)
-            for b in (*self.old_blocks, *self.delta_blocks)
-            if b.size
-        )
-        for (q0, s0, e0), (q1, s1, e1) in zip(spans, spans[1:]):
-            if q0 == q1 and s1 < e0:
-                raise ContractError(f"blocks {s0}:{e0} and {s1}:{e1} overlap")
+        for side, ps, blocks in (
+            ("old", self.old, self.old_blocks),
+            ("delta", self.delta, self.delta_blocks),
+        ):
+            ranges = tuple((b.start, b.end) for b in blocks)
+            if ranges != ps.blocks:
+                raise ContractError(
+                    f"{side} blocks sit at {list(ranges)} but the pattern set "
+                    f"was mined over {list(ps.blocks)}"
+                )
 
 
 def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:
     """Update the old pattern set with the increment's.
 
     Returns the PatternSet of the composed window; it matches
-    mine(old_blocks + delta_blocks, params) exactly, counts included.
+    mine(old_blocks + delta_blocks, old.params) exactly, counts included.
     Only rescans are charged to `cost`; stored-count lookups are free.
     """
     inp.validate()
-    cp = inp.params.count_params
     old, dlt = inp.old, inp.delta
+    cp = old.params.count_params
 
     def side(ps: PatternSet, blocks: list[ViewWindow], seq: Sequence) -> int:
         c = ps.stored_count(seq)
@@ -93,9 +86,8 @@ def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:
     return _levelwise(
         {s for ps in (old, dlt) for s in (*ps.frequent, *ps.border) if len(s) == 1},
         lambda seq: side(old, inp.old_blocks, seq) + side(dlt, inp.delta_blocks, seq),
-        inp.params,
-        old.window_size + dlt.window_size,
-        old.block_ids + dlt.block_ids,
+        old.params,
+        old.blocks + dlt.blocks,
     )
 
 

@@ -1,24 +1,28 @@
 """Level-wise sequence mining over partitioned windows.
 
-mine() finds two disjoint families over a window of size W:
+mine() finds two disjoint families over a window of blocks:
 
   frequent:  occur > min_supp * W
   border:    min_nbd_supp * W < occur <= min_supp * W, and every
              one-item-shorter subsequence is frequent (vacuous for
              single items)
 
-Both comparisons are strict and evaluated in exact rational arithmetic,
-so there is no float tie-breaking at the thresholds.  The border family
-is what makes cheap incremental updates possible: it holds the
-almost-frequent sequences whose exact counts are already known.
+where W is the total size of the window's blocks.  Both comparisons
+are strict and evaluated in exact rational arithmetic, so there is no
+float tie-breaking at the thresholds.  The border family is what makes
+cheap incremental updates possible: it holds the almost-frequent
+sequences whose exact counts are already known.
 
 The search is level-wise: level m candidates are joined from the level
 m-1 frequent set and pruned by full one-shorter-subsequence containment,
 so counting work is only ever spent on candidates whose subsequences all
 survived.  Counts are accumulated per block and summed; see the
 occurrence module for why that sum is the definition of the composed
-count rather than an approximation of it.  The incremental update runs
-the same search and differs only in where its counts come from.
+count rather than an approximation of it.  The sum counts a tuple twice
+when two blocks share it, so a PatternSet records its blocks as
+(start, end) queue ranges and refuses ranges that overlap; the window
+size is derived from them.  The incremental update runs the same search
+and differs only in where its counts come from.
 """
 
 from __future__ import annotations
@@ -96,15 +100,19 @@ class PatternSet:
     """The result of mining one (possibly partitioned) window.
 
     frequent and border map Sequence -> exact occurrence count over the
-    whole window.  block_ids records the "start:end" identifiers of the
-    blocks the counts were accumulated over, in order.
+    whole window.  blocks records the (start, end) queue ranges the
+    counts were accumulated over, in order; it is the one record of the
+    window, and window_size is derived from it.
     """
 
     params: MiningParams
-    window_size: int
+    blocks: tuple[tuple[int, int], ...]
     frequent: dict[Sequence, int]
     border: dict[Sequence, int]
-    block_ids: tuple[str, ...] = ()
+
+    @property
+    def window_size(self) -> int:
+        return sum(end - start for start, end in self.blocks)
 
     def stored_count(self, seq: Sequence) -> int | None:
         """The known count for seq, looking in both sections."""
@@ -116,10 +124,19 @@ class PatternSet:
     def validate(self) -> None:
         """Check the structural invariants; ContractError on violation.
 
-        Sections are disjoint; counts sit strictly inside their bands;
-        frequent is closed downward; border members have every
-        one-shorter subsequence frequent.
+        Blocks are ranges 0 <= start <= end, and no two non-empty blocks
+        share a tuple; sections are disjoint; counts sit strictly inside
+        their bands; frequent is closed downward; border members have
+        every one-shorter subsequence frequent.
         """
+        ranges = sorted(self.blocks)
+        for start, end in ranges:
+            if not 0 <= start <= end:
+                raise ContractError(f"block {start}:{end} is not a range")
+        ranges = [r for r in ranges if r[0] < r[1]]
+        for (s0, e0), (s1, e1) in zip(ranges, ranges[1:]):
+            if s1 < e0:
+                raise ContractError(f"blocks {s0}:{e0} and {s1}:{e1} overlap")
         p = self.params
         thr_l = p.supp_threshold(self.window_size)
         thr_n = p.nbd_threshold(self.window_size)
@@ -177,22 +194,21 @@ def _levelwise(
     singles: Iterable[Sequence],
     count: Callable[[Sequence], int],
     params: MiningParams,
-    window_size: int,
-    block_ids: tuple[str, ...],
+    blocks: tuple[tuple[int, int], ...],
 ) -> PatternSet:
     """The level-wise search shared by mine() and the incremental update.
 
     Level 1 counts `singles`; level m counts gen_candidates(frequent
     level m-1).  Each candidate is counted once, by `count`, and filed
-    as frequent or border against the thresholds for window_size.  The
-    search stops at the first empty frequent level or past max_len.
-    Candidates are visited in Sequence order, so any cost `count`
-    charges is reproducible run to run.
+    as frequent or border against the thresholds for the total size of
+    `blocks`.  The search stops at the first empty frequent level or
+    past max_len.  Candidates are visited in Sequence order, so any cost
+    `count` charges is reproducible run to run.
     """
-    thr_l = params.supp_threshold(window_size)
-    thr_n = params.nbd_threshold(window_size)
-    frequent: dict[Sequence, int] = {}
-    border: dict[Sequence, int] = {}
+    result = PatternSet(params=params, blocks=blocks, frequent={}, border={})
+    result.validate()  # refuses overlapping blocks before any counting
+    thr_l = params.supp_threshold(result.window_size)
+    thr_n = params.nbd_threshold(result.window_size)
 
     candidates = sorted(singles)
     m = 1
@@ -201,21 +217,14 @@ def _levelwise(
         for cand in candidates:
             c = count(cand)
             if c > thr_l:
-                frequent[cand] = c
+                result.frequent[cand] = c
                 level.append(cand)
             elif c > thr_n:
-                border[cand] = c
+                result.border[cand] = c
         m += 1
         within = params.max_len is None or m <= params.max_len
         candidates = gen_candidates(level) if level and within else []
 
-    result = PatternSet(
-        params=params,
-        window_size=window_size,
-        frequent=frequent,
-        border=border,
-        block_ids=block_ids,
-    )
     result.validate()
     return result
 
@@ -227,8 +236,10 @@ def mine(
 ) -> PatternSet:
     """Mine the frequent and border families of a partitioned window.
 
-    blocks are the contiguous pieces of the covering window, in order;
-    a single block is the common case.  An empty window yields an empty
+    blocks are the pieces of the covering window, in order; a single
+    block is the common case.  Blocks that share a tuple raise
+    ContractError, since the sum would count that tuple twice; gaps
+    between blocks are allowed.  An empty window yields an empty
     PatternSet.  Iteration order of candidates is the Sequence total
     order at every level, so results (and any attached CostCounter) are
     reproducible run to run.
@@ -239,6 +250,5 @@ def mine(
         {Sequence((et,)) for b in blocks for et in b.alphabet()},
         lambda seq: occur_partitioned(seq, blocks, cp, cost),
         params,
-        sum(b.size for b in blocks),
-        tuple(b.ident for b in blocks),
+        tuple((b.start, b.end) for b in blocks),
     )

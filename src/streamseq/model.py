@@ -29,8 +29,9 @@ class EventType:
 
     Labels must be non-empty and contain no comma or whitespace so they
     survive both text formats unescaped.  Construction interns: equal
-    labels give the identical object, so equality and hashing are cheap
-    and an alphabet behaves like a set of atoms.
+    labels give the identical object, so the default identity equality
+    and hashing agree with label equality, cost no Python call, and an
+    alphabet behaves like a set of atoms.  Ordering is by label.
     """
 
     __slots__ = ("label",)
@@ -55,14 +56,6 @@ class EventType:
 
     def __str__(self) -> str:
         return self.label
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EventType):
-            return self.label == other.label
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.label)
 
     def __lt__(self, other: EventType) -> bool:
         if not isinstance(other, EventType):
@@ -203,16 +196,11 @@ class ViewWindow:
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"ViewWindow({self.ident})"
+        return f"ViewWindow({self.start}:{self.end})"
 
     @property
     def end(self) -> int:
         return self.start + self.size
-
-    @property
-    def ident(self) -> str:
-        """Stable "start:end" block identifier used in pattern files."""
-        return f"{self.start}:{self.end}"
 
     def subwindow(self, offset: int, size: int) -> ViewWindow:
         if offset < 0 or size < 0 or offset + size > self.size:

@@ -131,8 +131,7 @@ def brute_force_frequent(
     }
     return PatternSet(
         params=mp,
-        window_size=total_tuples,
+        blocks=tuple((b.start, b.end) for b in blocks),
         frequent=frequent,
         border=border,
-        block_ids=tuple(b.ident for b in blocks),
     )

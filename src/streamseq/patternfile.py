@@ -12,6 +12,13 @@ serialize to identical bytes.  Thresholds are written as exact
 fractions; nothing in the format loses precision on a round trip.
 Blank lines and '#' comment lines are tolerated on input and never
 produced on output.
+
+The blocks= header lists the window's blocks as comma-separated
+"start:end" queue ranges; this module is the only place that text
+exists, and a PatternSet holds the ranges as int pairs.  The header is
+required, its ranges may not overlap, and window_size= must equal their
+total size: the counts are only meaningful against the exact tuples
+they were taken over, so a file that disagrees with itself is refused.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ def dump_pattern_file(ps: PatternSet) -> str:
         "min_nbd_supp": str(p.min_nbd_supp),
         "span": str(p.span),
         "max_len": "none" if p.max_len is None else str(p.max_len),
-        "blocks": ",".join(ps.block_ids),
+        "blocks": ",".join(f"{start}:{end}" for start, end in ps.blocks),
     }
     lines = [f"{k}={head[k]}" for k in _HEADER_ORDER]
     for section, family in (("L", ps.frequent), ("NBD", ps.border)):
@@ -54,6 +61,13 @@ def dump_pattern_file(ps: PatternSet) -> str:
             fields = [section, *seq.labels, str(family[seq])]
             lines.append("\t".join(fields))
     return "\n".join(lines) + "\n"
+
+
+def _parse_block(tok: str) -> tuple[int, int]:
+    start, sep, end = tok.partition(":")
+    if not (sep and start.isdigit() and end.isdigit()):
+        raise ValueError
+    return int(start, 10), int(end, 10)
 
 
 def _parse_header_value(key: str, value: str, line_no: int):
@@ -70,12 +84,7 @@ def _parse_header_value(key: str, value: str, line_no: int):
         if key == "max_len":
             return None if value == "none" else int(value, 10)
         if key == "blocks":
-            ids = tuple(tok for tok in value.split(",") if tok)
-            for tok in ids:
-                s, _, e = tok.partition(":")
-                if int(s, 10) > int(e, 10):
-                    raise ValueError
-            return ids
+            return tuple(_parse_block(tok) for tok in value.split(",")) if value else ()
         if key == "format":
             return value
     except (ValueError, ZeroDivisionError):
@@ -125,7 +134,7 @@ def load_pattern_file(text: str) -> PatternSet:
                 raise PatternFileError(f"line {line_no}: duplicate header key {key!r}")
             header[key] = _parse_header_value(key, value.strip(), line_no)
 
-    missing = [k for k in _HEADER_ORDER if k not in header and k not in ("max_len", "blocks")]
+    missing = [k for k in _HEADER_ORDER if k not in header and k != "max_len"]
     if missing:
         raise PatternFileError(f"missing header keys: {missing}")
     if header["format"] != FORMAT_VERSION:
@@ -141,25 +150,18 @@ def load_pattern_file(text: str) -> PatternSet:
         raise PatternFileError(f"bad parameters in header: {exc}") from None
     ps = PatternSet(
         params=params,
-        window_size=header["window_size"],
+        blocks=header["blocks"],
         frequent={s: frequent[s] for s in sorted(frequent)},
         border={s: border[s] for s in sorted(border)},
-        block_ids=header.get("blocks", ()),
     )
+    if header["window_size"] != ps.window_size:
+        raise PatternFileError(
+            f"window_size={header['window_size']} but the blocks cover "
+            f"{ps.window_size} tuples"
+        )
     try:
         ps.validate()
     except ContractError as exc:
         raise PatternFileError(f"inconsistent pattern file: {exc}") from None
     return ps
 
-
-def block_ranges(ps: PatternSet) -> list[tuple[int, int]]:
-    """The (start, end) pairs of a pattern set's block identifiers."""
-    out = []
-    for tok in ps.block_ids:
-        s, _, e = tok.partition(":")
-        try:
-            out.append((int(s, 10), int(e, 10)))
-        except ValueError:
-            raise PatternFileError(f"bad block identifier {tok!r}") from None
-    return out

@@ -76,33 +76,6 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class Curve:
-    """A piecewise-linear curve over strictly increasing x values."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
-        xs = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ParameterError("curve x values must strictly increase")
-
-    @classmethod
-    def from_xy(cls, xs, ys) -> Curve:
-        if len(xs) != len(ys):
-            raise ParameterError("xs and ys lengths differ")
-        return cls(points=tuple(zip(xs, ys)))
-
-    @property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def ys(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
-
-
-@dataclass(frozen=True)
 class Recommendation:
     """Where the normalized curves meet, and what that says.
 
@@ -118,48 +91,43 @@ class Recommendation:
     ratio: float | None
     ratio_range: tuple[float, float] | None
     degenerate: bool
-    speedup_curve: Curve
-    difference_curve: Curve
 
 
-def min_max_normalize(
-    values,
-    new_min: float = 0.0,
-    new_max: float = 1.0,
-) -> list[float]:
-    """Affinely map values so min lands on new_min and max on new_max.
+def min_max_normalize(values) -> list[float]:
+    """Affinely map values onto [0, 1]: v' = (v - min) / (max - min).
 
-    v' = (v - min) / (max - min) * (new_max - new_min) + new_min.
-    With the default range the minimum maps to exactly 0.0 and the
-    maximum to exactly 1.0, bit for bit.  A constant series has no
-    spread to map and collapses to new_min everywhere.
+    The minimum maps to exactly 0.0 and the maximum to exactly 1.0, bit
+    for bit.  A constant series has no spread to map and collapses to
+    0.0 everywhere.
     """
     vals = [float(v) for v in values]
     if not vals:
         raise ParameterError("cannot normalize an empty series")
-    if new_max < new_min:
-        raise ParameterError("new_max must be >= new_min")
     lo, hi = min(vals), max(vals)
     if hi == lo:
-        return [new_min] * len(vals)
+        return [0.0] * len(vals)
     width = hi - lo
-    scale = new_max - new_min
-    return [(v - lo) / width * scale + new_min for v in vals]
+    return [(v - lo) / width for v in vals]
 
 
-def find_intersections(a: Curve, b: Curve) -> list[float]:
-    """All x where two curves over the same grid meet, increasing.
+def find_intersections(xs, a, b) -> list[float]:
+    """All x where two piecewise-linear curves over the grid xs meet.
 
-    A grid point where the curves are exactly equal is reported once.
-    Strictly opposite signs of the gap across a segment give one
-    interior crossing by linear interpolation; a segment where the
-    curves coincide throughout contributes its endpoints (as exact
-    grid-point meetings), not a continuum.
+    a and b are the curves' y values at each grid point; xs must
+    strictly increase.  Returned in increasing order.  A grid point
+    where the curves are exactly equal is reported once.  Strictly
+    opposite signs of the gap across a segment give one interior
+    crossing by linear interpolation; a segment where the curves
+    coincide throughout contributes its endpoints (as exact grid-point
+    meetings), not a continuum.
     """
-    if a.xs != b.xs:
-        raise ContractError("curves are over different grids")
-    xs = a.xs
-    gap = [ay - by for ay, by in zip(a.ys, b.ys)]
+    if not len(xs) == len(a) == len(b):
+        raise ContractError(
+            f"grid and curves differ in length: {len(xs)}, {len(a)}, {len(b)}"
+        )
+    if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
+        raise ParameterError("curve x values must strictly increase")
+    gap = [ay - by for ay, by in zip(a, b)]
     hits: set[float] = set()
     for i, g in enumerate(gap):
         if g == 0:
@@ -195,13 +163,7 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     for d in cfg.delta_sizes:
         dw = window(queue, cfg.initial_size, d)
         part = mine([dw], cfg.params)
-        upd_input = UpdateInput(
-            old=base,
-            delta=part,
-            old_blocks=[w0],
-            delta_blocks=[dw],
-            params=cfg.params,
-        )
+        upd_input = UpdateInput(old=base, delta=part, old_blocks=[w0], delta_blocks=[dw])
         if cfg.timing == COST_UNITS:
             full_cost = CostCounter()
             full = mine([w0, dw], cfg.params, cost=full_cost)
@@ -226,6 +188,11 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
             raise ContractError(
                 f"update and re-mine disagree at delta {d}; "
                 "the input pattern sets do not match their blocks"
+            )
+        if t_ius == 0:
+            raise ContractError(
+                f"the update at delta {d} needs no rescan, so its speedup "
+                "over a re-mine is undefined"
             )
         points.append(
             SweepPoint(
@@ -255,38 +222,16 @@ def recommend(points: list[SweepPoint], initial_size: int) -> Recommendation:
     sp = [p.speedup for p in points]
     df = [float(p.difference) for p in points]
     degenerate = (max(sp) == min(sp)) or (max(df) == min(df))
-    sp_curve = Curve.from_xy(xs, min_max_normalize(sp))
-    df_curve = Curve.from_xy(xs, min_max_normalize(df))
-    if degenerate:
-        return Recommendation(
-            crossings=(),
-            chosen_x=None,
-            ratio=None,
-            ratio_range=None,
-            degenerate=True,
-            speedup_curve=sp_curve,
-            difference_curve=df_curve,
-        )
-    crossings = tuple(find_intersections(sp_curve, df_curve))
-    if not crossings:
-        return Recommendation(
-            crossings=(),
-            chosen_x=None,
-            ratio=None,
-            ratio_range=None,
-            degenerate=False,
-            speedup_curve=sp_curve,
-            difference_curve=df_curve,
-        )
-    first, last = crossings[0], crossings[-1]
+    crossings = () if degenerate else tuple(
+        find_intersections(xs, min_max_normalize(sp), min_max_normalize(df))
+    )
+    ratios = [x / initial_size for x in crossings]
     return Recommendation(
         crossings=crossings,
-        chosen_x=first,
-        ratio=first / initial_size,
-        ratio_range=(first / initial_size, last / initial_size),
-        degenerate=False,
-        speedup_curve=sp_curve,
-        difference_curve=df_curve,
+        chosen_x=crossings[0] if crossings else None,
+        ratio=ratios[0] if ratios else None,
+        ratio_range=(ratios[0], ratios[-1]) if ratios else None,
+        degenerate=degenerate,
     )
 
 

@@ -141,7 +141,6 @@ def test_criterion_3_incremental_update_matches_full_mine():
                 delta=mine([dw], params),
                 old_blocks=[w0],
                 delta_blocks=[dw],
-                params=params,
             )
         )
         full = mine([w0, dw], params)

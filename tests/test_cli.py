@@ -64,7 +64,7 @@ def test_mine_multi_block_records_block_ids(tmp_path):
         "--min-nbd-supp", "1/20",
         "--span", "3",
     )
-    assert load_pattern_file(out.read_text()).block_ids == ("0:150", "150:200")
+    assert load_pattern_file(out.read_text()).blocks == ((0, 150), (150, 200))
 
 
 def test_update_extends_the_mined_window(tmp_path):
@@ -80,7 +80,7 @@ def test_update_extends_the_mined_window(tmp_path):
     assert code == 0
     ps = load_pattern_file(grown.read_text())
     assert ps.window_size == 200
-    assert ps.block_ids == ("0:150", "150:200")
+    assert ps.blocks == ((0, 150), (150, 200))
 
 
 def test_update_equals_composed_mine_byte_for_byte(tmp_path):
@@ -129,6 +129,31 @@ def test_update_rejects_an_increment_overlapping_the_mined_window(tmp_path):
     code = run("update", str(log), str(base), str(out), "--start", "0", "--size", "150")
     assert code == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("window_size=150\n", "window_size=140\n"),  # disagrees with blocks=
+        ("blocks=0:150\n", "blocks=0:100,90:140\n"),  # blocks overlap
+        ("blocks=0:150\n", ""),  # no blocks= header
+    ],
+)
+def test_inconsistent_pattern_file_is_3(tmp_path, capsys, edit):
+    log = gen_log(tmp_path / "s.log")
+    base = tmp_path / "base.patterns"
+    bad = tmp_path / "bad.patterns"
+    out = tmp_path / "x.patterns"
+    run(
+        "mine", str(log), str(base),
+        "--size", "150",
+        "--min-supp", "1/2", "--min-nbd-supp", "1/10", "--span", "3",
+    )
+    bad.write_text(base.read_text().replace(*edit))
+    assert run("diff", str(bad), str(base)) == 3
+    assert run("update", str(log), str(bad), str(out), "--size", "50") == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_diff_reports_exact_distance(tmp_path, capsys):
@@ -182,6 +207,21 @@ def test_sweep_writes_curves_and_recommendation(tmp_path, capsys):
     assert header == "delta_size,speedup,difference,speedup_norm,difference_norm"
     assert len(csv_out.read_text().splitlines()) == 5
     assert printed.startswith("crossing_x=")
+
+
+def test_sweep_with_a_free_update_is_3(tmp_path, capsys):
+    # every tuple is a, so both parts store every count the update needs
+    # and it rescans nothing: its cost is 0 and the speedup undefined
+    log = tmp_path / "a.log"
+    log.write_text("".join(f"{t},a\n" for t in range(1, 101)))
+    code = run(
+        "sweep", str(log), str(tmp_path / "c.csv"), str(tmp_path / "r.txt"),
+        "--initial", "40", "--deltas", "10,20",
+        "--min-supp", "1/2", "--min-nbd-supp", "1/4", "--span", "2", "--max-len", "2",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "delta 10" in err
 
 
 class TestExitCodes:

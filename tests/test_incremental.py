@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamseq import (
     ContractError,
@@ -19,6 +20,7 @@ from streamseq import (
     speedup,
     window,
 )
+from streamseq.patternfile import dump_pattern_file, load_pattern_file
 from conftest import queue_of, random_queue
 
 
@@ -28,7 +30,7 @@ def _mine_and_update(q, split, params, cost=None):
     dw = window(q, split, len(q) - split)
     old = mine([w0], params)
     part = mine([dw], params)
-    inp = UpdateInput(old=old, delta=part, old_blocks=[w0], delta_blocks=[dw], params=params)
+    inp = UpdateInput(old=old, delta=part, old_blocks=[w0], delta_blocks=[dw])
     return ius_update(inp, cost=cost)
 
 
@@ -85,7 +87,6 @@ class TestEquivalenceWithRemining:
                 delta=mine([d1], params),
                 old_blocks=[w0],
                 delta_blocks=[d1],
-                params=params,
             )
         )
         step2 = ius_update(
@@ -94,13 +95,61 @@ class TestEquivalenceWithRemining:
                 delta=mine([d2], params),
                 old_blocks=[w0, d1],
                 delta_blocks=[d2],
-                params=params,
             )
         )
         full = mine([w0, d1, d2], params)
         assert step2.frequent == full.frequent
         assert step2.border == full.border
-        assert step2.block_ids == ("0:16", "16:32", "32:48")
+        assert step2.blocks == full.blocks == ((0, 16), (16, 32), (32, 48))
+
+
+@st.composite
+def _gapped_split(draw):
+    """A random stream cut into 2-4 blocks with gaps, split into old and delta."""
+    rows = draw(st.lists(st.integers(1, 7), min_size=2, max_size=60))
+    q = queue_of(*([lb for i, lb in enumerate("abc") if r >> i & 1] for r in rows))
+    k = draw(st.integers(2, 4))
+    edges = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=2 * k, max_size=2 * k)))
+    blocks = [window(q, lo, hi - lo) for lo, hi in zip(edges[::2], edges[1::2])]
+    j = draw(st.integers(1, k - 1))
+    return blocks[:j], blocks[j:]
+
+
+class TestUpdateProperties:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        _gapped_split(),
+        st.integers(5, 60),
+        st.integers(1, 4),
+        st.integers(1, 4),
+    )
+    def test_update_equals_mine_and_survives_a_round_trip(self, split, pct, span, max_len):
+        old_blocks, delta_blocks = split
+        supp = Fraction(pct, 100)
+        params = MiningParams(supp, supp / 3, CountParams(span), max_len=max_len)
+        upd = ius_update(
+            UpdateInput(
+                old=mine(old_blocks, params),
+                delta=mine(delta_blocks, params),
+                old_blocks=old_blocks,
+                delta_blocks=delta_blocks,
+            )
+        )
+        full = mine(old_blocks + delta_blocks, params)
+        assert (upd.frequent, upd.border, upd.blocks) == (
+            full.frequent,
+            full.border,
+            full.blocks,
+        )
+        text = dump_pattern_file(upd)
+        back = load_pattern_file(text)
+        assert (back.params, back.blocks, back.frequent, back.border) == (
+            upd.params,
+            upd.blocks,
+            upd.frequent,
+            upd.border,
+        )
+        assert dump_pattern_file(back) == text
 
 
 class TestMembershipTransitions:
@@ -152,7 +201,6 @@ class TestInputValidation:
             delta=mine([dw], other),
             old_blocks=[w0],
             delta_blocks=[dw],
-            params=params,
         )
         with pytest.raises(IncompatiblePatternSetsError):
             ius_update(inp)
@@ -164,10 +212,26 @@ class TestInputValidation:
             delta=mine([dw], params),
             old_blocks=[window(q, 0, 1)],  # too small for old.window_size
             delta_blocks=[dw],
-            params=params,
         )
         with pytest.raises(ContractError):
             ius_update(inp)
+
+    def test_blocks_must_sit_where_the_pattern_set_was_mined(self):
+        # right sizes, no overlap, wrong place: stored counts of 0:30
+        # would be summed with rescans of 10:40
+        rng = random.Random(7)
+        q = random_queue(rng, 60, ["a", "b", "c"])
+        params = MiningParams(Fraction(1, 5), Fraction(1, 10), CountParams(2))
+        w0, dw = window(q, 0, 30), window(q, 40, 20)
+        for old_blocks in ([window(q, 10, 30)], [window(q, 0, 10), window(q, 10, 20)]):
+            inp = UpdateInput(
+                old=mine([w0], params),
+                delta=mine([dw], params),
+                old_blocks=old_blocks,
+                delta_blocks=[dw],
+            )
+            with pytest.raises(ContractError):
+                ius_update(inp)
 
     def test_overlapping_blocks_rejected_but_gaps_allowed(self):
         q = queue_of("a", "b", "a", "b", "a", "b")
@@ -180,7 +244,6 @@ class TestInputValidation:
                 delta=mine([dw], params),
                 old_blocks=[w0],
                 delta_blocks=[dw],
-                params=params,
             )
             if overlaps:
                 with pytest.raises(ContractError):

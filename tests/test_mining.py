@@ -5,6 +5,7 @@ import pytest
 
 from streamseq import (
     ContractError,
+    CostCounter,
     CountParams,
     MiningParams,
     ParameterError,
@@ -104,7 +105,7 @@ class TestMine:
         assert ps.frequent == {Sequence.of("a"): 3, Sequence.of("b"): 3}
         assert ps.border == {Sequence.of("a", "b"): 2, Sequence.of("b", "a"): 1}
         assert ps.window_size == 4
-        assert ps.block_ids == ("0:4",)
+        assert ps.blocks == ((0, 4),)
 
     def test_reference_window_lower_threshold(self):
         params = MiningParams(Fraction(45, 100), Fraction(1, 5), SPAN2, max_len=3)
@@ -129,6 +130,18 @@ class TestMine:
         ps = mine([], params)
         assert ps.frequent == {} and ps.border == {} and ps.window_size == 0
 
+    def test_overlapping_blocks_rejected_but_gaps_allowed(self):
+        q = queue_of("a", "b", "a", "b", "a", "b")
+        params = MiningParams(Fraction(1, 4), Fraction(1, 8), SPAN2)
+        for blocks in ([window(q, 0, 3), window(q, 2, 2)], [window(q, 2, 2), window(q, 0, 4)]):
+            cost = CostCounter()
+            with pytest.raises(ContractError):
+                mine(blocks, params, cost=cost)
+            assert cost.scans == 0  # refused before any counting
+        gap = mine([window(q, 0, 2), window(q, 0, 0), window(q, 4, 2)], params)
+        assert gap.window_size == 4
+        assert gap.blocks == ((0, 2), (0, 0), (4, 6))
+
     def test_max_len_caps_exploration(self):
         q = queue_of("a", "a", "a", "a")
         params = MiningParams(Fraction(1, 4), Fraction(1, 8), SPAN2, max_len=1)
@@ -140,7 +153,7 @@ class TestMine:
         params = MiningParams(Fraction(1, 4), Fraction(1, 8), SPAN2, max_len=2)
         split = mine([window(q, 0, 2), window(q, 2, 2)], params)
         assert split.window_size == 4
-        assert split.block_ids == ("0:2", "2:4")
+        assert split.blocks == ((0, 2), (2, 4))
         # the cut loses the <b,a> occurrence straddling position 1
         assert split.frequent[Sequence.of("a", "b")] == 2
         assert Sequence.of("b", "a") not in split.frequent
@@ -205,7 +218,7 @@ class TestPatternSetValidate:
         params = self._params()
         ps = PatternSet(
             params=params,
-            window_size=4,
+            blocks=((0, 4),),
             frequent={Sequence.of("a"): 3},
             border={Sequence.of("b", "b"): 1},  # <b> is not frequent
         )
@@ -216,7 +229,7 @@ class TestPatternSetValidate:
         params = MiningParams(Fraction(1, 2), Fraction(1, 5), SPAN2, max_len=1)
         ps = PatternSet(
             params=params,
-            window_size=4,
+            blocks=((0, 4),),
             frequent={Sequence.of("a"): 3, Sequence.of("a", "b"): 3},
             border={},
         )

@@ -125,7 +125,6 @@ class TestViewWindow:
     def test_end_and_ident(self):
         w = window(queue_of("a", "b", "c", "d"), 1, 3)
         assert w.end == 4
-        assert w.ident == "1:4"
 
     def test_subwindow(self):
         q = queue_of("a", "b", "c", "d")

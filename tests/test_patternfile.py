@@ -12,7 +12,7 @@ from streamseq import (
     mine,
     window,
 )
-from streamseq.patternfile import block_ranges, dump_pattern_file, load_pattern_file
+from streamseq.patternfile import dump_pattern_file, load_pattern_file
 from conftest import alternating_ab, random_queue
 
 GOLDEN = (
@@ -44,7 +44,7 @@ def test_load_golden():
     ref = _reference_set()
     assert ps.params == ref.params
     assert ps.window_size == 4
-    assert ps.block_ids == ("0:4",)
+    assert ps.blocks == ((0, 4),)
     assert ps.frequent == ref.frequent
     assert ps.border == ref.border
 
@@ -69,7 +69,7 @@ def test_round_trip_random_pattern_sets():
         back = load_pattern_file(text)
         assert back.params == ps.params
         assert back.window_size == ps.window_size
-        assert back.block_ids == ps.block_ids
+        assert back.blocks == ps.blocks
         assert back.frequent == ps.frequent
         assert back.border == ps.border
         assert dump_pattern_file(back) == text  # byte-stable
@@ -89,16 +89,19 @@ def test_max_len_header_may_be_omitted_entirely():
 
 
 def test_block_ranges():
-    ps = load_pattern_file(GOLDEN.replace("blocks=0:4", "blocks=0:4,4:8"))
-    assert block_ranges(ps) == [(0, 4), (4, 8)]
+    ps = load_pattern_file(GOLDEN.replace("blocks=0:4", "blocks=0:1,1:4"))
+    assert ps.blocks == ((0, 1), (1, 4))
+    assert ps.window_size == 4
 
 
 def test_empty_sections_round_trip():
     params = MiningParams(Fraction(1, 2), Fraction(1, 5), CountParams(2))
-    ps = PatternSet(params=params, window_size=0, frequent={}, border={})
-    back = load_pattern_file(dump_pattern_file(ps))
+    ps = PatternSet(params=params, blocks=(), frequent={}, border={})
+    text = dump_pattern_file(ps)
+    assert "window_size=0\n" in text and "blocks=\n" in text
+    back = load_pattern_file(text)
     assert back.frequent == {} and back.border == {}
-    assert back.block_ids == ()
+    assert back.blocks == ()
 
 
 class TestLoadRejectsMalformedInput:
@@ -136,3 +139,16 @@ class TestLoadRejectsMalformedInput:
     def test_truncated_entry_line(self):
         with pytest.raises(PatternFileError):
             load_pattern_file(GOLDEN + "L\n")
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            "blocks=0:4,4:8\n",   # 8 tuples, but window_size=4
+            "blocks=0:3,2:3\n",   # tuple 2 counted twice
+            "blocks=0:2,,2:4\n",  # malformed: an empty range
+            "",                   # no blocks= header at all
+        ],
+    )
+    def test_blocks_must_agree_with_the_header(self, blocks):
+        with pytest.raises(PatternFileError):
+            load_pattern_file(GOLDEN.replace("blocks=0:4\n", blocks))

@@ -10,7 +10,6 @@ from streamseq import (
     BoundsError,
     ContractError,
     CountParams,
-    Curve,
     MiningParams,
     ParameterError,
     SweepConfig,
@@ -34,12 +33,8 @@ class TestMinMaxNormalize:
         got = min_max_normalize([3.0, 1.0, 2.0])
         assert got[1] == 0.0 and got[0] == 1.0
 
-    def test_custom_range(self):
-        assert min_max_normalize([0.0, 5.0, 10.0], 10.0, 30.0) == [10.0, 20.0, 30.0]
-
     def test_constant_input_collapses_to_range_floor(self):
         assert min_max_normalize([4.2, 4.2, 4.2]) == [0.0, 0.0, 0.0]
-        assert min_max_normalize([4.2, 4.2], 2.0, 7.0) == [2.0, 2.0]
 
     def test_order_preserved(self):
         rng = random.Random(31)
@@ -55,56 +50,38 @@ class TestMinMaxNormalize:
         with pytest.raises(ParameterError):
             min_max_normalize([])
 
-    def test_reversed_range_rejected(self):
-        with pytest.raises(ParameterError):
-            min_max_normalize([1.0, 2.0], 1.0, 0.0)
-
-    def test_degenerate_target_range_allowed(self):
-        assert min_max_normalize([1.0, 2.0], 3.0, 3.0) == [3.0, 3.0]
-
 
 class TestCurve:
-    def test_from_xy_and_accessors(self):
-        c = Curve.from_xy([1.0, 2.0], [5.0, 6.0])
-        assert c.xs == (1.0, 2.0)
-        assert c.ys == (5.0, 6.0)
-
     def test_x_must_strictly_increase(self):
         with pytest.raises(ParameterError):
-            Curve.from_xy([1.0, 1.0], [0.0, 1.0])
+            find_intersections([1.0, 1.0], [0.0, 1.0], [1.0, 0.0])
         with pytest.raises(ParameterError):
-            Curve.from_xy([2.0, 1.0], [0.0, 1.0])
+            find_intersections([2.0, 1.0], [0.0, 1.0], [1.0, 0.0])
 
 
 class TestFindIntersections:
     def test_simple_crossing_interpolates(self):
-        a = Curve.from_xy([0.0, 1.0], [0.0, 1.0])
-        b = Curve.from_xy([0.0, 1.0], [1.0, 0.0])
-        assert find_intersections(a, b) == [0.5]
+        assert find_intersections([0.0, 1.0], [0.0, 1.0], [1.0, 0.0]) == [0.5]
 
     def test_touch_at_grid_point_counted_once(self):
         xs = [0.0, 1.0, 2.0]
-        a = Curve.from_xy(xs, [0.0, 1.0, 0.0])
-        b = Curve.from_xy(xs, [1.0, 1.0, 1.0])
-        assert find_intersections(a, b) == [1.0]
+        assert find_intersections(xs, [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]) == [1.0]
 
     def test_multiple_crossings_in_order(self):
         xs = [0.0, 1.0, 2.0, 3.0]
-        a = Curve.from_xy(xs, [0.0, 2.0, 0.0, 2.0])
-        b = Curve.from_xy(xs, [1.0, 1.0, 1.0, 1.0])
-        assert find_intersections(a, b) == [0.5, 1.5, 2.5]
+        a = [0.0, 2.0, 0.0, 2.0]
+        b = [1.0, 1.0, 1.0, 1.0]
+        assert find_intersections(xs, a, b) == [0.5, 1.5, 2.5]
 
     def test_disjoint_curves_have_no_crossing(self):
         xs = [0.0, 1.0]
-        a = Curve.from_xy(xs, [0.0, 0.5])
-        b = Curve.from_xy(xs, [1.0, 2.0])
-        assert find_intersections(a, b) == []
+        assert find_intersections(xs, [0.0, 0.5], [1.0, 2.0]) == []
 
     def test_mismatched_grids_rejected(self):
-        a = Curve.from_xy([0.0, 1.0], [0.0, 1.0])
-        b = Curve.from_xy([0.0, 2.0], [1.0, 0.0])
         with pytest.raises(ContractError):
-            find_intersections(a, b)
+            find_intersections([0.0, 1.0], [0.0, 1.0], [1.0, 0.0, 2.0])
+        with pytest.raises(ContractError):
+            find_intersections([0.0, 1.0, 2.0], [0.0, 1.0], [1.0, 0.0])
 
 
 def _points(xs, sp, df):
