@@ -62,7 +62,10 @@ def _pattern_flag(text: str) -> tuple[str, float]:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StreamSeqError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:

@@ -2,7 +2,13 @@
 
 An event stream is a queue of tuples: each tuple is the set of event types
 observed at one timestamp, and tuples are kept in strictly increasing
-timestamp order.  Mining never copies stream data; it works on ViewWindow
+timestamp order.  A queue is held as columns: `times`, its timestamps,
+and one bitmap per event type whose bit i is set when the type is in
+tuple i.  parse_event_log fills those columns straight from the text;
+the per-tuple StreamTuple view is built only when something iterates or
+indexes the queue (the oracle, serialize_event_log, tests).  A queue
+built from StreamTuple objects keeps them and derives its bitmaps on
+first use.  Mining never copies stream data; it works on ViewWindow
 objects, which are (queue, start, size) views over a contiguous run of
 tuples.  A window mined in pieces is a list of such views, one per block,
 so that counts can be maintained per block.
@@ -19,16 +25,14 @@ from typing import Iterable, Iterator
 
 from .errors import BoundsError, EventLogParseError, ParameterError
 
-# Characters that would break the two line-oriented text formats
-# (event logs are comma-separated, pattern files are tab-separated).
-_FORBIDDEN_IN_LABEL = set(", \t\r\n\x0b\x0c")
-
 
 class EventType:
     """An interned event-type symbol.
 
-    Labels must be non-empty and contain no comma or whitespace so they
-    survive both text formats unescaped.  Construction interns: equal
+    Labels must be non-empty and contain no comma and no character for
+    which str.isspace() is true, so they survive both text formats
+    unescaped: that covers every line boundary of str.splitlines() and
+    everything str.strip() removes.  Construction interns: equal
     labels give the identical object, so the default identity equality
     and hashing agree with label equality, cost no Python call, and an
     alphabet behaves like a set of atoms.  Ordering is by label.
@@ -43,7 +47,7 @@ class EventType:
             return cached
         if not isinstance(label, str) or not label:
             raise ParameterError("event label must be a non-empty string")
-        if any(c in _FORBIDDEN_IN_LABEL for c in label):
+        if any(c == "," or c.isspace() for c in label):
             raise ParameterError(
                 f"event label may not contain commas or whitespace: {label!r}"
             )
@@ -93,26 +97,57 @@ class StreamTuple:
 class StreamQueue:
     """An immutable run of stream tuples in strictly increasing time order.
 
-    Also owns one lazily built bitmap per event type, a Python int whose
-    bit i is set when the type is in tuple i.  The masks are built in one
-    pass on first use and shared by every window over the queue; the
-    occurrence counter and alphabet() read them through mask().
+    The queue is its columns: `times`, the timestamps, and one bitmap per
+    event type, a Python int whose bit i is set when the type is in tuple
+    i.  The bitmaps are shared by every window over the queue; the
+    occurrence counter and alphabet() read them through mask().  A queue
+    built from StreamTuple objects keeps them and builds its bitmaps in
+    one pass on first use; a parsed queue is given its bitmaps and builds
+    its StreamTuple view (`tuples`, iteration, indexing) on first use.
+    Length, masks, windows, equality and hashing never need that view.
     """
 
-    __slots__ = ("tuples", "_masks")
+    __slots__ = ("times", "_tuples", "_masks")
 
     def __init__(self, tuples: Iterable[StreamTuple]) -> None:
         tps = tuple(tuples)
-        for prev, cur in zip(tps, tps[1:]):
-            if cur.time <= prev.time:
+        times = tuple(t.time for t in tps)
+        for prev, cur in zip(times, times[1:]):
+            if cur <= prev:
                 raise ParameterError(
-                    f"timestamps must strictly increase: {prev.time} then {cur.time}"
+                    f"timestamps must strictly increase: {prev} then {cur}"
                 )
-        self.tuples = tps
+        self.times = times
+        self._tuples: tuple[StreamTuple, ...] | None = tps
         self._masks: dict[EventType, int] | None = None
 
+    @classmethod
+    def _from_columns(
+        cls, times: tuple[int, ...], masks: dict[EventType, int]
+    ) -> StreamQueue:
+        """A queue given as strictly increasing timestamps and the non-zero
+        bitmap of every type present, each within len(times) bits."""
+        queue = cls.__new__(cls)
+        queue.times = times
+        queue._tuples = None
+        queue._masks = masks
+        return queue
+
+    @property
+    def tuples(self) -> tuple[StreamTuple, ...]:
+        """The tuples in time order; a parsed queue builds them on first use."""
+        if self._tuples is None:
+            rows: list[list[EventType]] = [[] for _ in self.times]
+            for et, m in self._type_masks().items():
+                for i in _set_bits(m):
+                    rows[i].append(et)
+            self._tuples = tuple(
+                StreamTuple(ts, frozenset(row)) for ts, row in zip(self.times, rows)
+            )
+        return self._tuples
+
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self.times)
 
     def __getitem__(self, i: int) -> StreamTuple:
         return self.tuples[i]
@@ -122,29 +157,26 @@ class StreamQueue:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, StreamQueue):
-            return self.tuples == other.tuples
+            return (
+                self.times == other.times
+                and self._type_masks() == other._type_masks()
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.tuples)
+        return hash((self.times, frozenset(self._type_masks().items())))
 
     def __repr__(self) -> str:
-        return f"StreamQueue(<{len(self.tuples)} tuples>)"
+        return f"StreamQueue(<{len(self.times)} tuples>)"
 
     def _type_masks(self) -> dict[EventType, int]:
         if self._masks is None:
-            nbytes = (len(self.tuples) + 7) >> 3
-            rows: dict[EventType, bytearray] = {}
-            for i, t in enumerate(self.tuples):
-                byte, bit = i >> 3, 1 << (i & 7)
+            columns: dict[EventType, list[int]] = {}
+            for i, t in enumerate(self._tuples):
                 for et in t.types:
-                    row = rows.get(et)
-                    if row is None:
-                        row = rows[et] = bytearray(nbytes)
-                    row[byte] |= bit
-            self._masks = {
-                et: int.from_bytes(row, "little") for et, row in rows.items()
-            }
+                    columns.setdefault(et, []).append(i)
+            n = len(self.times)
+            self._masks = {et: _bitmap(col, n) for et, col in columns.items()}
         return self._masks
 
     def mask(self, item: EventType) -> int:
@@ -154,6 +186,23 @@ class StreamQueue:
     def alphabet(self) -> list[EventType]:
         """All event types present, sorted by label."""
         return sorted(self._type_masks())
+
+
+def _bitmap(indices: Iterable[int], n: int) -> int:
+    """The n-bit int with bit i set for every i in `indices`."""
+    row = bytearray((n + 7) >> 3)
+    for i in indices:
+        row[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(row, "little")
+
+
+def _set_bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of `m` >= 0, ascending."""
+    bits = f"{m:b}"[::-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 class ViewWindow:
@@ -305,15 +354,21 @@ def parse_event_log(text: str) -> StreamQueue:
     """Parse event-log text into a StreamQueue.
 
     Each record line is "timestamp,event_label" with a base-10 integer
-    timestamp and a comma/whitespace-free label.  Lines that are empty or
+    timestamp and a label EventType accepts.  Lines that are empty or
     start with '#' are skipped.  Records may arrive in any order and may
     repeat: they are grouped by timestamp, duplicates within a timestamp
-    merge, and tuples come out sorted by timestamp.
+    merge, and tuples come out sorted by timestamp.  The first bad line
+    raises EventLogParseError with its 1-based number.
+
+    One pass over the lines collects each label's timestamps; the
+    distinct timestamps are then ranked and each label's ranks set bits
+    in one bytearray row.  The queue is those columns: no StreamTuple is
+    built until something iterates or indexes it.
     """
-    grouped: dict[int, set[EventType]] = {}
+    columns: dict[str, list[int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         ts_str, sep, label = line.partition(",")
         if not sep:
@@ -322,14 +377,21 @@ def parse_event_log(text: str) -> StreamQueue:
             ts = int(ts_str.strip(), 10)
         except ValueError:
             raise EventLogParseError(line_no, f"bad timestamp {ts_str.strip()!r}") from None
-        try:
-            et = EventType(label)
-        except ParameterError as exc:
-            raise EventLogParseError(line_no, str(exc)) from None
-        grouped.setdefault(ts, set()).add(et)
-    return StreamQueue(
-        StreamTuple(time=ts, types=frozenset(grouped[ts])) for ts in sorted(grouped)
-    )
+        column = columns.get(label)
+        if column is None:
+            try:
+                EventType(label)
+            except ParameterError as exc:
+                raise EventLogParseError(line_no, str(exc)) from None
+            column = columns[label] = []
+        column.append(ts)
+    times = sorted(set().union(*columns.values()))
+    rank = {ts: i for i, ts in enumerate(times)}
+    masks = {
+        EventType(label): _bitmap(map(rank.__getitem__, column), len(times))
+        for label, column in columns.items()
+    }
+    return StreamQueue._from_columns(tuple(times), masks)
 
 
 def serialize_event_log(queue: StreamQueue) -> str:

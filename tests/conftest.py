@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from streamseq import EventType, StreamQueue, StreamTuple, window
 
 
@@ -26,3 +28,14 @@ def random_queue(rng: random.Random, n_tuples, alphabet, max_fill=2):
         k = rng.randint(1, min(max_fill, len(alphabet)))
         tuples.append(tup(i + 1, *rng.sample(alphabet, k)))
     return StreamQueue(tuples)
+
+
+# labels from every character EventType accepts: no comma, and nothing
+# str.isspace() holds for; non-ASCII letters, symbols and controls included
+labels = st.text(
+    st.characters(blacklist_categories=("Cs",)).filter(
+        lambda c: c != "," and not c.isspace()
+    ),
+    min_size=1,
+    max_size=4,
+)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from streamseq import parse_event_log
+from streamseq import StreamTuple, parse_event_log
 from streamseq.cli import main
 from streamseq.patternfile import load_pattern_file
 
@@ -224,6 +224,27 @@ def test_sweep_with_a_free_update_is_3(tmp_path, capsys):
     assert err.startswith("error:") and "delta 10" in err
 
 
+def test_cli_path_builds_no_stream_tuple(tmp_path, monkeypatch, capsys):
+    # mine, update and sweep work on the parsed columns alone
+    log = gen_log(tmp_path / "s.log", events=1500, seed=21)
+    flags = ("--min-supp", "0.1", "--min-nbd-supp", "0.03", "--span", "3", "--max-len", "3")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a StreamTuple was built")
+
+    monkeypatch.setattr(StreamTuple, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        list(parse_event_log(log.read_text()))
+    base, grown = tmp_path / "base.p", tmp_path / "grown.p"
+    assert run("mine", str(log), str(base), "--size", "300", *flags) == 0
+    assert run("update", str(log), str(base), str(grown), "--size", "100") == 0
+    assert run(
+        "sweep", str(log), str(tmp_path / "c.csv"), str(tmp_path / "r.txt"),
+        "--initial", "300", "--deltas", "60,120,180,240", *flags,
+    ) == 0
+    capsys.readouterr()
+
+
 class TestExitCodes:
     def test_usage_errors_are_2(self, capsys):
         assert run("mine") == 2  # missing required arguments
@@ -266,6 +287,21 @@ class TestExitCodes:
         code = run("update", str(log), str(bad), str(tmp_path / "o"), "--size", "10")
         assert code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bad_arg", ["log", "old"])
+    def test_input_that_is_not_utf8_is_3(self, tmp_path, capsys, bad_arg):
+        paths = {"log": gen_log(tmp_path / "s.log"), "old": tmp_path / "w.p"}
+        assert run("mine", str(paths["log"]), str(paths["old"]), "--size", "200",
+                   "--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3") == 0
+        paths[bad_arg] = tmp_path / "bad"
+        paths[bad_arg].write_bytes(b"1,a\n\xff\xfe\n")
+        out = tmp_path / "out.p"
+        capsys.readouterr()
+        code = run("update", str(paths["log"]), str(paths["old"]), str(out), "--size", "100")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(paths[bad_arg]) in err
+        assert not out.exists()
 
 
 def test_module_entry_point():

@@ -2,6 +2,7 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamseq import (
     BoundsError,
@@ -17,7 +18,7 @@ from streamseq import (
     window,
 )
 from streamseq.oracle import contains
-from conftest import queue_of, random_queue, tup
+from conftest import labels, queue_of, random_queue, tup
 
 
 def embeds(small, big):
@@ -43,7 +44,11 @@ class TestEventType:
     def test_str_is_label(self):
         assert str(EventType("link_down")) == "link_down"
 
-    @pytest.mark.parametrize("bad", ["", "a,b", "a b", "a\tb", "a\nb", "a\rb"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "a,b", "a b", "a\tb", "a\nb", "a\rb",
+         "a\xa0", "a\u2028b", "a\x85b", "a\x1cb"],
+    )
     def test_rejects_labels_that_break_text_formats(self, bad):
         with pytest.raises(ParameterError):
             EventType(bad)
@@ -98,6 +103,13 @@ class TestStreamQueue:
             m = q.mask(et)
             assert [i for i in range(len(q)) if m >> i & 1] == expected
             assert m.bit_length() <= len(q)
+
+    def test_equality_reads_times_and_masks(self):
+        q = queue_of("ab", "b")
+        parsed = parse_event_log("1,a\n1,b\n2,b\n")
+        assert parsed == q and hash(parsed) == hash(q)
+        assert StreamQueue([tup(1, "a", "b"), tup(3, "b")]) != q
+        assert StreamQueue([tup(1, "a", "b"), tup(2, "a")]) != q
 
     def test_alphabet_sorted(self):
         q = queue_of("cb", "a")
@@ -242,3 +254,64 @@ class TestEventLog:
             again = parse_event_log(text)
             assert again == q
             assert serialize_event_log(again) == text
+
+
+# whitespace that may sit around the fields of a record, and line endings
+_pad = st.text(st.sampled_from(" \t\x1f"), max_size=2)
+_eol = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1e", "\x85", "\u2028"])
+
+
+@st.composite
+def _written_log(draw):
+    """A random queue and a messy log of it: records shuffled and repeated,
+    blank and comment lines between them, whitespace around the fields."""
+    pool = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
+    times = sorted(draw(st.sets(st.integers(-10**12, 10**12), max_size=25)))
+    tuples = [
+        StreamTuple(t, frozenset(map(EventType, draw(
+            st.sets(st.sampled_from(pool), min_size=1, max_size=len(pool))))))
+        for t in times
+    ]
+    records = [(t.time, et.label) for t in tuples for et in t.types]
+    records += draw(st.lists(st.sampled_from(records), max_size=5)) if records else []
+    records = draw(st.permutations(records))
+    lines = []
+    for ts, label in records:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "#", "# 1,a", "  #x,y"])))
+        lines.append(f"{draw(_pad)}{ts}{draw(_pad)},{label}{draw(_pad)}")
+    text = "".join(line + draw(_eol) for line in lines)
+    return StreamQueue(tuples), text
+
+
+class TestEventLogProperties:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_written_log())
+    def test_parse_equals_the_queue_and_serialize_is_a_fixed_point(self, case):
+        ref, text = case
+        q = parse_event_log(text)
+        assert len(q) == len(ref)
+        assert q.times == ref.times
+        assert q.alphabet() == ref.alphabet()
+        for et in ref.alphabet():
+            assert q.mask(et) == ref.mask(et)
+        assert q == ref and hash(q) == hash(ref)
+        assert list(q) == list(ref)
+        out = serialize_event_log(q)
+        assert out == serialize_event_log(ref)
+        assert parse_event_log(out) == q
+        assert serialize_event_log(parse_event_log(out)) == out
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        _written_log(),
+        st.sampled_from(["no comma", "1.5,a", "x,a", "1,", "1, a", "1,a,b",
+                         "1,new\xa0label", "1,ne w"]),
+        _eol,
+    )
+    def test_a_bad_record_reports_its_own_line(self, case, bad, eol):
+        _, text = case
+        line_no = len(text.splitlines()) + 1
+        with pytest.raises(EventLogParseError) as info:
+            parse_event_log(text + bad + eol + "oops" + eol)
+        assert info.value.line_no == line_no

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamseq import (
     CountParams,
@@ -13,7 +14,7 @@ from streamseq import (
     window,
 )
 from streamseq.patternfile import dump_pattern_file, load_pattern_file
-from conftest import alternating_ab, random_queue
+from conftest import alternating_ab, labels, queue_of, random_queue
 
 GOLDEN = (
     "format=1\n"
@@ -73,6 +74,38 @@ def test_round_trip_random_pattern_sets():
         assert back.frequent == ps.frequent
         assert back.border == ps.border
         assert dump_pattern_file(back) == text  # byte-stable
+
+
+@st.composite
+def _mined_set(draw):
+    """mine() over 1-4 blocks with gaps of a random stream of three types."""
+    names = draw(st.lists(labels, min_size=3, max_size=3, unique=True))
+    rows = draw(st.lists(st.integers(1, 7), min_size=1, max_size=60))
+    q = queue_of(*([lb for i, lb in enumerate(names) if r >> i & 1] for r in rows))
+    k = draw(st.integers(1, 4))
+    edges = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=2 * k, max_size=2 * k)))
+    pct = draw(st.integers(5, 60))
+    params = MiningParams(
+        Fraction(pct, 100),
+        Fraction(pct, 300),
+        CountParams(draw(st.integers(1, 4))),
+        max_len=draw(st.sampled_from([None, 1, 2, 3])),
+    )
+    return mine([window(q, lo, hi - lo) for lo, hi in zip(edges[::2], edges[1::2])], params)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_mined_set())
+def test_mined_sets_round_trip_byte_stably(ps):
+    text = dump_pattern_file(ps)
+    back = load_pattern_file(text)
+    assert (back.params, back.blocks, back.frequent, back.border) == (
+        ps.params,
+        ps.blocks,
+        ps.frequent,
+        ps.border,
+    )
+    assert dump_pattern_file(back) == text
 
 
 def test_unbounded_max_len_round_trips():
