@@ -11,7 +11,6 @@ at most one occurrence, so counts never exceed the number of positions.
 
 from streamseq import (
     CountParams,
-    EventType,
     Sequence,
     StreamQueue,
     StreamTuple,
@@ -21,12 +20,9 @@ from streamseq import (
 )
 
 
-def tup(time, *labels):
-    return StreamTuple(time, frozenset(EventType(x) for x in labels))
-
-
-# the running example: a and b strictly alternating over four tuples
-q = StreamQueue([tup(1, "a"), tup(2, "b"), tup(3, "a"), tup(4, "b")])
+# the running example: a and b strictly alternating over four tuples;
+# event labels are plain strings
+q = StreamQueue(StreamTuple(t, {label}) for t, label in enumerate("abab", start=1))
 w = window(q, 0, len(q))
 print(f"window: {w.start}:{w.end} holding {w.size} tuples")
 

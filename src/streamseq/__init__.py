@@ -27,7 +27,6 @@ from .generate import GenConfig, SplitMix64, generate, type_labels
 from .incremental import UpdateInput, ius_update, speedup
 from .mining import MiningParams, PatternSet, as_fraction, gen_candidates, mine
 from .model import (
-    EventType,
     Sequence,
     StreamQueue,
     StreamTuple,
@@ -64,7 +63,6 @@ __all__ = [
     "CostCounter",
     "CountParams",
     "EventLogParseError",
-    "EventType",
     "GenConfig",
     "IncompatiblePatternSetsError",
     "MiningParams",

@@ -142,7 +142,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     old_blocks = [window(queue, s, e - s) for s, e in old.blocks]
     start = args.start
     if start is None:
-        start = old.blocks[-1][1] if old.blocks else 0
+        start = max((end for _, end in old.blocks), default=0)
     dw = window(queue, start, args.size)
     part = mine([dw], old.params)
     result = ius_update(

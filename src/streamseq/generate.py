@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .model import EventType, Sequence, StreamQueue, StreamTuple
+from .model import Sequence, StreamQueue, StreamTuple
 
 _MASK64 = (1 << 64) - 1
 
@@ -115,7 +115,7 @@ class GenConfig:
                     raise ParameterError(f"embedded pattern {seq!r} is not a Sequence")
                 if not 0.0 <= rate <= 1000.0:
                     raise ParameterError(f"rate must be in [0, 1000], got {rate}")
-                missing = [et.label for et in seq if et.label not in alphabet]
+                missing = [label for label in seq if label not in alphabet]
                 if missing:
                     raise ParameterError(
                         f"pattern {seq!r} uses labels outside the alphabet: {missing}"
@@ -135,11 +135,11 @@ def generate(cfg: GenConfig) -> StreamQueue:
     off with the stream.
     """
     rng = SplitMix64(cfg.seed)
-    alphabet = [EventType(l) for l in type_labels(cfg.n_types)]
+    alphabet = type_labels(cfg.n_types)
     base_fill = int(cfg.tuple_fill)
     frac_fill = cfg.tuple_fill - base_fill
 
-    pending: dict[int, set[EventType]] = {}
+    pending: dict[int, set[str]] = {}
     tuples: list[StreamTuple] = []
     events = 0
     i = 0

@@ -179,12 +179,12 @@ def gen_candidates(level: Iterable[Sequence]) -> list[Sequence]:
 
     by_prefix: dict[tuple, list[Sequence]] = {}
     for t in seqs:
-        by_prefix.setdefault(t.items[:-1], []).append(t)
+        by_prefix.setdefault(t[:-1], []).append(t)
     have = set(seqs)
     out: set[Sequence] = set()
     for s in seqs:
-        for t in by_prefix.get(s.items[1:], ()):
-            cand = Sequence(s.items + (t.items[-1],))
+        for t in by_prefix.get(s[1:], ()):
+            cand = Sequence(s + t[-1:])
             if all(sub in have for sub in cand.shrink_by_one()):
                 out.add(cand)
     return sorted(out)
@@ -247,7 +247,7 @@ def mine(
     blocks = list(blocks)
     cp = params.count_params
     return _levelwise(
-        {Sequence((et,)) for b in blocks for et in b.alphabet()},
+        {Sequence((label,)) for b in blocks for label in b.alphabet()},
         lambda seq: occur_partitioned(seq, blocks, cp, cost),
         params,
         tuple((b.start, b.end) for b in blocks),

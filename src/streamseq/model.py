@@ -1,11 +1,14 @@
 """Stream data model.
 
-An event stream is a queue of tuples: each tuple is the set of event types
-observed at one timestamp, and tuples are kept in strictly increasing
-timestamp order.  A queue is held as columns: `times`, its timestamps,
-and one bitmap per event type whose bit i is set when the type is in
-tuple i.  parse_event_log fills those columns straight from the text;
-the per-tuple StreamTuple view is built only when something iterates or
+An event label is a plain str: non-empty, with no comma and no
+whitespace, so it survives both text formats unescaped; _check_label
+holds that rule.  An event stream is a queue of tuples: each tuple is
+the set of labels observed at one int timestamp, and tuples are kept in
+strictly increasing timestamp order.  A Sequence is a non-empty tuple
+of labels.  A queue is held as columns: `times`, its timestamps, and
+one bitmap per label whose bit i is set when the label is in tuple i.
+parse_event_log fills those columns straight from the text; the
+per-tuple StreamTuple view is built only when something iterates or
 indexes the queue (the oracle, serialize_event_log, tests).  A queue
 built from StreamTuple objects keeps them and derives its bitmaps on
 first use.  Mining never copies stream data; it works on ViewWindow
@@ -20,68 +23,50 @@ the sweep driver without locking.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BoundsError, EventLogParseError, ParameterError
 
+_LABEL_BREAKERS = re.compile(r"[,\s]")
 
-class EventType:
-    """An interned event-type symbol.
 
-    Labels must be non-empty and contain no comma and no character for
-    which str.isspace() is true, so they survive both text formats
-    unescaped: that covers every line boundary of str.splitlines() and
-    everything str.strip() removes.  Construction interns: equal
-    labels give the identical object, so the default identity equality
-    and hashing agree with label equality, cost no Python call, and an
-    alphabet behaves like a set of atoms.  Ordering is by label.
+def _check_label(label: object) -> None:
+    """Raise ParameterError unless `label` is a valid event label.
+
+    A label is a non-empty str with no comma and no character for which
+    str.isspace() is true (exactly what `_LABEL_BREAKERS` matches), so it
+    survives both text formats unescaped: that covers every line
+    boundary of str.splitlines() and everything str.strip() removes.
     """
-
-    __slots__ = ("label",)
-    _pool: dict[str, EventType] = {}
-
-    def __new__(cls, label: str) -> EventType:
-        cached = cls._pool.get(label)
-        if cached is not None:
-            return cached
-        if not isinstance(label, str) or not label:
-            raise ParameterError("event label must be a non-empty string")
-        if any(c == "," or c.isspace() for c in label):
-            raise ParameterError(
-                f"event label may not contain commas or whitespace: {label!r}"
-            )
-        obj = object.__new__(cls)
-        obj.label = label
-        return cls._pool.setdefault(label, obj)
-
-    def __repr__(self) -> str:
-        return f"EventType({self.label!r})"
-
-    def __str__(self) -> str:
-        return self.label
-
-    def __lt__(self, other: EventType) -> bool:
-        if not isinstance(other, EventType):
-            return NotImplemented
-        return self.label < other.label
-
-    # keep interning stable under copy/deepcopy
-    def __copy__(self) -> EventType:
-        return self
-
-    def __deepcopy__(self, memo: dict) -> EventType:
-        return self
+    if not isinstance(label, str) or not label:
+        raise ParameterError(f"event label must be a non-empty string, got {label!r}")
+    if _LABEL_BREAKERS.search(label):
+        raise ParameterError(
+            f"event label may not contain commas or whitespace: {label!r}"
+        )
 
 
 @dataclass(frozen=True)
 class StreamTuple:
-    """All event types observed at one timestamp. Never empty."""
+    """All event labels observed at one int timestamp. Never empty.
+
+    The labels themselves are checked once per distinct label when a
+    StreamQueue is built from tuples.
+    """
 
     time: int
-    types: frozenset[EventType]
+    types: frozenset[str]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.time, int) or isinstance(self.time, bool):
+            raise ParameterError(f"stream tuple time must be an int, got {self.time!r}")
+        if isinstance(self.types, str):
+            raise ParameterError(
+                f"stream tuple types must be a set of labels, not the string "
+                f"{self.types!r}"
+            )
         if not isinstance(self.types, frozenset):
             object.__setattr__(self, "types", frozenset(self.types))
         if not self.types:
@@ -90,7 +75,7 @@ class StreamTuple:
     def __len__(self) -> int:
         return len(self.types)
 
-    def __contains__(self, item: EventType) -> bool:
+    def __contains__(self, item: str) -> bool:
         return item in self.types
 
 
@@ -105,6 +90,7 @@ class StreamQueue:
     one pass on first use; a parsed queue is given its bitmaps and builds
     its StreamTuple view (`tuples`, iteration, indexing) on first use.
     Length, masks, windows, equality and hashing never need that view.
+    Building from tuples checks each distinct label once.
     """
 
     __slots__ = ("times", "_tuples", "_masks")
@@ -117,13 +103,15 @@ class StreamQueue:
                 raise ParameterError(
                     f"timestamps must strictly increase: {prev} then {cur}"
                 )
+        for label in set().union(*(t.types for t in tps)):
+            _check_label(label)
         self.times = times
         self._tuples: tuple[StreamTuple, ...] | None = tps
-        self._masks: dict[EventType, int] | None = None
+        self._masks: dict[str, int] | None = None
 
     @classmethod
     def _from_columns(
-        cls, times: tuple[int, ...], masks: dict[EventType, int]
+        cls, times: tuple[int, ...], masks: dict[str, int]
     ) -> StreamQueue:
         """A queue given as strictly increasing timestamps and the non-zero
         bitmap of every type present, each within len(times) bits."""
@@ -137,10 +125,10 @@ class StreamQueue:
     def tuples(self) -> tuple[StreamTuple, ...]:
         """The tuples in time order; a parsed queue builds them on first use."""
         if self._tuples is None:
-            rows: list[list[EventType]] = [[] for _ in self.times]
-            for et, m in self._type_masks().items():
+            rows: list[list[str]] = [[] for _ in self.times]
+            for label, m in self._type_masks().items():
                 for i in _set_bits(m):
-                    rows[i].append(et)
+                    rows[i].append(label)
             self._tuples = tuple(
                 StreamTuple(ts, frozenset(row)) for ts, row in zip(self.times, rows)
             )
@@ -169,22 +157,22 @@ class StreamQueue:
     def __repr__(self) -> str:
         return f"StreamQueue(<{len(self.times)} tuples>)"
 
-    def _type_masks(self) -> dict[EventType, int]:
+    def _type_masks(self) -> dict[str, int]:
         if self._masks is None:
-            columns: dict[EventType, list[int]] = {}
+            columns: dict[str, list[int]] = {}
             for i, t in enumerate(self._tuples):
-                for et in t.types:
-                    columns.setdefault(et, []).append(i)
+                for label in t.types:
+                    columns.setdefault(label, []).append(i)
             n = len(self.times)
-            self._masks = {et: _bitmap(col, n) for et, col in columns.items()}
+            self._masks = {label: _bitmap(col, n) for label, col in columns.items()}
         return self._masks
 
-    def mask(self, item: EventType) -> int:
+    def mask(self, item: str) -> int:
         """Bitmap of the tuples holding `item`: bit i is set for tuple i."""
         return self._type_masks().get(item, 0)
 
-    def alphabet(self) -> list[EventType]:
-        """All event types present, sorted by label."""
+    def alphabet(self) -> list[str]:
+        """All labels present, sorted."""
         return sorted(self._type_masks())
 
 
@@ -259,13 +247,13 @@ class ViewWindow:
             )
         return ViewWindow(self.queue, self.start + offset, size)
 
-    def mask(self, item: EventType) -> int:
+    def mask(self, item: str) -> int:
         """The queue's bitmap of `item` cut to this window: bit i is tuple i."""
         return (self.queue.mask(item) >> self.start) & ((1 << self.size) - 1)
 
-    def alphabet(self) -> list[EventType]:
-        """Event types present in this window, sorted by label."""
-        return [et for et in self.queue.alphabet() if self.mask(et)]
+    def alphabet(self) -> list[str]:
+        """Labels present in this window, sorted."""
+        return [label for label in self.queue.alphabet() if self.mask(label)]
 
 
 def window(queue: StreamQueue, start: int, size: int) -> ViewWindow:
@@ -273,88 +261,55 @@ def window(queue: StreamQueue, start: int, size: int) -> ViewWindow:
     return ViewWindow(queue, start, size)
 
 
-class Sequence:
-    """An ordered list of event types, repeats allowed, never empty.
+class Sequence(tuple):
+    """A tuple of event labels, repeats allowed, never empty.
 
-    Sequences are hashable and totally ordered by their label tuples, so
-    every container of patterns in this package iterates and serializes
-    in one deterministic order.
+    Being a tuple, a Sequence is hashable, equal to the plain tuple of
+    its labels, and totally ordered by them, so every container of
+    patterns in this package iterates and serializes in one
+    deterministic order.  Slices and concatenations are plain tuples.
     """
 
-    __slots__ = ("items", "_key", "_hash")
+    __slots__ = ()
 
-    def __init__(self, items: Iterable[EventType]) -> None:
-        its = tuple(items)
-        if not its:
+    def __new__(cls, items: Iterable[str]) -> Sequence:
+        if isinstance(items, str):
+            raise ParameterError(f"a sequence takes labels, not the string {items!r}")
+        seq = super().__new__(cls, items)
+        if not seq:
             raise ParameterError("a sequence must contain at least one item")
-        for it in its:
-            if not isinstance(it, EventType):
-                raise ParameterError(f"sequence items must be EventType, got {it!r}")
-        self.items = its
-        self._key = tuple(it.label for it in its)
-        self._hash = hash(self._key)
+        for label in seq:
+            _check_label(label)
+        return seq
 
     @classmethod
     def of(cls, *labels: str) -> Sequence:
-        """Shorthand: Sequence.of("a", "b") == Sequence([EventType("a"), ...])."""
-        return cls(EventType(l) for l in labels)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._key
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[EventType]:
-        return iter(self.items)
-
-    def __getitem__(self, i: int) -> EventType:
-        return self.items[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Sequence):
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: Sequence) -> bool:
-        return self._key < other._key
-
-    def __le__(self, other: Sequence) -> bool:
-        return self._key <= other._key
-
-    def __gt__(self, other: Sequence) -> bool:
-        return self._key > other._key
-
-    def __ge__(self, other: Sequence) -> bool:
-        return self._key >= other._key
+        """Shorthand: Sequence.of("a", "b") == Sequence(["a", "b"])."""
+        return cls(labels)
 
     def __repr__(self) -> str:
-        return "<" + ",".join(self._key) + ">"
+        return "<" + ",".join(self) + ">"
 
     def drop(self, i: int) -> Sequence:
         """The subsequence with position i removed. Length must be >= 2."""
-        if len(self.items) < 2:
+        if len(self) < 2:
             raise ParameterError("cannot drop from a length-1 sequence")
-        if not 0 <= i < len(self.items):
+        if not 0 <= i < len(self):
             raise ParameterError(f"drop index {i} out of range")
-        return Sequence(self.items[:i] + self.items[i + 1 :])
+        return Sequence(self[:i] + self[i + 1 :])
 
     def shrink_by_one(self) -> list[Sequence]:
         """All distinct length-(m-1) subsequences, sorted. Empty for m=1."""
-        if len(self.items) < 2:
+        if len(self) < 2:
             return []
-        return sorted({self.drop(i) for i in range(len(self.items))})
+        return sorted({self.drop(i) for i in range(len(self))})
 
 
 def parse_event_log(text: str) -> StreamQueue:
     """Parse event-log text into a StreamQueue.
 
     Each record line is "timestamp,event_label" with a base-10 integer
-    timestamp and a label EventType accepts.  Lines that are empty or
+    timestamp and a label _check_label accepts.  Lines that are empty or
     start with '#' are skipped.  Records may arrive in any order and may
     repeat: they are grouped by timestamp, duplicates within a timestamp
     merge, and tuples come out sorted by timestamp.  The first bad line
@@ -380,7 +335,7 @@ def parse_event_log(text: str) -> StreamQueue:
         column = columns.get(label)
         if column is None:
             try:
-                EventType(label)
+                _check_label(label)
             except ParameterError as exc:
                 raise EventLogParseError(line_no, str(exc)) from None
             column = columns[label] = []
@@ -388,7 +343,7 @@ def parse_event_log(text: str) -> StreamQueue:
     times = sorted(set().union(*columns.values()))
     rank = {ts: i for i, ts in enumerate(times)}
     masks = {
-        EventType(label): _bitmap(map(rank.__getitem__, column), len(times))
+        label: _bitmap(map(rank.__getitem__, column), len(times))
         for label, column in columns.items()
     }
     return StreamQueue._from_columns(tuple(times), masks)
@@ -402,8 +357,8 @@ def serialize_event_log(queue: StreamQueue) -> str:
     a fixed point: parse -> serialize -> parse is the identity.
     """
     lines = [
-        f"{t.time},{et.label}"
+        f"{t.time},{label}"
         for t in queue
-        for et in sorted(t.types)
+        for label in sorted(t.types)
     ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -97,7 +97,7 @@ def occur(
         return 0
     pending = (1 << (w.size - span + 1)) - 1    # every legal start
     ends: list[int] = []
-    for item in seq.items:
+    for item in seq:
         y = w.mask(item)
         if not y:
             return 0

@@ -20,7 +20,7 @@ from .occurrence import CountParams
 
 def contains(seq: Sequence, w: ViewWindow) -> bool:
     """True when seq embeds in w at strictly increasing tuple indices."""
-    need = iter(seq.items)
+    need = iter(seq)
     item = next(need)
     for t in w:
         if item in t.types:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import PatternFileError, ParameterError, ContractError
 from .mining import MiningParams, PatternSet
-from .model import EventType, Sequence
+from .model import Sequence
 from .occurrence import CountParams
 
 FORMAT_VERSION = "1"
@@ -58,7 +58,7 @@ def dump_pattern_file(ps: PatternSet) -> str:
     lines = [f"{k}={head[k]}" for k in _HEADER_ORDER]
     for section, family in (("L", ps.frequent), ("NBD", ps.border)):
         for seq in sorted(family):
-            fields = [section, *seq.labels, str(family[seq])]
+            fields = [section, *seq, str(family[seq])]
             lines.append("\t".join(fields))
     return "\n".join(lines) + "\n"
 
@@ -119,7 +119,7 @@ def load_pattern_file(text: str) -> PatternSet:
                     f"line {line_no}: bad count {count_str!r}"
                 ) from None
             try:
-                seq = Sequence(EventType(l) for l in labels)
+                seq = Sequence(labels)
             except ParameterError as exc:
                 raise PatternFileError(f"line {line_no}: {exc}") from None
             if seq in frequent or seq in border:

@@ -4,11 +4,11 @@ import random
 
 from hypothesis import strategies as st
 
-from streamseq import EventType, StreamQueue, StreamTuple, window
+from streamseq import StreamQueue, StreamTuple, window
 
 
 def tup(time, *labels):
-    return StreamTuple(time, frozenset(EventType(x) for x in labels))
+    return StreamTuple(time, frozenset(labels))
 
 
 def queue_of(*groups):
@@ -30,7 +30,7 @@ def random_queue(rng: random.Random, n_tuples, alphabet, max_fill=2):
     return StreamQueue(tuples)
 
 
-# labels from every character EventType accepts: no comma, and nothing
+# event labels are plain strings of any character but a comma and those
 # str.isspace() holds for; non-ASCII letters, symbols and controls included
 labels = st.text(
     st.characters(blacklist_categories=("Cs",)).filter(

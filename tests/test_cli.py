@@ -131,6 +131,18 @@ def test_update_rejects_an_increment_overlapping_the_mined_window(tmp_path):
     assert not out.exists()
 
 
+def test_update_starts_after_the_last_mined_tuple_by_default(tmp_path):
+    # the last-listed block is not always the last block of the window
+    log = gen_log(tmp_path / "s.log")
+    p0, p1, p2 = (tmp_path / f"p{i}.patterns" for i in range(3))
+    flags = ["--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3"]
+    assert run("mine", str(log), str(p0), "--start", "100", "--size", "100", *flags) == 0
+    assert run("update", str(log), str(p0), str(p1), "--start", "0", "--size", "50") == 0
+    assert "blocks=100:200,0:50\n" in p1.read_text()
+    assert run("update", str(log), str(p1), str(p2), "--size", "60") == 0
+    assert "blocks=100:200,0:50,200:260\n" in p2.read_text()
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -113,7 +113,7 @@ class TestGenerate:
         cfg = GenConfig(n_types=5, n_events=400, seed=9)
         q = generate(cfg)
         allowed = set(type_labels(5))
-        assert {et.label for et in q.alphabet()} <= allowed
+        assert set(q.alphabet()) <= allowed
 
     def test_embedded_pattern_boosts_occurrence(self):
         base = GenConfig(n_types=20, n_events=4000, seed=11)

@@ -1,18 +1,28 @@
-import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamseq import (
     BoundsError,
+    CountParams,
     EventLogParseError,
-    EventType,
+    MiningParams,
     ParameterError,
+    PatternFileError,
     Sequence,
     StreamQueue,
     StreamTuple,
     ViewWindow,
+    dump_pattern_file,
+    load_pattern_file,
+    mine,
+    occur,
     parse_event_log,
     serialize_event_log,
     window,
@@ -20,29 +30,24 @@ from streamseq import (
 from streamseq.oracle import contains
 from conftest import labels, queue_of, random_queue, tup
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def embeds(small, big):
     """Order-preserving containment of one sequence in another."""
-    return contains(small, window(queue_of(*([l] for l in big.labels)), 0, len(big)))
+    return contains(small, window(queue_of(*([l] for l in big)), 0, len(big)))
 
 
-class TestEventType:
-    def test_interning_returns_identical_object(self):
-        assert EventType("alarm") is EventType("alarm")
+# a pattern file that is valid with one more frequent single, `L\t<label>\t3`
+_PATTERN_FILE_HEAD = (
+    "format=1\nwindow_size=4\nmin_supp=1/2\nmin_nbd_supp=1/4\n"
+    "span=1\nmax_len=none\nblocks=0:4\n"
+)
 
-    def test_equality_and_hash_follow_label(self):
-        assert EventType("x") == EventType("x")
-        assert EventType("x") != EventType("y")
-        assert len({EventType("x"), EventType("x"), EventType("y")}) == 2
 
-    def test_ordering_is_label_order(self):
-        assert sorted([EventType("b"), EventType("a")]) == [
-            EventType("a"),
-            EventType("b"),
-        ]
-
-    def test_str_is_label(self):
-        assert str(EventType("link_down")) == "link_down"
+class TestLabelRule:
+    """One rule for a label, whichever way it enters: a non-empty str with
+    no comma and no character str.isspace() holds for."""
 
     @pytest.mark.parametrize(
         "bad",
@@ -51,28 +56,122 @@ class TestEventType:
     )
     def test_rejects_labels_that_break_text_formats(self, bad):
         with pytest.raises(ParameterError):
-            EventType(bad)
+            Sequence.of(bad)
+        with pytest.raises(ParameterError):
+            StreamQueue([StreamTuple(1, {"ok"}), StreamTuple(2, {"ok", bad})])
+        # the parser strips whitespace around a field, so a non-empty bad
+        # label is followed by one more character to keep it whole
+        record = f"1,{bad}x\n" if bad else "1,\n"
+        with pytest.raises(EventLogParseError):
+            parse_event_log("0,ok\n" + record)
+        with pytest.raises(PatternFileError):
+            load_pattern_file(_PATTERN_FILE_HEAD + f"L\t{bad}\t3\n")
 
-    def test_copy_and_deepcopy_preserve_identity(self):
-        et = EventType("copyme")
-        assert copy.copy(et) is et
-        assert copy.deepcopy(et) is et
+    def test_the_same_inputs_with_a_good_label_are_accepted(self):
+        assert Sequence.of("ok") == ("ok",)
+        StreamQueue([StreamTuple(1, {"ok"}), StreamTuple(2, {"ok", "x"})])
+        assert parse_event_log("0,ok\n1,okx\n").alphabet() == ["ok", "okx"]
+        ps = load_pattern_file(_PATTERN_FILE_HEAD + "L\tok\t3\n")
+        assert ps.frequent == {Sequence.of("ok"): 3}
+
+    def test_matches_str_isspace_on_every_code_point(self):
+        refused = []
+        for cp in range(0x110000):
+            try:
+                Sequence.of("a" + chr(cp))
+            except ParameterError:
+                refused.append(chr(cp))
+        assert refused == [c for c in map(chr, range(0x110000))
+                           if c == "," or c.isspace()]
+
+    def test_a_queue_of_plain_string_labels_counts(self):
+        q = StreamQueue([StreamTuple(1, {"a"}), StreamTuple(2, {"b"})])
+        w = window(q, 0, len(q))
+        assert occur(Sequence.of("a"), w, CountParams(span=1)) == 1
+        assert occur(Sequence.of("a", "b"), w, CountParams(span=2)) == 1
+
+
+def _mined_set(queue):
+    params = MiningParams("1/4", "1/8", CountParams(span=2), max_len=3)
+    return mine([window(queue, 0, len(queue))], params)
+
+
+_PICKLE_LOG = "".join(f"{t},{l}\n" for t, l in enumerate("abcabcabdabcbdab", start=1))
+
+
+class TestPickle:
+    def test_values_survive_a_round_trip(self):
+        queue = parse_event_log(_PICKLE_LOG)
+        ps = _mined_set(queue)
+        assert ps.frequent
+        for x in (Sequence.of("a", "b"), queue, ps):
+            assert pickle.loads(pickle.dumps(x)) == x
+
+    def test_lookups_survive_another_hash_seed(self, tmp_path):
+        """A pattern set pickled under one str hash seed and loaded under
+        another still finds every stored count and dumps the same bytes."""
+        dump = tmp_path / "ps.pickle"
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
+                                             os.environ.get("PYTHONPATH")]))
+
+        def python(seed, code):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(dump)], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        prelude = (
+            "import pickle, sys\n"
+            "from streamseq import dump_pattern_file, parse_event_log\n"
+            "from test_model import _PICKLE_LOG, _mined_set\n"
+            "queue = parse_event_log(_PICKLE_LOG)\n"
+        )
+        python("1", prelude + (
+            "with open(sys.argv[1], 'wb') as f:\n"
+            "    pickle.dump((queue, _mined_set(queue)), f)\n"
+        ))
+        out = python("2", prelude + (
+            "with open(sys.argv[1], 'rb') as f:\n"
+            "    old_queue, old = pickle.load(f)\n"
+            "fresh = _mined_set(queue)\n"
+            "assert old_queue == queue and old == fresh\n"
+            "for family in (fresh.frequent, fresh.border):\n"
+            "    for seq, count in family.items():\n"
+            "        assert old.stored_count(seq) == count, seq\n"
+            "assert dump_pattern_file(old) == dump_pattern_file(fresh)\n"
+            "sys.stdout.write(dump_pattern_file(old))\n"
+        ))
+        assert out == dump_pattern_file(_mined_set(parse_event_log(_PICKLE_LOG)))
 
 
 class TestStreamTuple:
     def test_coerces_types_to_frozenset(self):
-        t = StreamTuple(1, [EventType("a"), EventType("a")])
-        assert t.types == frozenset([EventType("a")])
+        t = StreamTuple(1, ["a", "a"])
+        assert t.types == frozenset(["a"])
 
     def test_rejects_empty_tuple(self):
         with pytest.raises(ParameterError):
             StreamTuple(3, frozenset())
 
+    def test_rejects_a_bare_string_of_types(self):
+        with pytest.raises(ParameterError):
+            StreamTuple(1, "ab")
+
+    # each of these used to write a log that fails to parse, or ("10"
+    # before "9") one whose records reorder on a round trip
+    @pytest.mark.parametrize("bad", [1.5, True, False, "9", "10", None])
+    def test_rejects_a_time_that_is_not_an_int(self, bad):
+        with pytest.raises(ParameterError):
+            StreamTuple(bad, {"a"})
+
     def test_len_and_contains(self):
         t = tup(1, "a", "b")
         assert len(t) == 2
-        assert EventType("a") in t
-        assert EventType("z") not in t
+        assert "a" in t
+        assert "z" not in t
 
 
 class TestStreamQueue:
@@ -90,17 +189,16 @@ class TestStreamQueue:
 
     def test_mask_index(self):
         q = queue_of("ab", "b", "a", "c")
-        assert q.mask(EventType("a")) == 0b0101
-        assert q.mask(EventType("b")) == 0b0011
-        assert q.mask(EventType("nope")) == 0
+        assert q.mask("a") == 0b0101
+        assert q.mask("b") == 0b0011
+        assert q.mask("nope") == 0
 
     def test_mask_consistent_with_scan(self):
         rng = random.Random(7)
         q = random_queue(rng, 60, ["a", "b", "c", "d"])
         for label in "abcd":
-            et = EventType(label)
-            expected = [i for i, t in enumerate(q) if et in t]
-            m = q.mask(et)
+            expected = [i for i, t in enumerate(q) if label in t]
+            m = q.mask(label)
             assert [i for i in range(len(q)) if m >> i & 1] == expected
             assert m.bit_length() <= len(q)
 
@@ -113,7 +211,7 @@ class TestStreamQueue:
 
     def test_alphabet_sorted(self):
         q = queue_of("cb", "a")
-        assert [et.label for et in q.alphabet()] == ["a", "b", "c"]
+        assert q.alphabet() == ["a", "b", "c"]
 
 
 class TestViewWindow:
@@ -147,7 +245,7 @@ class TestViewWindow:
 
     def test_window_alphabet_is_window_local(self):
         q = queue_of("a", "z", "a")
-        assert [et.label for et in window(q, 0, 1).alphabet()] == ["a"]
+        assert window(q, 0, 1).alphabet() == ["a"]
 
     def test_window_alphabet_matches_scan(self):
         rng = random.Random(8)
@@ -155,21 +253,22 @@ class TestViewWindow:
         for _ in range(40):
             start = rng.randint(0, 90)
             w = window(q, start, rng.randint(0, 90 - start))
-            assert w.alphabet() == sorted({et for t in w for et in t.types})
+            assert w.alphabet() == sorted({label for t in w for label in t.types})
 
 
 class TestSequence:
     def test_of_and_labels(self):
         s = Sequence.of("a", "b", "a")
-        assert s.labels == ("a", "b", "a")
+        assert s == Sequence(["a", "b", "a"]) == ("a", "b", "a")
+        assert hash(s) == hash(("a", "b", "a"))
+        assert s != Sequence.of("a", "b")
         assert len(s) == 3
         assert repr(s) == "<a,b,a>"
 
     def test_rejects_empty_and_non_event_items(self):
-        with pytest.raises(ParameterError):
-            Sequence([])
-        with pytest.raises(ParameterError):
-            Sequence(["a"])
+        for bad in ([], "ab", [1], ["a", None]):
+            with pytest.raises(ParameterError):
+                Sequence(bad)
 
     def test_total_order(self):
         seqs = [Sequence.of("b"), Sequence.of("a", "b"), Sequence.of("a")]
@@ -221,13 +320,13 @@ class TestEventLog:
     def test_parse_basic(self):
         q = parse_event_log("1,a\n2,b\n")
         assert len(q) == 2
-        assert EventType("a") in q[0]
+        assert "a" in q[0]
 
     def test_parse_groups_merges_and_sorts(self):
         text = "# header comment\n5,b\n\n1,a\n5,a\n5,b\n"
         q = parse_event_log(text)
         assert [t.time for t in q] == [1, 5]
-        assert q[1].types == frozenset([EventType("a"), EventType("b")])
+        assert q[1].types == frozenset(["a", "b"])
 
     def test_parse_reports_line_numbers(self):
         with pytest.raises(EventLogParseError) as info:
@@ -268,11 +367,11 @@ def _written_log(draw):
     pool = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
     times = sorted(draw(st.sets(st.integers(-10**12, 10**12), max_size=25)))
     tuples = [
-        StreamTuple(t, frozenset(map(EventType, draw(
-            st.sets(st.sampled_from(pool), min_size=1, max_size=len(pool))))))
+        StreamTuple(t, draw(st.frozensets(st.sampled_from(pool), min_size=1,
+                                          max_size=len(pool))))
         for t in times
     ]
-    records = [(t.time, et.label) for t in tuples for et in t.types]
+    records = [(t.time, label) for t in tuples for label in t.types]
     records += draw(st.lists(st.sampled_from(records), max_size=5)) if records else []
     records = draw(st.permutations(records))
     lines = []
@@ -293,8 +392,8 @@ class TestEventLogProperties:
         assert len(q) == len(ref)
         assert q.times == ref.times
         assert q.alphabet() == ref.alphabet()
-        for et in ref.alphabet():
-            assert q.mask(et) == ref.mask(et)
+        for label in ref.alphabet():
+            assert q.mask(label) == ref.mask(label)
         assert q == ref and hash(q) == hash(ref)
         assert list(q) == list(ref)
         out = serialize_event_log(q)
