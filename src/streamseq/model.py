@@ -1,24 +1,30 @@
 """Stream data model.
 
-An event label is a plain str: non-empty, with no comma and no
-whitespace, so it survives both text formats unescaped; _check_label
-holds that rule.  An event stream is a queue of tuples: each tuple is
-the set of labels observed at one int timestamp, and tuples are kept in
-strictly increasing timestamp order.  A Sequence is a non-empty tuple
-of labels.  A queue is held as columns: `times`, its timestamps, and
-one bitmap per label whose bit i is set when the label is in tuple i.
-parse_event_log fills those columns straight from the text; the
-per-tuple StreamTuple view is built only when something iterates or
-indexes the queue (the oracle, serialize_event_log, tests).  A queue
-built from StreamTuple objects keeps them and derives its bitmaps on
-first use.  Mining never copies stream data; it works on ViewWindow
-objects, which are (queue, start, size) views over a contiguous run of
-tuples.  A window mined in pieces is a list of such views, one per block,
-so that counts can be maintained per block.
+An event label is a plain str: non-empty, with no comma, no whitespace
+and no lone surrogate, so it survives both text formats unescaped and
+encodes as UTF-8; _check_label holds that rule.  An event stream is a
+queue of tuples: each tuple is the set of labels observed at one int
+timestamp, and tuples are kept in strictly increasing timestamp order.
+A Sequence is a non-empty tuple of labels.  A queue is held as columns:
+`times`, its timestamps, and one bitmap per label whose bit i is set
+when the label is in tuple i.  parse_event_log fills those columns
+straight from the text; the per-tuple StreamTuple view is built only
+when something iterates or indexes the queue (the oracle,
+serialize_event_log, tests).  A queue built from StreamTuple objects
+keeps them and derives its bitmaps on first use.  Mining never copies
+stream data; it works on ViewWindow objects, which are (queue, start,
+size) views over a contiguous run of tuples.  A window mined in pieces
+is a list of such views, one per block, so that counts can be
+maintained per block.
 
 Everything here is immutable after construction, which is what makes the
 window views safe to share between the miner, the incremental updater and
-the sweep driver without locking.
+the sweep driver without locking.  The exception is memos that never
+change a result.  A queue builds its bitmaps or its tuples on first use.
+A window fills a memo of each label's bitmap cut to it, one label at a
+time, and keeps the last prefix the occurrence counter matched over it,
+replacing it when the prefix changes.  Each memo entry is written in one
+statement, so a reader sees it whole or not at all.
 """
 
 from __future__ import annotations
@@ -29,22 +35,26 @@ from typing import Iterable, Iterator
 
 from .errors import BoundsError, EventLogParseError, ParameterError
 
-_LABEL_BREAKERS = re.compile(r"[,\s]")
+_LABEL_BREAKERS = re.compile(r"[,\s\ud800-\udfff]")
 
 
 def _check_label(label: object) -> None:
     """Raise ParameterError unless `label` is a valid event label.
 
-    A label is a non-empty str with no comma and no character for which
-    str.isspace() is true (exactly what `_LABEL_BREAKERS` matches), so it
+    A label is a non-empty str with no comma, no character for which
+    str.isspace() is true and no lone surrogate (U+D800 to U+DFFF);
+    exactly those are what `_LABEL_BREAKERS` matches.  So a label
     survives both text formats unescaped: that covers every line
     boundary of str.splitlines() and everything str.strip() removes.
+    And it encodes as UTF-8, the encoding of every streamseq file,
+    which a surrogate code point cannot.
     """
     if not isinstance(label, str) or not label:
         raise ParameterError(f"event label must be a non-empty string, got {label!r}")
     if _LABEL_BREAKERS.search(label):
         raise ParameterError(
-            f"event label may not contain commas or whitespace: {label!r}"
+            f"event label may not contain commas, whitespace or surrogates: "
+            f"{label!r}"
         )
 
 
@@ -198,9 +208,17 @@ class ViewWindow:
 
     Indexing is relative to the window; `start` stays available so the
     occurrence counter can work in absolute queue coordinates.
+
+    A window holds two memos that never change a result and take no part
+    in equality or in what a window means: `_cuts`, filled once per label
+    by mask() with that label's bitmap cut to the window, and `_prefix`,
+    the last prefix the occurrence counter matched here, as one tuple
+    ((span, prefix), count, ends) that the next new prefix replaces.
+    Each memo entry is written in a single statement, so a reader never
+    sees one half-written.
     """
 
-    __slots__ = ("queue", "start", "size")
+    __slots__ = ("queue", "start", "size", "_cuts", "_prefix")
 
     def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
         if start < 0 or size < 0 or start + size > len(queue):
@@ -211,6 +229,8 @@ class ViewWindow:
         self.queue = queue
         self.start = start
         self.size = size
+        self._cuts: dict[str, int] = {}
+        self._prefix: tuple[tuple[int, tuple[str, ...]], int, list[int]] | None = None
 
     def __len__(self) -> int:
         return self.size
@@ -248,8 +268,16 @@ class ViewWindow:
         return ViewWindow(self.queue, self.start + offset, size)
 
     def mask(self, item: str) -> int:
-        """The queue's bitmap of `item` cut to this window: bit i is tuple i."""
-        return (self.queue.mask(item) >> self.start) & ((1 << self.size) - 1)
+        """The queue's bitmap of `item` cut to this window: bit i is tuple i.
+
+        Each label is cut once per window; later calls reuse the cut.
+        """
+        cut = self._cuts.get(item)
+        if cut is None:
+            cut = self._cuts[item] = (
+                (self.queue.mask(item) >> self.start) & ((1 << self.size) - 1)
+            )
+        return cut
 
     def alphabet(self) -> list[str]:
         """Labels present in this window, sorted."""

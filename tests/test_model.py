@@ -47,12 +47,12 @@ _PATTERN_FILE_HEAD = (
 
 class TestLabelRule:
     """One rule for a label, whichever way it enters: a non-empty str with
-    no comma and no character str.isspace() holds for."""
+    no comma, no character str.isspace() holds for and no lone surrogate."""
 
     @pytest.mark.parametrize(
         "bad",
         ["", "a,b", "a b", "a\tb", "a\nb", "a\rb",
-         "a\xa0", "a\u2028b", "a\x85b", "a\x1cb"],
+         "a\xa0", "a\u2028b", "a\x85b", "a\x1cb", "a\ud800", "\udfffb"],
     )
     def test_rejects_labels_that_break_text_formats(self, bad):
         with pytest.raises(ParameterError):
@@ -82,7 +82,22 @@ class TestLabelRule:
             except ParameterError:
                 refused.append(chr(cp))
         assert refused == [c for c in map(chr, range(0x110000))
-                           if c == "," or c.isspace()]
+                           if c == "," or c.isspace() or 0xD800 <= ord(c) <= 0xDFFF]
+
+    def test_every_accepted_character_serializes_to_utf8(self):
+        accepted = []
+        for cp in range(0x110000):
+            try:
+                Sequence.of("a" + chr(cp))
+            except ParameterError:
+                continue
+            accepted.append(chr(cp))
+        # every accepted character, 4,096 to a label, one label per tuple
+        labels = ["".join(accepted[i : i + 4096])
+                  for i in range(0, len(accepted), 4096)]
+        q = StreamQueue(StreamTuple(t, {lb}) for t, lb in enumerate(labels))
+        data = serialize_event_log(q).encode("utf-8")
+        assert parse_event_log(data.decode("utf-8")) == q
 
     def test_a_queue_of_plain_string_labels_counts(self):
         q = StreamQueue([StreamTuple(1, {"a"}), StreamTuple(2, {"b"})])

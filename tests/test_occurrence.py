@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -180,6 +181,45 @@ class TestOccurProperties:
         assert c.scans == len(blocks)
         assert c.window_evaluations == sum(max(0, b.size - span + 1) for b in blocks)
 
+    @_PROPERTY
+    @given(
+        _long_windows(),
+        st.lists(_sequences, min_size=1, max_size=12),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_the_window_memos_never_change_a_count(self, w, seqs, span, span2, data):
+        """A window remembers its mask cuts and its last matched prefix.
+        Whatever order counts arrive in, every count equals the oracle's."""
+        q = w.queue
+        other = window(q, 0, len(q))
+        p, p2 = CountParams(span), CountParams(span2)
+        kinds = st.sampled_from(["again", "span", "other", "dead"])
+        steps = []
+        for s in sorted(set(seqs)):
+            steps.append((w, p, s))
+            extra = data.draw(st.lists(kinds, max_size=3), label="extra")
+            for kind in extra:
+                if kind == "again":
+                    steps.append((w, p, s))
+                elif kind == "span":
+                    steps.append((w, p2, s))
+                elif kind == "other":
+                    steps.append((other, p, s))
+                else:  # "e" is in no tuple, so this prefix never matches
+                    steps.append((w, p, Sequence.of("e", *s)))
+        for win, params, s in steps:
+            assert occur(s, win, params) == occur_bruteforce(s, win, params)
+
+        n = len(q)
+        fresh, used = window(q, 0, n), window(q, 0, n)
+        occur(seqs[0], used, p)
+        assert fresh == used
+        copy = pickle.loads(pickle.dumps(w))
+        for s in seqs:
+            assert occur(s, copy, p) == occur(s, w, p) == occur_bruteforce(s, w, p)
+
 
 class TestSupport:
     def test_reference_value_is_exact(self):
@@ -243,6 +283,15 @@ class TestCostCounter:
         c = CostCounter()
         occur(Sequence.of("z"), alternating_ab(), SPAN2, cost=c)
         assert (c.window_evaluations, c.scans) == (3, 1)
+
+    def test_a_repeated_count_charges_every_scan(self):
+        # the second count of each reuses the window's memos, and still pays
+        w = alternating_ab()
+        for labels in (("a",), ("a", "b"), ("a", "b", "a")):
+            c = CostCounter()
+            s = Sequence.of(*labels)
+            assert occur(s, w, SPAN2, c) == occur(s, w, SPAN2, c)
+            assert (c.window_evaluations, c.scans) == (6, 2)
 
     def test_mining_cost_is_reproducible(self):
         rng = random.Random(21)
