@@ -13,16 +13,15 @@ from streamseq import (
     CountParams,
     Sequence,
     StreamQueue,
-    StreamTuple,
     occur,
     support,
     window,
 )
 
 
-# the running example: a and b strictly alternating over four tuples;
-# event labels are plain strings
-q = StreamQueue(StreamTuple(t, {label}) for t, label in enumerate("abab", start=1))
+# the running example: a and b strictly alternating over four tuples,
+# built from (time, labels) rows; event labels are plain strings
+q = StreamQueue((t, {label}) for t, label in enumerate("abab", start=1))
 w = window(q, 0, len(q))
 print(f"window: {w.start}:{w.end} holding {w.size} tuples")
 

@@ -29,7 +29,6 @@ from .mining import MiningParams, PatternSet, as_fraction, gen_candidates, mine
 from .model import (
     Sequence,
     StreamQueue,
-    StreamTuple,
     ViewWindow,
     parse_event_log,
     serialize_event_log,
@@ -74,7 +73,6 @@ __all__ = [
     "SplitMix64",
     "StreamQueue",
     "StreamSeqError",
-    "StreamTuple",
     "SweepConfig",
     "SweepPoint",
     "UndefinedSupportError",

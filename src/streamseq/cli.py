@@ -139,15 +139,12 @@ def cmd_update(args: argparse.Namespace) -> int:
                 f"--{flag.replace('_', '-')} {have} does not match the "
                 f"pattern file's {want}"
             )
-    old_blocks = [window(queue, s, e - s) for s, e in old.blocks]
     start = args.start
     if start is None:
         start = max((end for _, end in old.blocks), default=0)
     dw = window(queue, start, args.size)
     part = mine([dw], old.params)
-    result = ius_update(
-        UpdateInput(old=old, delta=part, old_blocks=old_blocks, delta_blocks=[dw])
-    )
+    result = ius_update(UpdateInput(queue, old, part))
     _write_text(args.out, dump_pattern_file(result))
     return 0
 
@@ -173,6 +170,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if len(args.deltas) < 2:
+        raise ParameterError(
+            f"--deltas needs at least two sizes to recommend from, "
+            f"got {len(args.deltas)}"
+        )
     queue = parse_event_log(_read_text(args.log))
     cfg = SweepConfig(
         initial_size=args.initial,

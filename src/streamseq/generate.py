@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .model import Sequence, StreamQueue, StreamTuple
+from .model import Sequence, StreamQueue
 
 _MASK64 = (1 << 64) - 1
 
@@ -140,7 +140,7 @@ def generate(cfg: GenConfig) -> StreamQueue:
     frac_fill = cfg.tuple_fill - base_fill
 
     pending: dict[int, set[str]] = {}
-    tuples: list[StreamTuple] = []
+    rows: list[tuple[int, frozenset[str]]] = []
     events = 0
     i = 0
     while events < cfg.n_events:
@@ -158,13 +158,13 @@ def generate(cfg: GenConfig) -> StreamQueue:
         types = pending.pop(i, set())
         for _ in range(k):
             types.add(alphabet[rng.next_below(cfg.n_types)])
-        tuples.append(StreamTuple(time=i + 1, types=frozenset(types)))
+        rows.append((i + 1, frozenset(types)))
         events += len(types)
         i += 1
 
-    if cfg.drift_at is not None and cfg.drift_at >= len(tuples):
+    if cfg.drift_at is not None and cfg.drift_at >= len(rows):
         raise ParameterError(
             f"drift_at={cfg.drift_at} lies beyond the generated stream "
-            f"({len(tuples)} tuples); raise n_events or move the boundary"
+            f"({len(rows)} tuples); raise n_events or move the boundary"
         )
-    return StreamQueue(tuples)
+    return StreamQueue(rows)

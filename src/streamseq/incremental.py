@@ -9,8 +9,8 @@ else a rescan of that side's blocks, and the composed count is their
 sum.  This is the negative-border scheme of Thomas et al. (KDD 1997).
 
 The result equals mine(old_blocks + delta_blocks) exactly, both sections
-and every count, provided each side's blocks are the ones its pattern
-set was mined over (UpdateInput.validate checks their ranges):
+and every count, provided each pattern set was mined over its recorded
+blocks of the one queue the update rescans:
 
   * Level 1 is seeded with the singles either side stored.  A single
     neither side stored is at or below the border threshold on both
@@ -25,11 +25,11 @@ is ever recomputed from the stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ContractError, IncompatiblePatternSetsError, ParameterError
+from .errors import IncompatiblePatternSetsError, ParameterError
 from .mining import PatternSet, _levelwise
-from .model import Sequence, ViewWindow
+from .model import Sequence, StreamQueue, ViewWindow, window
 from .occurrence import CostCounter, occur_partitioned
 
 
@@ -37,35 +37,30 @@ from .occurrence import CostCounter, occur_partitioned
 class UpdateInput:
     """Everything ius_update needs.
 
-    old/delta are the mined pattern sets of the two window parts;
-    old_blocks/delta_blocks are the underlying windows, kept around only
-    for rescans.  Each side's blocks must sit at the ranges its pattern
-    set records, or stored and rescanned counts would describe different
-    tuples.  Both sets must share their mining parameters.  The composed
-    window is old's blocks then delta's; like any pattern set's blocks
-    they may leave gaps but may not overlap.
+    old/delta are the mined pattern sets of the two window parts, both
+    mined over `queue` under the same parameters.  old_blocks and
+    delta_blocks are the windows of each set's recorded blocks, built
+    here and kept only for rescans; a block that does not fit the queue
+    raises BoundsError.  The composed window is old's blocks then
+    delta's; like any pattern set's blocks they may leave gaps but may
+    not overlap.
     """
 
+    queue: StreamQueue
     old: PatternSet
     delta: PatternSet
-    old_blocks: list[ViewWindow]
-    delta_blocks: list[ViewWindow]
+    old_blocks: list[ViewWindow] = field(init=False)
+    delta_blocks: list[ViewWindow] = field(init=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.delta.params != self.old.params:
             raise IncompatiblePatternSetsError(
                 "pattern sets were mined under different parameters"
             )
-        for side, ps, blocks in (
-            ("old", self.old, self.old_blocks),
-            ("delta", self.delta, self.delta_blocks),
-        ):
-            ranges = tuple((b.start, b.end) for b in blocks)
-            if ranges != ps.blocks:
-                raise ContractError(
-                    f"{side} blocks sit at {list(ranges)} but the pattern set "
-                    f"was mined over {list(ps.blocks)}"
-                )
+        self.old_blocks, self.delta_blocks = (
+            [window(self.queue, s, e - s) for s, e in ps.blocks]
+            for ps in (self.old, self.delta)
+        )
 
 
 def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:
@@ -75,7 +70,6 @@ def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:
     mine(old_blocks + delta_blocks, old.params) exactly, counts included.
     Only rescans are charged to `cost`; stored-count lookups are free.
     """
-    inp.validate()
     old, dlt = inp.old, inp.delta
     cp = old.params.count_params
 

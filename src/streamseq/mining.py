@@ -64,7 +64,7 @@ class MiningParams:
     """Thresholds and counting parameters for one mining run.
 
     Requires 0 < min_nbd_supp <= min_supp <= 1.  max_len, when given,
-    caps the length of any mined sequence.
+    is an int >= 1 that caps the length of any mined sequence.
     """
 
     min_supp: Fraction
@@ -80,8 +80,9 @@ class MiningParams:
                 "thresholds must satisfy 0 < min_nbd_supp <= min_supp <= 1, got "
                 f"min_supp={self.min_supp}, min_nbd_supp={self.min_nbd_supp}"
             )
-        if self.max_len is not None and self.max_len < 1:
-            raise ParameterError(f"max_len must be >= 1, got {self.max_len}")
+        m = self.max_len
+        if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
+            raise ParameterError(f"max_len must be an integer >= 1, got {m!r}")
 
     @property
     def span(self) -> int:

@@ -8,29 +8,28 @@ timestamp, and tuples are kept in strictly increasing timestamp order.
 A Sequence is a non-empty tuple of labels.  A queue is held as columns:
 `times`, its timestamps, and one bitmap per label whose bit i is set
 when the label is in tuple i.  parse_event_log fills those columns
-straight from the text; the per-tuple StreamTuple view is built only
-when something iterates or indexes the queue (the oracle,
-serialize_event_log, tests).  A queue built from StreamTuple objects
-keeps them and derives its bitmaps on first use.  Mining never copies
-stream data; it works on ViewWindow objects, which are (queue, start,
-size) views over a contiguous run of tuples.  A window mined in pieces
-is a list of such views, one per block, so that counts can be
-maintained per block.
+straight from the text.  Iterating or indexing a queue yields each
+tuple's label set, a frozenset, which a parsed queue builds only when
+something asks for it (the oracle, serialize_event_log, tests).  A queue
+built from (time, labels) rows keeps its label sets and derives its
+bitmaps on first use.  Mining never copies stream data; it works on
+ViewWindow objects, each the (queue, start, size) range of tuples to
+count over.  A window mined in pieces is a list of such ranges, one per
+block, so that counts can be maintained per block.
 
 Everything here is immutable after construction, which is what makes the
-window views safe to share between the miner, the incremental updater and
+windows safe to share between the miner, the incremental updater and
 the sweep driver without locking.  The exception is memos that never
-change a result.  A queue builds its bitmaps or its tuples on first use.
-A window fills a memo of each label's bitmap cut to it, one label at a
-time, and keeps the last prefix the occurrence counter matched over it,
-replacing it when the prefix changes.  Each memo entry is written in one
-statement, so a reader sees it whole or not at all.
+change a result.  A queue builds its bitmaps or its label sets on first
+use.  A window fills a memo of each label's bitmap cut to it, one label
+at a time, and keeps the last prefix the occurrence counter matched over
+it, replacing it when the prefix changes.  Each memo entry is written in
+one statement, so a reader sees it whole or not at all.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BoundsError, EventLogParseError, ParameterError
@@ -58,65 +57,49 @@ def _check_label(label: object) -> None:
         )
 
 
-@dataclass(frozen=True)
-class StreamTuple:
-    """All event labels observed at one int timestamp. Never empty.
-
-    The labels themselves are checked once per distinct label when a
-    StreamQueue is built from tuples.
-    """
-
-    time: int
-    types: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.time, int) or isinstance(self.time, bool):
-            raise ParameterError(f"stream tuple time must be an int, got {self.time!r}")
-        if isinstance(self.types, str):
-            raise ParameterError(
-                f"stream tuple types must be a set of labels, not the string "
-                f"{self.types!r}"
-            )
-        if not isinstance(self.types, frozenset):
-            object.__setattr__(self, "types", frozenset(self.types))
-        if not self.types:
-            raise ParameterError(f"stream tuple at time {self.time} is empty")
-
-    def __len__(self) -> int:
-        return len(self.types)
-
-    def __contains__(self, item: str) -> bool:
-        return item in self.types
-
-
 class StreamQueue:
     """An immutable run of stream tuples in strictly increasing time order.
 
+    A tuple is the non-empty set of labels observed at one int timestamp.
     The queue is its columns: `times`, the timestamps, and one bitmap per
     event type, a Python int whose bit i is set when the type is in tuple
     i.  The bitmaps are shared by every window over the queue; the
-    occurrence counter and alphabet() read them through mask().  A queue
-    built from StreamTuple objects keeps them and builds its bitmaps in
-    one pass on first use; a parsed queue is given its bitmaps and builds
-    its StreamTuple view (`tuples`, iteration, indexing) on first use.
-    Length, masks, windows, equality and hashing never need that view.
-    Building from tuples checks each distinct label once.
+    occurrence counter and alphabet() read them through mask().
+    Iterating or indexing the queue yields each tuple's label set, a
+    frozenset[str], so StreamQueue(zip(q.times, q)) == q.  A queue built
+    from (time, labels) rows keeps its label sets and builds its bitmaps
+    in one pass on first use; a parsed queue is given its bitmaps and
+    builds its label sets on first use.  Length, masks, windows,
+    equality and hashing never need the label sets.  Building from rows
+    checks each distinct label once.
     """
 
-    __slots__ = ("times", "_tuples", "_masks")
+    __slots__ = ("times", "_sets", "_masks")
 
-    def __init__(self, tuples: Iterable[StreamTuple]) -> None:
-        tps = tuple(tuples)
-        times = tuple(t.time for t in tps)
-        for prev, cur in zip(times, times[1:]):
-            if cur <= prev:
+    def __init__(self, rows: Iterable[tuple[int, Iterable[str]]]) -> None:
+        times: list[int] = []
+        sets: list[frozenset[str]] = []
+        for time, labels in rows:
+            if not isinstance(time, int) or isinstance(time, bool):
+                raise ParameterError(f"stream tuple time must be an int, got {time!r}")
+            if times and time <= times[-1]:
                 raise ParameterError(
-                    f"timestamps must strictly increase: {prev} then {cur}"
+                    f"timestamps must strictly increase: {times[-1]} then {time}"
                 )
-        for label in set().union(*(t.types for t in tps)):
+            if isinstance(labels, str):
+                raise ParameterError(
+                    f"stream tuple types must be a set of labels, not the string "
+                    f"{labels!r}"
+                )
+            labels = frozenset(labels)
+            if not labels:
+                raise ParameterError(f"stream tuple at time {time} is empty")
+            times.append(time)
+            sets.append(labels)
+        for label in set().union(*sets):
             _check_label(label)
-        self.times = times
-        self._tuples: tuple[StreamTuple, ...] | None = tps
+        self.times = tuple(times)
+        self._sets: tuple[frozenset[str], ...] | None = tuple(sets)
         self._masks: dict[str, int] | None = None
 
     @classmethod
@@ -127,31 +110,31 @@ class StreamQueue:
         bitmap of every type present, each within len(times) bits."""
         queue = cls.__new__(cls)
         queue.times = times
-        queue._tuples = None
+        queue._sets = None
         queue._masks = masks
         return queue
 
-    @property
-    def tuples(self) -> tuple[StreamTuple, ...]:
-        """The tuples in time order; a parsed queue builds them on first use."""
-        if self._tuples is None:
+    def _label_sets(self) -> tuple[frozenset[str], ...]:
+        """Each tuple's labels in time order; a parsed queue builds them on
+        first use."""
+        if self._sets is None:
             rows: list[list[str]] = [[] for _ in self.times]
-            for label, m in self._type_masks().items():
+            for label, m in self._masks.items():
                 for i in _set_bits(m):
                     rows[i].append(label)
-            self._tuples = tuple(
-                StreamTuple(ts, frozenset(row)) for ts, row in zip(self.times, rows)
-            )
-        return self._tuples
+            self._sets = tuple(map(frozenset, rows))
+        return self._sets
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, i: int) -> StreamTuple:
-        return self.tuples[i]
+    def __getitem__(
+        self, i: int | slice
+    ) -> frozenset[str] | tuple[frozenset[str], ...]:
+        return self._label_sets()[i]
 
-    def __iter__(self) -> Iterator[StreamTuple]:
-        return iter(self.tuples)
+    def __iter__(self) -> Iterator[frozenset[str]]:
+        return iter(self._label_sets())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, StreamQueue):
@@ -170,8 +153,8 @@ class StreamQueue:
     def _type_masks(self) -> dict[str, int]:
         if self._masks is None:
             columns: dict[str, list[int]] = {}
-            for i, t in enumerate(self._tuples):
-                for label in t.types:
+            for i, labels in enumerate(self._sets):
+                for label in labels:
                     columns.setdefault(label, []).append(i)
             n = len(self.times)
             self._masks = {label: _bitmap(col, n) for label, col in columns.items()}
@@ -204,10 +187,10 @@ def _set_bits(m: int) -> Iterator[int]:
 
 
 class ViewWindow:
-    """A zero-copy view over queue tuples [start, start+size).
+    """The range [start, start+size) of a queue's tuples, to count over.
 
-    Indexing is relative to the window; `start` stays available so the
-    occurrence counter can work in absolute queue coordinates.
+    A window copies nothing: the occurrence counter reads it through
+    mask(), and its tuples are the queue's, queue[start:end].
 
     A window holds two memos that never change a result and take no part
     in equality or in what a window means: `_cuts`, filled once per label
@@ -235,14 +218,6 @@ class ViewWindow:
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, i: int) -> StreamTuple:
-        if not 0 <= i < self.size:
-            raise BoundsError(f"index {i} outside window of size {self.size}")
-        return self.queue[self.start + i]
-
-    def __iter__(self) -> Iterator[StreamTuple]:
-        return iter(self.queue.tuples[self.start : self.start + self.size])
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ViewWindow):
             return (
@@ -258,14 +233,6 @@ class ViewWindow:
     @property
     def end(self) -> int:
         return self.start + self.size
-
-    def subwindow(self, offset: int, size: int) -> ViewWindow:
-        if offset < 0 or size < 0 or offset + size > self.size:
-            raise BoundsError(
-                f"subwindow [{offset}, {offset + size}) outside window of "
-                f"size {self.size}"
-            )
-        return ViewWindow(self.queue, self.start + offset, size)
 
     def mask(self, item: str) -> int:
         """The queue's bitmap of `item` cut to this window: bit i is tuple i.
@@ -345,7 +312,7 @@ def parse_event_log(text: str) -> StreamQueue:
 
     One pass over the lines collects each label's timestamps; the
     distinct timestamps are then ranked and each label's ranks set bits
-    in one bytearray row.  The queue is those columns: no StreamTuple is
+    in one bytearray row.  The queue is those columns: no label set is
     built until something iterates or indexes it.
     """
     columns: dict[str, list[int]] = {}
@@ -385,8 +352,8 @@ def serialize_event_log(queue: StreamQueue) -> str:
     a fixed point: parse -> serialize -> parse is the identity.
     """
     lines = [
-        f"{t.time},{label}"
-        for t in queue
-        for label in sorted(t.types)
+        f"{time},{label}"
+        for time, labels in zip(queue.times, queue)
+        for label in sorted(labels)
     ]
     return "\n".join(lines) + ("\n" if lines else "")

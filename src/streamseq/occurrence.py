@@ -51,12 +51,12 @@ from .model import Sequence, ViewWindow
 
 @dataclass(frozen=True)
 class CountParams:
-    """Counting parameters: the sliding sub-window width `span` (>= 1)."""
+    """Counting parameters: the sliding sub-window width `span`, an int >= 1."""
 
     span: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.span, int) or self.span < 1:
+        if not isinstance(self.span, int) or isinstance(self.span, bool) or self.span < 1:
             raise ParameterError(f"span must be an integer >= 1, got {self.span!r}")
 
 

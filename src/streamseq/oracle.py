@@ -14,7 +14,7 @@ from typing import Sequence as PySequence
 
 from .errors import ParameterError
 from .mining import MiningParams, PatternSet
-from .model import Sequence, ViewWindow
+from .model import Sequence, ViewWindow, window
 from .occurrence import CountParams
 
 
@@ -22,8 +22,8 @@ def contains(seq: Sequence, w: ViewWindow) -> bool:
     """True when seq embeds in w at strictly increasing tuple indices."""
     need = iter(seq)
     item = next(need)
-    for t in w:
-        if item in t.types:
+    for labels in w.queue[w.start : w.end]:
+        if item in labels:
             nxt = next(need, None)
             if nxt is None:
                 return True
@@ -41,7 +41,7 @@ def occur_bruteforce(
     return sum(
         1
         for i in range(w.size - span + 1)
-        if contains(seq, w.subwindow(i, span))
+        if contains(seq, window(w.queue, w.start + i, span))
     )
 
 
@@ -97,7 +97,7 @@ def brute_force_frequent(
     span = params.span
     counts: dict[Sequence, int] = {}
     for b in blocks:
-        rows = [sorted(t.types) for t in b]
+        rows = [sorted(labels) for labels in b.queue[b.start : b.end]]
         for i in range(b.size - span + 1):
             found: set[tuple] = set()
             stack = [((), i)]           # (item prefix, next tuple index)

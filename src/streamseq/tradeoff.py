@@ -163,7 +163,7 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     for d in cfg.delta_sizes:
         dw = window(queue, cfg.initial_size, d)
         part = mine([dw], cfg.params)
-        upd_input = UpdateInput(old=base, delta=part, old_blocks=[w0], delta_blocks=[dw])
+        upd_input = UpdateInput(queue, base, part)
         if cfg.timing == COST_UNITS:
             full_cost = CostCounter()
             full = mine([w0, dw], cfg.params, cost=full_cost)

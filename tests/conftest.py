@@ -4,16 +4,12 @@ import random
 
 from hypothesis import strategies as st
 
-from streamseq import StreamQueue, StreamTuple, window
-
-
-def tup(time, *labels):
-    return StreamTuple(time, frozenset(labels))
+from streamseq import StreamQueue, window
 
 
 def queue_of(*groups):
     """One tuple per group, times 1..n; a group is an iterable of labels."""
-    return StreamQueue(tup(i + 1, *g) for i, g in enumerate(groups))
+    return StreamQueue((i + 1, frozenset(g)) for i, g in enumerate(groups))
 
 
 def alternating_ab():
@@ -23,11 +19,11 @@ def alternating_ab():
 
 def random_queue(rng: random.Random, n_tuples, alphabet, max_fill=2):
     """Random stream; each tuple gets 1..max_fill distinct types."""
-    tuples = []
+    rows = []
     for i in range(n_tuples):
         k = rng.randint(1, min(max_fill, len(alphabet)))
-        tuples.append(tup(i + 1, *rng.sample(alphabet, k)))
-    return StreamQueue(tuples)
+        rows.append((i + 1, rng.sample(alphabet, k)))
+    return StreamQueue(rows)
 
 
 # event labels are plain strings of any character but a comma and those

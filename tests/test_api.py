@@ -1,4 +1,5 @@
-"""The package's public surface: `__all__` is sorted, unique and importable."""
+"""The package's public surface: `__all__` is sorted, unique and importable,
+and a queue reads the way the benchmark reads it."""
 
 import streamseq
 
@@ -13,7 +14,16 @@ def test_every_exported_name_resolves():
 
 
 def test_surface_size():
-    # EventType went when labels became plain strings
-    assert "EventType" not in streamseq.__all__
-    assert not hasattr(streamseq, "EventType")
-    assert len(streamseq.__all__) == 45
+    # labels are plain strings and a queue yields label sets
+    for gone in ("EventType", "StreamTuple"):
+        assert gone not in streamseq.__all__
+        assert not hasattr(streamseq, gone)
+    assert len(streamseq.__all__) == 44
+
+
+def test_a_queue_counts_one_event_per_distinct_record():
+    # bench/run.py reports a log's events as sum(len(t) for t in queue)
+    text = "# comment\n3,b\n1,a\n3,a\n3,b\n\n7,c\n1,a\n"
+    records = {line for line in text.splitlines() if line and line[0] != "#"}
+    queue = streamseq.parse_event_log(text)
+    assert sum(len(t) for t in queue) == len(records) == 4

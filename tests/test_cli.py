@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from streamseq import StreamTuple, parse_event_log
+from streamseq import StreamQueue, parse_event_log
 from streamseq.cli import main
 from streamseq.patternfile import load_pattern_file
 
@@ -237,14 +237,15 @@ def test_sweep_with_a_free_update_is_3(tmp_path, capsys):
 
 
 def test_cli_path_builds_no_stream_tuple(tmp_path, monkeypatch, capsys):
-    # mine, update and sweep work on the parsed columns alone
+    # mine, update and sweep work on the parsed columns alone: no parsed
+    # queue builds its per-tuple label sets
     log = gen_log(tmp_path / "s.log", events=1500, seed=21)
     flags = ("--min-supp", "0.1", "--min-nbd-supp", "0.03", "--span", "3", "--max-len", "3")
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a StreamTuple was built")
+    def refuse(self):
+        raise AssertionError("a queue built its label sets")
 
-    monkeypatch.setattr(StreamTuple, "__init__", refuse)
+    monkeypatch.setattr(StreamQueue, "_label_sets", refuse)
     with pytest.raises(AssertionError):
         list(parse_event_log(log.read_text()))
     base, grown = tmp_path / "base.p", tmp_path / "grown.p"
@@ -255,6 +256,20 @@ def test_cli_path_builds_no_stream_tuple(tmp_path, monkeypatch, capsys):
         "--initial", "300", "--deltas", "60,120,180,240", *flags,
     ) == 0
     capsys.readouterr()
+
+
+def test_sweep_with_one_delta_is_2_before_reading_the_log(tmp_path, capsys):
+    # recommend needs two points; refusing late would mine and write first
+    csv, rec = tmp_path / "c.csv", tmp_path / "r.txt"
+    for log in (gen_log(tmp_path / "s.log"), tmp_path / "missing.log"):
+        code = run(
+            "sweep", str(log), str(csv), str(rec), "--initial", "200", "--deltas", "100",
+            "--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3",
+        )
+        assert code == 2
+        assert not csv.exists() and not rec.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --deltas")
 
 
 class TestExitCodes:

@@ -80,17 +80,16 @@ def test_ius_update_calls_the_hook_once_per_rescan_per_side(calls):
     old_blocks, delta_blocks = [window(q, 0, 60)], [window(q, 60, 20)]
     old = mine(old_blocks, PARAMS)
     delta = mine(delta_blocks, PARAMS)
-    inp = UpdateInput(old=old, delta=delta, old_blocks=old_blocks,
-                      delta_blocks=delta_blocks)
+    inp = UpdateInput(q, old, delta)
     calls.clear()
     cost = CostCounter()
     result = ius_update(inp, cost)
     singles = {s for ps in (old, delta) for s in (*ps.frequent, *ps.border)
                if len(s) == 1}
     expected = _candidates(singles, result)
-    for ps, blocks in ((old, old_blocks), (delta, delta_blocks)):
+    for ps, blocks in ((old, inp.old_blocks), (delta, inp.delta_blocks)):
         rescans = [s for s in expected if ps.stored_count(s) is None]
         assert rescans  # each side rescans something
         assert [seq for seq, b in calls if b is blocks] == rescans
-    assert all(b is old_blocks or b is delta_blocks for _, b in calls)
+    assert all(b is inp.old_blocks or b is inp.delta_blocks for _, b in calls)
     assert cost.scans == len(calls)

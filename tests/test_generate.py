@@ -107,7 +107,7 @@ class TestGenerate:
         total = sum(len(t) for t in q)
         # may overshoot by at most the last tuple's own size
         assert 300 <= total <= 300 + 6
-        assert [t.time for t in q] == list(range(1, len(q) + 1))
+        assert q.times == tuple(range(1, len(q) + 1))
 
     def test_alphabet_is_contained_in_declared_types(self):
         cfg = GenConfig(n_types=5, n_events=400, seed=9)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamseq import (
+    BoundsError,
     ContractError,
     CostCounter,
     CountParams,
@@ -13,7 +14,6 @@ from streamseq import (
     ParameterError,
     Sequence,
     StreamQueue,
-    StreamTuple,
     UpdateInput,
     ius_update,
     mine,
@@ -30,15 +30,14 @@ def _mine_and_update(q, split, params, cost=None):
     dw = window(q, split, len(q) - split)
     old = mine([w0], params)
     part = mine([dw], params)
-    inp = UpdateInput(old=old, delta=part, old_blocks=[w0], delta_blocks=[dw])
-    return ius_update(inp, cost=cost)
+    return ius_update(UpdateInput(q, old, part), cost=cost)
 
 
 def _double(q):
     """The same tuples again, shifted past the end of q."""
-    shift = q[len(q) - 1].time
-    tuples = list(q) + [StreamTuple(t.time + shift, t.types) for t in q]
-    return StreamQueue(tuples)
+    rows = list(zip(q.times, q))
+    shift = q.times[-1]
+    return StreamQueue(rows + [(t + shift, types) for t, types in rows])
 
 
 class TestEquivalenceWithRemining:
@@ -81,22 +80,8 @@ class TestEquivalenceWithRemining:
         params = MiningParams(Fraction(1, 5), Fraction(1, 10), CountParams(3), max_len=3)
         q = random_queue(rng, 48, ["a", "b", "c"])
         w0, d1, d2 = window(q, 0, 16), window(q, 16, 16), window(q, 32, 16)
-        step1 = ius_update(
-            UpdateInput(
-                old=mine([w0], params),
-                delta=mine([d1], params),
-                old_blocks=[w0],
-                delta_blocks=[d1],
-            )
-        )
-        step2 = ius_update(
-            UpdateInput(
-                old=step1,
-                delta=mine([d2], params),
-                old_blocks=[w0, d1],
-                delta_blocks=[d2],
-            )
-        )
+        step1 = ius_update(UpdateInput(q, mine([w0], params), mine([d1], params)))
+        step2 = ius_update(UpdateInput(q, step1, mine([d2], params)))
         full = mine([w0, d1, d2], params)
         assert step2.frequent == full.frequent
         assert step2.border == full.border
@@ -127,14 +112,8 @@ class TestUpdateProperties:
         old_blocks, delta_blocks = split
         supp = Fraction(pct, 100)
         params = MiningParams(supp, supp / 3, CountParams(span), max_len=max_len)
-        upd = ius_update(
-            UpdateInput(
-                old=mine(old_blocks, params),
-                delta=mine(delta_blocks, params),
-                old_blocks=old_blocks,
-                delta_blocks=delta_blocks,
-            )
-        )
+        q = old_blocks[0].queue
+        upd = ius_update(UpdateInput(q, mine(old_blocks, params), mine(delta_blocks, params)))
         full = mine(old_blocks + delta_blocks, params)
         assert (upd.frequent, upd.border, upd.blocks) == (
             full.frequent,
@@ -196,42 +175,19 @@ class TestInputValidation:
     def test_mismatched_params_rejected(self):
         q, params, w0, dw = self._pieces()
         other = MiningParams(Fraction(1, 3), Fraction(1, 5), CountParams(2))
-        inp = UpdateInput(
-            old=mine([w0], params),
-            delta=mine([dw], other),
-            old_blocks=[w0],
-            delta_blocks=[dw],
-        )
         with pytest.raises(IncompatiblePatternSetsError):
-            ius_update(inp)
+            UpdateInput(q, mine([w0], params), mine([dw], other))
 
-    def test_blocks_must_cover_the_claimed_window(self):
+    def test_blocks_past_the_queue_rejected(self):
+        # the windows come from the pattern sets' blocks, so sets mined
+        # over a longer queue do not fit a shorter one
         q, params, w0, dw = self._pieces()
-        inp = UpdateInput(
-            old=mine([w0], params),
-            delta=mine([dw], params),
-            old_blocks=[window(q, 0, 1)],  # too small for old.window_size
-            delta_blocks=[dw],
-        )
-        with pytest.raises(ContractError):
-            ius_update(inp)
-
-    def test_blocks_must_sit_where_the_pattern_set_was_mined(self):
-        # right sizes, no overlap, wrong place: stored counts of 0:30
-        # would be summed with rescans of 10:40
-        rng = random.Random(7)
-        q = random_queue(rng, 60, ["a", "b", "c"])
-        params = MiningParams(Fraction(1, 5), Fraction(1, 10), CountParams(2))
-        w0, dw = window(q, 0, 30), window(q, 40, 20)
-        for old_blocks in ([window(q, 10, 30)], [window(q, 0, 10), window(q, 10, 20)]):
-            inp = UpdateInput(
-                old=mine([w0], params),
-                delta=mine([dw], params),
-                old_blocks=old_blocks,
-                delta_blocks=[dw],
-            )
-            with pytest.raises(ContractError):
-                ius_update(inp)
+        old, delta = mine([w0], params), mine([dw], params)
+        short = queue_of("a", "b", "a")
+        with pytest.raises(BoundsError):
+            UpdateInput(short, old, delta)
+        inp = UpdateInput(q, old, delta)
+        assert (inp.old_blocks, inp.delta_blocks) == ([w0], [dw])
 
     def test_overlapping_blocks_rejected_but_gaps_allowed(self):
         q = queue_of("a", "b", "a", "b", "a", "b")
@@ -239,12 +195,7 @@ class TestInputValidation:
         w0 = window(q, 0, 3)
         for dw, overlaps in ((window(q, 2, 3), True), (window(q, 0, 3), True),
                              (window(q, 4, 2), False)):
-            inp = UpdateInput(
-                old=mine([w0], params),
-                delta=mine([dw], params),
-                old_blocks=[w0],
-                delta_blocks=[dw],
-            )
+            inp = UpdateInput(q, mine([w0], params), mine([dw], params))
             if overlaps:
                 with pytest.raises(ContractError):
                     ius_update(inp)

@@ -55,6 +55,12 @@ class TestMiningParams:
         with pytest.raises(ParameterError):
             MiningParams(Fraction(1, 2), Fraction(1, 4), SPAN2, max_len=0)
 
+    # a pattern file dumped with such a max_len would not load back
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3"])
+    def test_max_len_must_be_an_int(self, bad):
+        with pytest.raises(ParameterError):
+            MiningParams(Fraction(1, 2), Fraction(1, 4), SPAN2, max_len=bad)
+
     def test_thresholds_are_exact(self):
         p = MiningParams(0.1, 0.03, CountParams(4))
         assert p.supp_threshold(20000) == 2000

@@ -12,14 +12,15 @@ from streamseq import (
     BoundsError,
     CountParams,
     EventLogParseError,
+    GenConfig,
     MiningParams,
     ParameterError,
     PatternFileError,
     Sequence,
     StreamQueue,
-    StreamTuple,
     ViewWindow,
     dump_pattern_file,
+    generate,
     load_pattern_file,
     mine,
     occur,
@@ -28,7 +29,7 @@ from streamseq import (
     window,
 )
 from streamseq.oracle import contains
-from conftest import labels, queue_of, random_queue, tup
+from conftest import labels, queue_of, random_queue
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,7 +59,7 @@ class TestLabelRule:
         with pytest.raises(ParameterError):
             Sequence.of(bad)
         with pytest.raises(ParameterError):
-            StreamQueue([StreamTuple(1, {"ok"}), StreamTuple(2, {"ok", bad})])
+            StreamQueue([(1, {"ok"}), (2, {"ok", bad})])
         # the parser strips whitespace around a field, so a non-empty bad
         # label is followed by one more character to keep it whole
         record = f"1,{bad}x\n" if bad else "1,\n"
@@ -69,7 +70,7 @@ class TestLabelRule:
 
     def test_the_same_inputs_with_a_good_label_are_accepted(self):
         assert Sequence.of("ok") == ("ok",)
-        StreamQueue([StreamTuple(1, {"ok"}), StreamTuple(2, {"ok", "x"})])
+        StreamQueue([(1, {"ok"}), (2, {"ok", "x"})])
         assert parse_event_log("0,ok\n1,okx\n").alphabet() == ["ok", "okx"]
         ps = load_pattern_file(_PATTERN_FILE_HEAD + "L\tok\t3\n")
         assert ps.frequent == {Sequence.of("ok"): 3}
@@ -95,12 +96,12 @@ class TestLabelRule:
         # every accepted character, 4,096 to a label, one label per tuple
         labels = ["".join(accepted[i : i + 4096])
                   for i in range(0, len(accepted), 4096)]
-        q = StreamQueue(StreamTuple(t, {lb}) for t, lb in enumerate(labels))
+        q = StreamQueue((t, {lb}) for t, lb in enumerate(labels))
         data = serialize_event_log(q).encode("utf-8")
         assert parse_event_log(data.decode("utf-8")) == q
 
     def test_a_queue_of_plain_string_labels_counts(self):
-        q = StreamQueue([StreamTuple(1, {"a"}), StreamTuple(2, {"b"})])
+        q = StreamQueue([(1, {"a"}), (2, {"b"})])
         w = window(q, 0, len(q))
         assert occur(Sequence.of("a"), w, CountParams(span=1)) == 1
         assert occur(Sequence.of("a", "b"), w, CountParams(span=2)) == 1
@@ -162,45 +163,60 @@ class TestPickle:
         assert out == dump_pattern_file(_mined_set(parse_event_log(_PICKLE_LOG)))
 
 
-class TestStreamTuple:
+class TestQueueRows:
+    """A queue is built from (time, labels) rows, and iterating it yields
+    each tuple's label set, so the rows of a queue rebuild it."""
+
     def test_coerces_types_to_frozenset(self):
-        t = StreamTuple(1, ["a", "a"])
-        assert t.types == frozenset(["a"])
+        t = StreamQueue([(1, ["a", "a"])])[0]
+        assert t == frozenset(["a"]) and type(t) is frozenset
 
     def test_rejects_empty_tuple(self):
         with pytest.raises(ParameterError):
-            StreamTuple(3, frozenset())
+            StreamQueue([(1, {"a"}), (3, frozenset())])
 
     def test_rejects_a_bare_string_of_types(self):
         with pytest.raises(ParameterError):
-            StreamTuple(1, "ab")
+            StreamQueue([(1, "ab")])
 
     # each of these used to write a log that fails to parse, or ("10"
     # before "9") one whose records reorder on a round trip
     @pytest.mark.parametrize("bad", [1.5, True, False, "9", "10", None])
     def test_rejects_a_time_that_is_not_an_int(self, bad):
         with pytest.raises(ParameterError):
-            StreamTuple(bad, {"a"})
+            StreamQueue([(bad, {"a"})])
 
     def test_len_and_contains(self):
-        t = tup(1, "a", "b")
+        t = queue_of("ab")[0]
         assert len(t) == 2
         assert "a" in t
         assert "z" not in t
+
+    def test_rows_rebuild_the_queue(self):
+        parsed = parse_event_log("3,b\n1,a\n3,a\n7,c\n")
+        generated = generate(GenConfig(n_types=6, n_events=300, seed=5, tuple_fill=1.5))
+        built = random_queue(random.Random(3), 40, ["a", "b", "c"])
+        for q in (parsed, generated, built):
+            again = StreamQueue(zip(q.times, q))
+            assert again == q and again.times == q.times
+            assert list(again) == list(q)
+            assert serialize_event_log(again) == serialize_event_log(q)
 
 
 class TestStreamQueue:
     def test_requires_strictly_increasing_times(self):
         with pytest.raises(ParameterError):
-            StreamQueue([tup(1, "a"), tup(1, "b")])
+            StreamQueue([(1, {"a"}), (1, {"b"})])
         with pytest.raises(ParameterError):
-            StreamQueue([tup(2, "a"), tup(1, "b")])
+            StreamQueue([(2, {"a"}), (1, {"b"})])
 
     def test_indexing_and_iteration(self):
         q = queue_of("a", "b", "c")
         assert len(q) == 3
-        assert q[1].time == 2
-        assert [t.time for t in q] == [1, 2, 3]
+        assert q.times == (1, 2, 3)
+        assert q[1] == frozenset("b")
+        assert list(q) == [frozenset("a"), frozenset("b"), frozenset("c")]
+        assert q[1:] == (frozenset("b"), frozenset("c"))
 
     def test_mask_index(self):
         q = queue_of("ab", "b", "a", "c")
@@ -221,8 +237,8 @@ class TestStreamQueue:
         q = queue_of("ab", "b")
         parsed = parse_event_log("1,a\n1,b\n2,b\n")
         assert parsed == q and hash(parsed) == hash(q)
-        assert StreamQueue([tup(1, "a", "b"), tup(3, "b")]) != q
-        assert StreamQueue([tup(1, "a", "b"), tup(2, "a")]) != q
+        assert StreamQueue([(1, {"a", "b"}), (3, {"b"})]) != q
+        assert StreamQueue([(1, {"a", "b"}), (2, {"a"})]) != q
 
     def test_alphabet_sorted(self):
         q = queue_of("cb", "a")
@@ -239,24 +255,9 @@ class TestViewWindow:
         with pytest.raises(BoundsError):
             ViewWindow(q, 2, 2)
 
-    def test_relative_indexing(self):
-        q = queue_of("a", "b", "c", "d")
-        w = window(q, 1, 2)
-        assert w[0].time == 2
-        assert w[1].time == 3
-        with pytest.raises(BoundsError):
-            w[2]
-
     def test_end_and_ident(self):
         w = window(queue_of("a", "b", "c", "d"), 1, 3)
         assert w.end == 4
-
-    def test_subwindow(self):
-        q = queue_of("a", "b", "c", "d")
-        sub = window(q, 1, 3).subwindow(1, 2)
-        assert (sub.start, sub.size) == (2, 2)
-        with pytest.raises(BoundsError):
-            window(q, 1, 3).subwindow(1, 3)
 
     def test_window_alphabet_is_window_local(self):
         q = queue_of("a", "z", "a")
@@ -268,7 +269,7 @@ class TestViewWindow:
         for _ in range(40):
             start = rng.randint(0, 90)
             w = window(q, start, rng.randint(0, 90 - start))
-            assert w.alphabet() == sorted({label for t in w for label in t.types})
+            assert w.alphabet() == sorted({label for t in q[w.start : w.end] for label in t})
 
 
 class TestSequence:
@@ -340,8 +341,8 @@ class TestEventLog:
     def test_parse_groups_merges_and_sorts(self):
         text = "# header comment\n5,b\n\n1,a\n5,a\n5,b\n"
         q = parse_event_log(text)
-        assert [t.time for t in q] == [1, 5]
-        assert q[1].types == frozenset(["a", "b"])
+        assert q.times == (1, 5)
+        assert q[1] == frozenset(["a", "b"])
 
     def test_parse_reports_line_numbers(self):
         with pytest.raises(EventLogParseError) as info:
@@ -381,12 +382,11 @@ def _written_log(draw):
     blank and comment lines between them, whitespace around the fields."""
     pool = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
     times = sorted(draw(st.sets(st.integers(-10**12, 10**12), max_size=25)))
-    tuples = [
-        StreamTuple(t, draw(st.frozensets(st.sampled_from(pool), min_size=1,
-                                          max_size=len(pool))))
+    rows = [
+        (t, draw(st.frozensets(st.sampled_from(pool), min_size=1, max_size=len(pool))))
         for t in times
     ]
-    records = [(t.time, label) for t in tuples for label in t.types]
+    records = [(t, label) for t, types in rows for label in types]
     records += draw(st.lists(st.sampled_from(records), max_size=5)) if records else []
     records = draw(st.permutations(records))
     lines = []
@@ -395,7 +395,7 @@ def _written_log(draw):
             lines.append(draw(st.sampled_from(["", " ", "#", "# 1,a", "  #x,y"])))
         lines.append(f"{draw(_pad)}{ts}{draw(_pad)},{label}{draw(_pad)}")
     text = "".join(line + draw(_eol) for line in lines)
-    return StreamQueue(tuples), text
+    return StreamQueue(rows), text
 
 
 class TestEventLogProperties:

@@ -41,6 +41,14 @@ class TestContains:
         assert contains(Sequence.of("a", "a"), window(queue_of("a", "a"), 0, 2))
 
 
+class TestCountParams:
+    # a pattern file dumped with such a span would not load back
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", None, 0, -1])
+    def test_span_must_be_an_int_of_at_least_one(self, bad):
+        with pytest.raises(ParameterError):
+            CountParams(bad)
+
+
 class TestOccur:
     """Counts frozen against the ({a},{b},{a},{b}) reference window."""
 
