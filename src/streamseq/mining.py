@@ -7,9 +7,11 @@ mine() finds two disjoint families over a window of blocks:
              one-item-shorter subsequence is frequent (vacuous for
              single items)
 
-where W is the total size of the window's blocks.  Both comparisons
-are strict and evaluated in exact rational arithmetic, so there is no
-float tie-breaking at the thresholds.  The border family is what makes
+where W is the total size of the window's blocks.  Counts are ints,
+so each comparison is made exactly against an int threshold:
+occur > x holds iff occur > floor(x), and occur <= x iff
+occur <= floor(x), for any rational x.  There is no float
+tie-breaking at the thresholds.  The border family is what makes
 cheap incremental updates possible: it holds the almost-frequent
 sequences whose exact counts are already known.
 
@@ -88,12 +90,18 @@ class MiningParams:
     def span(self) -> int:
         return self.count_params.span
 
-    def supp_threshold(self, window_size: int) -> Fraction:
-        """A count is frequent iff it is strictly above this value."""
-        return self.min_supp * window_size
+    def supp_threshold(self, window_size: int) -> int:
+        """floor(min_supp * window_size), exactly.
 
-    def nbd_threshold(self, window_size: int) -> Fraction:
-        return self.min_nbd_supp * window_size
+        An int count is frequent iff it is strictly above this value,
+        which is the same test as being strictly above min_supp *
+        window_size itself.
+        """
+        return self.min_supp.numerator * window_size // self.min_supp.denominator
+
+    def nbd_threshold(self, window_size: int) -> int:
+        """floor(min_nbd_supp * window_size), exactly; see supp_threshold."""
+        return self.min_nbd_supp.numerator * window_size // self.min_nbd_supp.denominator
 
 
 @dataclass
@@ -128,7 +136,11 @@ class PatternSet:
         Blocks are ranges 0 <= start <= end, and no two non-empty blocks
         share a tuple; sections are disjoint; counts sit strictly inside
         their bands; frequent is closed downward; border members have
-        every one-shorter subsequence frequent.
+        every one-shorter subsequence frequent.  No count is above what
+        occur could give: the number of start positions of the blocks,
+        sum(max(0, end - start - span + 1)), or the count of any
+        one-shorter subsequence, since adding an item never adds an
+        occurrence.
         """
         ranges = sorted(self.blocks)
         for start, end in ranges:
@@ -141,6 +153,7 @@ class PatternSet:
         p = self.params
         thr_l = p.supp_threshold(self.window_size)
         thr_n = p.nbd_threshold(self.window_size)
+        starts = sum(max(0, end - start - p.span + 1) for start, end in self.blocks)
         overlap = self.frequent.keys() & self.border.keys()
         if overlap:
             raise ContractError(f"sections overlap: {sorted(overlap)[:3]}")
@@ -151,13 +164,26 @@ class PatternSet:
             if not thr_n < c <= thr_l:
                 raise ContractError(f"{seq!r} count {c} outside ({thr_n}, {thr_l}]")
         for family in (self.frequent, self.border):
-            for seq in family:
+            for seq, c in family.items():
+                if c > starts:
+                    raise ContractError(
+                        f"{seq!r} count {c} is above the {starts} start positions "
+                        f"of the blocks"
+                    )
                 if p.max_len is not None and len(seq) > p.max_len:
                     raise ContractError(f"{seq!r} longer than max_len={p.max_len}")
-                for sub in seq.shrink_by_one():
-                    if sub not in self.frequent:
+                for i in range(len(seq) if len(seq) > 1 else 0):
+                    sub = seq[:i] + seq[i + 1 :]
+                    sub_count = self.frequent.get(sub)
+                    if sub_count is None:
                         raise ContractError(
-                            f"{seq!r} kept but subsequence {sub!r} is not frequent"
+                            f"{seq!r} kept but subsequence "
+                            f"{Sequence._unchecked(sub)!r} is not frequent"
+                        )
+                    if c > sub_count:
+                        raise ContractError(
+                            f"{seq!r} count {c} is above the count {sub_count} "
+                            f"of its subsequence {Sequence._unchecked(sub)!r}"
                         )
 
 
@@ -168,27 +194,34 @@ def gen_candidates(level: Iterable[Sequence]) -> list[Sequence]:
     item equals t minus its last item, giving s extended by t's last
     item.  For m-1 = 1 the join degenerates to all ordered pairs,
     including a type with itself.  A candidate survives only when every
-    one of its one-shorter subsequences is in the input level.  Output
-    is sorted and duplicate-free.
+    one of its one-shorter subsequences is in the input level; dropping
+    its first item gives t and dropping its last gives s, so only the
+    inner drops need a lookup.  The inputs are joined in sorted order,
+    so the output comes out sorted and duplicate-free.
+
+    An input that is not a Sequence is made one, which checks its
+    labels; the join and the pruning then work on plain tuples, whose
+    labels are the input's, and only the survivors are wrapped.
     """
-    seqs = sorted(set(level))
+    seqs = sorted({s if isinstance(s, Sequence) else Sequence(s) for s in level})
     if not seqs:
         return []
     lengths = {len(s) for s in seqs}
     if len(lengths) != 1:
         raise ContractError(f"mixed sequence lengths in candidate join: {lengths}")
 
-    by_prefix: dict[tuple, list[Sequence]] = {}
+    lasts: dict[tuple[str, ...], list[str]] = {}
     for t in seqs:
-        by_prefix.setdefault(t[:-1], []).append(t)
+        lasts.setdefault(t[:-1], []).append(t[-1])
     have = set(seqs)
-    out: set[Sequence] = set()
+    inner = range(1, len(seqs[0]))
+    out: list[Sequence] = []
     for s in seqs:
-        for t in by_prefix.get(s[1:], ()):
-            cand = Sequence(s + t[-1:])
-            if all(sub in have for sub in cand.shrink_by_one()):
-                out.add(cand)
-    return sorted(out)
+        for last in lasts.get(s[1:], ()):
+            cand = s + (last,)
+            if all(cand[:i] + cand[i + 1 :] in have for i in inner):
+                out.append(Sequence._unchecked(cand))
+    return out
 
 
 def _levelwise(
@@ -248,7 +281,7 @@ def mine(
     blocks = list(blocks)
     cp = params.count_params
     return _levelwise(
-        {Sequence((label,)) for b in blocks for label in b.alphabet()},
+        {Sequence._unchecked((label,)) for b in blocks for label in b.alphabet()},
         lambda seq: occur_partitioned(seq, blocks, cp, cost),
         params,
         tuple((b.start, b.end) for b in blocks),

@@ -22,9 +22,10 @@ windows safe to share between the miner, the incremental updater and
 the sweep driver without locking.  The exception is memos that never
 change a result.  A queue builds its bitmaps or its label sets on first
 use.  A window fills a memo of each label's bitmap cut to it, one label
-at a time, and keeps the last prefix the occurrence counter matched over
-it, replacing it when the prefix changes.  Each memo entry is written in
-one statement, so a reader sees it whole or not at all.
+at a time, keeps the last prefix the occurrence counter matched over
+it, replacing it when the prefix changes, and remembers every count
+taken over it, by span and sequence.  Each memo entry is written in one
+statement, so a reader sees it whole or not at all.
 """
 
 from __future__ import annotations
@@ -192,16 +193,18 @@ class ViewWindow:
     A window copies nothing: the occurrence counter reads it through
     mask(), and its tuples are the queue's, queue[start:end].
 
-    A window holds two memos that never change a result and take no part
-    in equality or in what a window means: `_cuts`, filled once per label
-    by mask() with that label's bitmap cut to the window, and `_prefix`,
-    the last prefix the occurrence counter matched here, as one tuple
-    ((span, prefix), count, ends) that the next new prefix replaces.
-    Each memo entry is written in a single statement, so a reader never
-    sees one half-written.
+    A window holds three memos that never change a result and take no
+    part in equality or in what a window means: `_cuts`, filled once per
+    label by mask() with that label's bitmap cut to the window;
+    `_prefix`, the last prefix the occurrence counter matched here, as
+    one tuple ((span, prefix), count, ends) that the next new prefix
+    replaces; and `_counts`, which maps (span, sequence) to the count
+    the occurrence counter took here, so a sequence counted twice over
+    one window is counted once.  Each memo entry is written in a single
+    statement, so a reader never sees one half-written.
     """
 
-    __slots__ = ("queue", "start", "size", "_cuts", "_prefix")
+    __slots__ = ("queue", "start", "size", "_cuts", "_prefix", "_counts")
 
     def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
         if start < 0 or size < 0 or start + size > len(queue):
@@ -214,6 +217,7 @@ class ViewWindow:
         self.size = size
         self._cuts: dict[str, int] = {}
         self._prefix: tuple[tuple[int, tuple[str, ...]], int, list[int]] | None = None
+        self._counts: dict[tuple[int, Sequence], int] = {}
 
     def __len__(self) -> int:
         return self.size
@@ -276,6 +280,19 @@ class Sequence(tuple):
         for label in seq:
             _check_label(label)
         return seq
+
+    @classmethod
+    def _unchecked(cls, labels: tuple[str, ...]) -> Sequence:
+        """Wrap a non-empty tuple of labels that were already checked.
+
+        The labels must come from a Sequence, or from a queue's bitmaps,
+        whose labels the queue checked when it was built; either way
+        _check_label has passed on each of them, so checking them again
+        could only repeat that answer.  The mining engine builds every
+        candidate this way, so a search over an already-built queue
+        makes no label check at all.
+        """
+        return tuple.__new__(cls, labels)
 
     @classmethod
     def of(cls, *labels: str) -> Sequence:

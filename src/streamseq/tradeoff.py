@@ -149,6 +149,13 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     the full re-mine of the composed blocks and the incremental update
     are measured.  The two must agree on the frequent family; the sweep
     checks that instead of assuming it.
+
+    In cost units every re-mine reuses the base window, whose count
+    memo then holds every candidate counted over it so far, and the
+    update rescans the windows the re-mine counted on; cost units
+    charge each scan all the same.  A wall-clock rep builds fresh
+    windows and a fresh UpdateInput, so no time it records is a memo
+    hit left over from the base or increment mine or an earlier rep.
     """
     need = cfg.initial_size + cfg.delta_sizes[-1]
     if need > len(queue):
@@ -163,22 +170,26 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     for d in cfg.delta_sizes:
         dw = window(queue, cfg.initial_size, d)
         part = mine([dw], cfg.params)
-        upd_input = UpdateInput(queue, base, part)
         if cfg.timing == COST_UNITS:
             full_cost = CostCounter()
             full = mine([w0, dw], cfg.params, cost=full_cost)
             upd_cost = CostCounter()
+            upd_input = UpdateInput(queue, base, part)
+            # the same ranges, over the windows the re-mine just counted on
+            upd_input.old_blocks, upd_input.delta_blocks = [w0], [dw]
             upd = ius_update(upd_input, cost=upd_cost)
             t_full: float = full_cost.window_evaluations
             t_ius: float = upd_cost.window_evaluations
         else:
             full_times = []
             for _ in range(cfg.repetitions):
+                blocks = [window(queue, b.start, b.size) for b in (w0, dw)]
                 t0 = time.perf_counter()
-                full = mine([w0, dw], cfg.params)
+                full = mine(blocks, cfg.params)
                 full_times.append(time.perf_counter() - t0)
             upd_times = []
             for _ in range(cfg.repetitions):
+                upd_input = UpdateInput(queue, base, part)
                 t0 = time.perf_counter()
                 upd = ius_update(upd_input)
                 upd_times.append(time.perf_counter() - t0)

@@ -168,6 +168,24 @@ def test_inconsistent_pattern_file_is_3(tmp_path, capsys, edit):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+def test_impossible_stored_count_is_3(tmp_path, capsys):
+    # a count above the start positions of the blocks used to be added to
+    # the increment's and written out, exit 0
+    log = gen_log(tmp_path / "s.log", events=2000)
+    base, bad, out = tmp_path / "base.p", tmp_path / "bad.p", tmp_path / "x.p"
+    flags = ("--min-supp", "1/10", "--min-nbd-supp", "3/100", "--span", "4")
+    assert run("mine", str(log), str(base), "--size", "400", *flags) == 0
+    lines = base.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("L\t"))
+    lines[i] = lines[i].rpartition("\t")[0] + "\t999999999\n"
+    bad.write_text("".join(lines))
+    assert run("update", str(log), str(base), str(out), "--size", "100") == 0
+    out.unlink()
+    assert run("update", str(log), str(bad), str(out), "--size", "100") == 3
+    assert not out.exists()
+    assert "start positions" in capsys.readouterr().err
+
+
 def test_diff_reports_exact_distance(tmp_path, capsys):
     log = gen_log(tmp_path / "s.log", seed=8)
     a = tmp_path / "a.patterns"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamseq import (
     ContractError,
@@ -11,10 +12,13 @@ from streamseq import (
     ParameterError,
     PatternSet,
     Sequence,
+    UpdateInput,
     gen_candidates,
+    ius_update,
     mine,
     window,
 )
+from streamseq import model
 from streamseq.mining import as_fraction
 from streamseq.oracle import brute_force_frequent
 from conftest import alternating_ab, queue_of, random_queue
@@ -103,6 +107,41 @@ class TestGenCandidates:
         with pytest.raises(ContractError):
             gen_candidates([Sequence.of("a"), Sequence.of("a", "b")])
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda m: st.lists(
+                st.tuples(*[st.sampled_from("abc")] * m).map(
+                    lambda t: t if t[0] == "a" else Sequence(t)
+                ),
+                max_size=20,
+            )
+        )
+    )
+    def test_equals_a_reference_join(self, level):
+        # the join on plain tuple slices is the join on validated Sequences;
+        # the level mixes plain tuples and Sequences
+        seqs = sorted({Sequence(s) for s in level})
+        want = sorted(
+            {
+                Sequence(s + t[-1:])
+                for s in seqs
+                for t in seqs
+                if s[1:] == t[:-1]
+                and all(
+                    sub in seqs for sub in Sequence(s + t[-1:]).shrink_by_one()
+                )
+            }
+        )
+        got = gen_candidates(level)
+        assert got == want
+        assert all(type(c) is Sequence for c in got)
+
+    @pytest.mark.parametrize("bad", ["", "a b", "a,b", "\ud800", 7])
+    def test_a_plain_tuple_with_a_bad_label_is_refused(self, bad):
+        with pytest.raises(ParameterError):
+            gen_candidates([("a",), (bad,)])
+
 
 class TestMine:
     def test_reference_window(self):
@@ -130,6 +169,30 @@ class TestMine:
         ps = mine([window(q, 0, 4)], params)
         assert Sequence.of("a") not in ps.frequent  # count 2 == 0.5 * 4
         assert ps.border[Sequence.of("a")] == 2
+
+    @pytest.mark.parametrize(
+        "min_supp, min_nbd_supp",
+        [
+            (Fraction(3, 10), Fraction(1, 5)),  # thresholds 3 and 2 exactly
+            (Fraction(1, 3), Fraction(1, 4)),  # thresholds 10/3 and 5/2
+        ],
+    )
+    def test_int_thresholds_classify_as_the_oracle_does(self, min_supp, min_nbd_supp):
+        # at span 1 a single's count is the number of tuples holding it;
+        # a at 2 is on neither band, b at 3 is border, c at 4 is frequent,
+        # each one step from a threshold
+        held = {"a": 2, "b": 3, "c": 4}
+        rows = ({"z"} | {lb for lb, n in held.items() if i < n} for i in range(10))
+        q = queue_of(*rows)
+        params = MiningParams(min_supp, min_nbd_supp, CountParams(1), max_len=2)
+        w = window(q, 0, 10)
+        got = mine([w], params)
+        want = brute_force_frequent([w], CountParams(1), min_supp, min_nbd_supp, 2)
+        assert (got.frequent, got.border) == (want.frequent, want.border)
+        assert got.frequent == {Sequence.of("c"): 4, Sequence.of("z"): 10}
+        assert got.border == {Sequence.of("b"): 3}
+        assert isinstance(params.supp_threshold(10), int)
+        assert (params.supp_threshold(10), params.nbd_threshold(10)) == (3, 2)
 
     def test_empty_blocks(self):
         params = MiningParams(Fraction(1, 2), Fraction(1, 4), SPAN2)
@@ -247,3 +310,26 @@ class TestPatternSetValidate:
         assert ps.stored_count(Sequence.of("a")) == 3
         assert ps.stored_count(Sequence.of("b", "a")) == 1
         assert ps.stored_count(Sequence.of("c")) is None
+
+
+def test_an_already_built_queue_needs_no_label_check(monkeypatch):
+    # a queue checks its labels when it is built; mining and updating over
+    # it build every candidate from those labels and check none again
+    checks = []
+    real = model._check_label
+
+    def counted(label):
+        checks.append(label)
+        real(label)
+
+    q = random_queue(random.Random(8), 120, ["a", "b", "c", "d"])
+    params = MiningParams(Fraction(1, 5), Fraction(1, 10), CountParams(4), max_len=3)
+    monkeypatch.setattr(model, "_check_label", counted)
+    old = mine([window(q, 0, 90)], params)
+    grown = ius_update(UpdateInput(q, old, mine([window(q, 90, 30)], params)))
+    assert any(len(s) == 3 for s in grown.frequent)  # the search reached level 3
+    assert checks == []
+    assert isinstance(params.supp_threshold(120), int)
+    assert isinstance(params.nbd_threshold(120), int)
+    Sequence.of("a", "b")
+    assert checks == ["a", "b"]  # the rebinding does see a checked build

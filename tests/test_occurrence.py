@@ -198,8 +198,10 @@ class TestOccurProperties:
         st.data(),
     )
     def test_the_window_memos_never_change_a_count(self, w, seqs, span, span2, data):
-        """A window remembers its mask cuts and its last matched prefix.
-        Whatever order counts arrive in, every count equals the oracle's."""
+        """A window remembers its mask cuts, its last matched prefix and
+        every count taken over it.  Whatever order counts arrive in, every
+        count equals the oracle's, and a mine repeated over one window, or
+        over a pickled copy of a used one, equals a mine over a fresh one."""
         q = w.queue
         other = window(q, 0, len(q))
         p, p2 = CountParams(span), CountParams(span2)
@@ -227,6 +229,13 @@ class TestOccurProperties:
         copy = pickle.loads(pickle.dumps(w))
         for s in seqs:
             assert occur(s, copy, p) == occur(s, w, p) == occur_bruteforce(s, w, p)
+
+        mp = MiningParams(Fraction(1, 10), Fraction(1, 20), p, max_len=3)
+        want = mine([window(q, w.start, w.size)], mp)
+        mine([w], mp)  # every count of the next two mines is a memo hit
+        for win in (w, pickle.loads(pickle.dumps(w))):
+            got = mine([win], mp)
+            assert (got.frequent, got.border) == (want.frequent, want.border)
 
 
 class TestSupport:

@@ -122,7 +122,11 @@ def test_max_len_header_may_be_omitted_entirely():
 
 
 def test_block_ranges():
-    ps = load_pattern_file(GOLDEN.replace("blocks=0:4", "blocks=0:1,1:4"))
+    q = alternating_ab().queue
+    ps = mine([window(q, 0, 1), window(q, 1, 3)], _reference_set().params)
+    text = dump_pattern_file(ps)
+    assert "blocks=0:1,1:4\n" in text
+    ps = load_pattern_file(text)
     assert ps.blocks == ((0, 1), (1, 4))
     assert ps.window_size == 4
 
@@ -168,6 +172,22 @@ class TestLoadRejectsMalformedInput:
         broken = GOLDEN.replace("NBD\tb\ta\t1\n", "NBD\tb\ta\t4\n")
         with pytest.raises(PatternFileError):
             load_pattern_file(broken)
+
+    def test_count_above_the_start_positions(self):
+        # four tuples hold three span-2 start positions, so no count passes 3
+        with pytest.raises(PatternFileError, match="start positions"):
+            load_pattern_file(GOLDEN.replace("L\ta\t3\n", "L\ta\t4\n"))
+
+    def test_count_above_a_subsequence_count(self):
+        # <a,b> occurs wherever <a> does, so its count cannot pass <a>'s
+        text = (
+            "format=1\nwindow_size=10\nmin_supp=1/10\nmin_nbd_supp=1/20\n"
+            "span=3\nmax_len=3\nblocks=0:10\n"
+            "L\ta\t5\nL\tb\t7\nL\ta\tb\t6\n"
+        )
+        load_pattern_file(text.replace("L\ta\tb\t6", "L\ta\tb\t5"))
+        with pytest.raises(PatternFileError, match="subsequence <a>"):
+            load_pattern_file(text)
 
     def test_truncated_entry_line(self):
         with pytest.raises(PatternFileError):

@@ -21,6 +21,7 @@ from streamseq import (
     run_sweep,
     sweep_csv,
 )
+from streamseq import tradeoff
 from conftest import random_queue
 
 
@@ -178,6 +179,40 @@ class TestRunSweep:
         )
         for p in run_sweep(q, cfg):
             assert p.t_full >= 0 and p.t_ius > 0
+
+    def test_wall_clock_reps_start_from_empty_memos(self, monkeypatch):
+        # a window that an earlier count used would time memo hits
+        seen = []
+        real_mine, real_update = tradeoff.mine, tradeoff.ius_update
+
+        def used(windows):
+            return any(w._cuts or w._prefix or w._counts for w in windows)
+
+        def mine(blocks, params, cost=None):
+            blocks = list(blocks)
+            seen.append(("mine", used(blocks)))
+            return real_mine(blocks, params, cost)
+
+        def ius_update(inp, cost=None):
+            seen.append(("update", used(inp.old_blocks + inp.delta_blocks)))
+            return real_update(inp, cost)
+
+        monkeypatch.setattr(tradeoff, "mine", mine)
+        monkeypatch.setattr(tradeoff, "ius_update", ius_update)
+        q = random_queue(random.Random(64), 80, ["a", "b", "c"])
+        cfg = SweepConfig(
+            initial_size=40,
+            delta_sizes=(10, 30),
+            params=_params(),
+            timing="wall_clock",
+            repetitions=3,
+        )
+        run_sweep(q, cfg)
+        # the base mine, then per delta its increment mine and 3 reps of each
+        assert [kind for kind, _ in seen] == ["mine"] + 2 * (
+            ["mine"] * 4 + ["update"] * 3
+        )
+        assert not any(reused for _, reused in seen)
 
     def test_queue_too_short_rejected(self):
         rng = random.Random(63)
