@@ -140,7 +140,9 @@ class PatternSet:
         occur could give: the number of start positions of the blocks,
         sum(max(0, end - start - span + 1)), or the count of any
         one-shorter subsequence, since adding an item never adds an
-        occurrence.
+        occurrence.  No sequence is longer than span, since its items
+        need distinct tuples within one span, so occur counts 0 for it
+        and every stored count is at least 1.
         """
         ranges = sorted(self.blocks)
         for start, end in ranges:
@@ -172,6 +174,10 @@ class PatternSet:
                     )
                 if p.max_len is not None and len(seq) > p.max_len:
                     raise ContractError(f"{seq!r} longer than max_len={p.max_len}")
+                if len(seq) > p.span:
+                    raise ContractError(
+                        f"{seq!r} longer than span={p.span}, so it occurs nowhere"
+                    )
                 for i in range(len(seq) if len(seq) > 1 else 0):
                     sub = seq[:i] + seq[i + 1 :]
                     sub_count = self.frequent.get(sub)

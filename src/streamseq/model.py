@@ -8,14 +8,21 @@ timestamp, and tuples are kept in strictly increasing timestamp order.
 A Sequence is a non-empty tuple of labels.  A queue is held as columns:
 `times`, its timestamps, and one bitmap per label whose bit i is set
 when the label is in tuple i.  parse_event_log fills those columns
-straight from the text.  Iterating or indexing a queue yields each
-tuple's label set, a frozenset, which a parsed queue builds only when
-something asks for it (the oracle, serialize_event_log, tests).  A queue
-built from (time, labels) rows keeps its label sets and derives its
-bitmaps on first use.  Mining never copies stream data; it works on
-ViewWindow objects, each the (queue, start, size) range of tuples to
-count over.  A window mined in pieces is a list of such ranges, one per
-block, so that counts can be maintained per block.
+in one pass over the text, a few operations per record: it sets the
+record's bit in its label's row, where bit r stands for the r-th run,
+a maximal stretch of consecutive records sharing one timestamp.  In a
+time-ordered log each run is one tuple and the rows are the bitmaps.
+Any other log, with a record out of order or a timestamp that comes
+back later, pays one relabel of the runs into sorted timestamp order,
+which also merges runs of one timestamp.  Iterating or indexing a
+queue yields each tuple's label set, a frozenset, which a parsed queue
+builds only when something asks for it (the oracle,
+serialize_event_log, tests).  A queue built from (time, labels) rows
+keeps its label sets and derives its bitmaps on first use.  Mining
+never copies stream data; it works on ViewWindow objects, each the
+(queue, start, size) range of tuples to count over.  A window mined in
+pieces is a list of such ranges, one per block, so that counts can be
+maintained per block.
 
 Everything here is immutable after construction, which is what makes the
 windows safe to share between the miner, the incremental updater and
@@ -30,6 +37,7 @@ statement, so a reader sees it whole or not at all.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Iterator
 
@@ -321,44 +329,140 @@ def parse_event_log(text: str) -> StreamQueue:
     """Parse event-log text into a StreamQueue.
 
     Each record line is "timestamp,event_label" with a base-10 integer
-    timestamp and a label _check_label accepts.  Lines that are empty or
-    start with '#' are skipped.  Records may arrive in any order and may
-    repeat: they are grouped by timestamp, duplicates within a timestamp
-    merge, and tuples come out sorted by timestamp.  The first bad line
-    raises EventLogParseError with its 1-based number.
+    timestamp and a label _check_label accepts; whitespace around the
+    timestamp and after the label is ignored.  Lines that are empty or
+    start with '#' are skipped.  Records may arrive in any order and may repeat: they are
+    grouped by timestamp, duplicates within a timestamp merge, and tuples
+    come out sorted by timestamp.  The first bad line raises
+    EventLogParseError with its 1-based number.
 
-    One pass over the lines collects each label's timestamps; the
-    distinct timestamps are then ranked and each label's ranks set bits
-    in one bytearray row.  The queue is those columns: no label set is
-    built until something iterates or indexes it.
+    One pass over the lines sets one bit per record.  A record's bit is
+    its run: a maximal stretch of consecutive records that share one
+    timestamp.  Each record costs one partition at the comma, one int()
+    of the text before it, one dict lookup of the text after it, which
+    yields that label's bytearray row, and one bit set in that row.
+    Everything rare leaves that path: a line int() refuses as written
+    goes to _odd_line (blank and comment lines, a missing comma, a bad
+    timestamp, padding int() refuses), and label text not seen before
+    goes to _new_label_text (a missing comma, the label check, trailing
+    padding).  In a time-ordered log every run is one tuple, so the rows
+    are the queue's bitmaps as they stand; any other log pays one
+    relabel of the runs into sorted timestamp order (_queue_of_runs).
     """
-    columns: dict[str, list[int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        ts_str, sep, label = line.partition(",")
-        if not sep:
-            raise EventLogParseError(line_no, f"expected 'timestamp,label', got {raw!r}")
+    lines = text.splitlines()
+    seen: dict[str, bytearray] = {}  # label text as written -> its label's row
+    rows: dict[str, bytearray] = {}  # label -> row, bit r set for run r
+    times: list[int] = []  # the timestamp of each run
+    last = None
+    run = -1
+    byte = bit = 0
+    for raw in lines:
+        ts_str, sep, label = raw.partition(",")
         try:
-            ts = int(ts_str.strip(), 10)
+            ts = int(ts_str, 10)
         except ValueError:
-            raise EventLogParseError(line_no, f"bad timestamp {ts_str.strip()!r}") from None
-        column = columns.get(label)
-        if column is None:
-            try:
-                _check_label(label)
-            except ParameterError as exc:
-                raise EventLogParseError(line_no, str(exc)) from None
-            column = columns[label] = []
-        column.append(ts)
-    times = sorted(set().union(*columns.values()))
-    rank = {ts: i for i, ts in enumerate(times)}
-    masks = {
-        label: _bitmap(map(rank.__getitem__, column), len(times))
-        for label, column in columns.items()
-    }
-    return StreamQueue._from_columns(tuple(times), masks)
+            ts = _odd_line(lines, raw, ts_str, sep)
+            if ts is None:
+                continue
+        if ts != last:
+            last = ts
+            times.append(ts)
+            run += 1
+            byte = run >> 3
+            bit = 1 << (run & 7)
+        try:
+            row = seen[label]
+        except KeyError:
+            row = seen[label] = _new_label_text(lines, raw, label, sep, rows, byte)
+        try:
+            row[byte] |= bit
+        except IndexError:
+            # a row ends at its label's last run so far and at least
+            # doubles when it grows, so it stays within twice its bitmap
+            row.extend(bytes(byte + 1))
+            row[byte] |= bit
+    return _queue_of_runs(times, rows)
+
+
+def _line_error(lines: list[str], raw: str, message: str) -> EventLogParseError:
+    """The parse error for line `raw`.
+
+    An equal earlier line would have failed in the same way first, so
+    the bad line is the first one equal to `raw`; the one-pass parser
+    need not count lines to name it.
+    """
+    return EventLogParseError(lines.index(raw) + 1, message)
+
+
+def _odd_line(lines: list[str], raw: str, ts_str: str, sep: str) -> int | None:
+    """The timestamp of a line whose text before the comma int() refused.
+
+    None for a blank or comment line.  int() ignores whitespace around a
+    number, but not all that str.strip() removes: U+001F is one it
+    refuses.  So a good record can land here too, and its timestamp is
+    read again without its padding.  Raises EventLogParseError for a
+    line with no comma or a bad timestamp.
+    """
+    line = raw.strip()
+    if not line or line[0] == "#":
+        return None
+    if not sep:
+        raise _line_error(lines, raw, f"expected 'timestamp,label', got {raw!r}")
+    try:
+        return int(ts_str.strip(), 10)
+    except ValueError:
+        raise _line_error(lines, raw, f"bad timestamp {ts_str.strip()!r}") from None
+
+
+def _new_label_text(
+    lines: list[str],
+    raw: str,
+    text: str,
+    sep: str,
+    rows: dict[str, bytearray],
+    byte: int,
+) -> bytearray:
+    """The row of the label written as `text`, seen for the first time.
+
+    The label is `text` without its trailing padding; text that pads a
+    label seen before shares that label's row.  A new label is checked
+    once and gets a row that ends at byte `byte`.  Raises
+    EventLogParseError for a line with no comma or a bad label.
+    """
+    if not sep:
+        raise _line_error(lines, raw, f"expected 'timestamp,label', got {raw!r}")
+    label = text.rstrip()
+    row = rows.get(label)
+    if row is None:
+        try:
+            _check_label(label)
+        except ParameterError as exc:
+            raise _line_error(lines, raw, str(exc)) from None
+        row = rows[label] = bytearray(byte + 1)
+    return row
+
+
+def _queue_of_runs(times: list[int], rows: dict[str, bytearray]) -> StreamQueue:
+    """The queue of the runs with timestamps `times`, where each label's
+    row has bit r set for each run r holding it.
+
+    When the runs' timestamps strictly increase, run r is tuple r.
+    Otherwise a record arrived out of order or a timestamp came back
+    later in the log, and each run is relabeled to the rank of its
+    timestamp among the distinct ones, which merges the runs that share
+    a timestamp.
+    """
+    if all(map(operator.lt, times, times[1:])):
+        masks = {label: int.from_bytes(row, "little") for label, row in rows.items()}
+        return StreamQueue._from_columns(tuple(times), masks)
+    order = sorted(set(times))
+    rank = dict(zip(order, range(len(order))))
+    ranks = list(map(rank.__getitem__, times))  # the tuple of each run
+    masks = {}
+    for label, row in rows.items():
+        runs = _set_bits(int.from_bytes(row, "little"))
+        masks[label] = _bitmap(map(ranks.__getitem__, runs), len(order))
+    return StreamQueue._from_columns(tuple(order), masks)
 
 
 def serialize_event_log(queue: StreamQueue) -> str:

@@ -186,6 +186,25 @@ def test_impossible_stored_count_is_3(tmp_path, capsys):
     assert "start positions" in capsys.readouterr().err
 
 
+def test_sequence_longer_than_span_is_3(tmp_path, capsys):
+    # a stored count for <a,b,a> at span 2 used to be added to the
+    # increment's and written out, exit 0
+    log = tmp_path / "s.log"
+    log.write_text("".join(f"{t},{'ab'[t % 2]}\n" for t in range(20)))
+    good, bad, out = tmp_path / "good.p", tmp_path / "bad.p", tmp_path / "x.p"
+    good.write_text(
+        "format=1\nwindow_size=10\nmin_supp=1/5\nmin_nbd_supp=1/10\n"
+        "span=2\nmax_len=none\nblocks=0:10\n"
+        "L\ta\t5\nL\tb\t5\nL\ta\ta\t4\nL\ta\tb\t4\nL\tb\ta\t4\n"
+    )
+    bad.write_text(good.read_text() + "NBD\ta\tb\ta\t2\n")
+    assert run("update", str(log), str(good), str(out), "--size", "5") == 0
+    out.unlink()
+    assert run("update", str(log), str(bad), str(out), "--size", "5") == 3
+    assert not out.exists()
+    assert "longer than span=2" in capsys.readouterr().err
+
+
 def test_diff_reports_exact_distance(tmp_path, capsys):
     log = gen_log(tmp_path / "s.log", seed=8)
     a = tmp_path / "a.patterns"

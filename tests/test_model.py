@@ -354,6 +354,63 @@ class TestEventLog:
         with pytest.raises(EventLogParseError):
             parse_event_log(bad + "\n")
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            # a bad timestamp before a new bad label, and the other way round
+            ("1,a\nx,b\n2,c d\n", 2, "bad timestamp 'x'"),
+            ("1,a\n2,c d\nx,b\n", 2, "whitespace"),
+            # a bad line that repeats is reported where it first appears
+            ("1,a\n2,c d\n3,b\n2,c d\n", 2, "whitespace"),
+            ("1,a\nx,a\n2,a\nx,a\n", 2, "bad timestamp 'x'"),
+            ("1,a\n7\n2,a\n7\n", 2, "expected 'timestamp,label'"),
+            # padded text of a known label, then a bad label twice
+            ("1,a\n2,a \n3,a b\n3,a b\n", 3, "whitespace"),
+        ],
+    )
+    def test_the_first_bad_line_is_reported(self, text, line_no, message):
+        with pytest.raises(EventLogParseError, match=message) as info:
+            parse_event_log(text)
+        assert info.value.line_no == line_no
+
+    def test_padding_int_refuses_is_still_padding(self):
+        # int() refuses U+001F around a number, str.strip() removes it
+        for text in ("0\x1f,a", "\x1f0,a\n", "0,a\x1f\n", "\x1c0\x1f,a\x1f"):
+            q = parse_event_log(text)
+            assert q.times == (0,) and q.alphabet() == ["a"]
+
+    @pytest.mark.parametrize(
+        "rewrite", ["reversed", "shuffled", "one record last", "one time split"]
+    )
+    def test_records_out_of_time_order_parse_to_the_same_queue(self, rewrite):
+        # 2,400 tuples: each label's row spans 300 bytes, so the relabel
+        # moves bits between bytes, not only within one
+        rng = random.Random(31)
+        rows = [(t * 3 - 2_000, rng.sample("abcdefg", rng.randint(1, 3)))
+                for t in range(2_400)]
+        rows[0] = (rows[0][0], ["a"])  # a tuple of one record
+        rows[1_000] = (rows[1_000][0], ["b", "c", "d"])
+        ref = StreamQueue(rows)
+        lines = serialize_event_log(ref).splitlines()
+        if rewrite == "reversed":
+            lines.reverse()
+        elif rewrite == "shuffled":
+            rng.shuffle(lines)
+        elif rewrite == "one record last":
+            # the first tuple's only record: its time comes last, yet it
+            # ranks first
+            lines.append(lines.pop(0))
+        else:
+            # one of tuple 1000's three records moves to the front
+            at = lines.index(f"{rows[1_000][0]},c")
+            lines.insert(0, lines.pop(at))
+        text = "\n".join(lines) + "\n"
+        assert text != serialize_event_log(ref)
+        q = parse_event_log(text)
+        assert q == ref and q.times == ref.times
+        assert list(q) == list(ref)
+        assert serialize_event_log(q) == serialize_event_log(ref)
+
     def test_serialize_sorts_labels_within_tuple(self):
         q = queue_of("ba")
         assert serialize_event_log(q) == "1,a\n1,b\n"
@@ -398,6 +455,48 @@ def _written_log(draw):
     return StreamQueue(rows), text
 
 
+def _two_pass_parse(text):
+    """The parse the one-pass parser replaced, kept as its reference: each
+    label's timestamps first, then one tuple per distinct timestamp."""
+    columns = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        ts_str, sep, label = line.partition(",")
+        if not sep:
+            raise EventLogParseError(line_no, f"expected 'timestamp,label', got {raw!r}")
+        try:
+            ts = int(ts_str.strip(), 10)
+        except ValueError:
+            raise EventLogParseError(line_no, f"bad timestamp {ts_str.strip()!r}") from None
+        if label not in columns:
+            try:
+                Sequence.of(label)
+            except ParameterError as exc:
+                raise EventLogParseError(line_no, str(exc)) from None
+        columns.setdefault(label, set()).add(ts)
+    tuples = {}
+    for label, times in columns.items():
+        for ts in times:
+            tuples.setdefault(ts, set()).add(label)
+    return StreamQueue(sorted(tuples.items()))
+
+
+# pieces of messy lines: numbers int() takes or refuses, commas, comment
+# marks, padding that int() takes or refuses and labels good and bad
+_piece = st.sampled_from(
+    ["0", "1", "12", "-3", "+4", "1_0", "_1", "x", "1.5", "\u0661", ",", ",", "#",
+     " ", "\t", "\x1f", "\x1c", "\x85", "\u3000", "\xa0", "a", "b", "ab", "a b"]
+)
+_messy_pad = st.text(st.sampled_from(" \t\x1f\x1c\u3000\xa0"), max_size=2)
+_messy_line = st.one_of(
+    st.builds("{}{}{},{}{}".format, _messy_pad, st.integers(-3, 6), _messy_pad,
+              st.sampled_from(["a", "b", "ab"]), _messy_pad),
+    st.lists(_piece, max_size=6).map("".join),
+)
+
+
 class TestEventLogProperties:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(_written_log())
@@ -415,6 +514,20 @@ class TestEventLogProperties:
         assert out == serialize_event_log(ref)
         assert parse_event_log(out) == q
         assert serialize_event_log(parse_event_log(out)) == out
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(_messy_line, _eol), max_size=8))
+    def test_matches_the_two_pass_parse_on_messy_lines(self, lines):
+        text = "".join(line + eol for line, eol in lines)
+        try:
+            ref = _two_pass_parse(text)
+        except EventLogParseError as exc:
+            with pytest.raises(EventLogParseError) as info:
+                parse_event_log(text)
+            assert (info.value.line_no, str(info.value)) == (exc.line_no, str(exc))
+        else:
+            q = parse_event_log(text)
+            assert q == ref and q.times == ref.times
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(

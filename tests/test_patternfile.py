@@ -189,6 +189,19 @@ class TestLoadRejectsMalformedInput:
         with pytest.raises(PatternFileError, match="subsequence <a>"):
             load_pattern_file(text)
 
+    def test_sequence_longer_than_span(self):
+        # three items need three distinct tuples, which no span-2 window
+        # holds, so <a,b,a> counts 0 wherever it is counted
+        text = (
+            "format=1\nwindow_size=10\nmin_supp=1/5\nmin_nbd_supp=1/10\n"
+            "span=2\nmax_len=none\nblocks=0:10\n"
+            "L\ta\t5\nL\tb\t5\nL\ta\ta\t4\nL\ta\tb\t4\nL\tb\ta\t4\n"
+            "NBD\ta\tb\ta\t2\n"
+        )
+        load_pattern_file(text.replace("NBD\ta\tb\ta\t2\n", ""))
+        with pytest.raises(PatternFileError, match="longer than span=2"):
+            load_pattern_file(text)
+
     def test_truncated_entry_line(self):
         with pytest.raises(PatternFileError):
             load_pattern_file(GOLDEN + "L\n")
