@@ -31,8 +31,10 @@ change a result.  A queue builds its bitmaps or its label sets on first
 use.  A window fills a memo of each label's bitmap cut to it, one label
 at a time, keeps the last prefix the occurrence counter matched over
 it, replacing it when the prefix changes, and remembers every count
-taken over it, by span and sequence.  Each memo entry is written in one
-statement, so a reader sees it whole or not at all.
+taken over it, by span and sequence.  A window that head windows were
+cut from also remembers each sequence's set of matching starts, which
+its heads count from.  Each memo entry is written in one statement, so
+a reader sees it whole or not at all.
 """
 
 from __future__ import annotations
@@ -195,26 +197,49 @@ def _set_bits(m: int) -> Iterator[int]:
         i = bits.find("1", i + 1)
 
 
+def _check_int(name: str, value: object) -> None:
+    """Raise ParameterError unless `value` is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
 class ViewWindow:
     """The range [start, start+size) of a queue's tuples, to count over.
 
     A window copies nothing: the occurrence counter reads it through
-    mask(), and its tuples are the queue's, queue[start:end].
+    mask(), and its tuples are the queue's, queue[start:end].  start
+    and size are ints, not bools.
 
-    A window holds three memos that never change a result and take no
+    A window holds four memos that never change a result and take no
     part in equality or in what a window means: `_cuts`, filled once per
     label by mask() with that label's bitmap cut to the window;
     `_prefix`, the last prefix the occurrence counter matched here, as
     one tuple ((span, prefix), count, ends) that the next new prefix
-    replaces; and `_counts`, which maps (span, sequence) to the count
-    the occurrence counter took here, so a sequence counted twice over
-    one window is counted once.  Each memo entry is written in a single
-    statement, so a reader never sees one half-written.
+    replaces; `_counts`, which maps (span, sequence) to the count the
+    occurrence counter took here, so a sequence counted twice over one
+    window is counted once; and `_starts`, which maps (span, sequence)
+    to the sequence's set of matching starts here, bit i for start i,
+    filled only for a window that heads were cut from.  Each memo entry
+    is written in a single statement, so a reader never sees one
+    half-written.
+
+    A head window, built by _head(d), is the first d tuples of a wider
+    window, its parent, and reads through the parent's memos: its cut
+    of a label is the parent's cut ANDed with the low d bits, and the
+    occurrence counter answers a count over it from the parent's start
+    set, keeping the head's d - span + 1 starts.  Whether a start
+    matches depends only on the span tuples from it on, so the parent
+    and every head agree on each start they share.  A head equals the
+    plain window of its range.
     """
 
-    __slots__ = ("queue", "start", "size", "_cuts", "_prefix", "_counts")
+    __slots__ = (
+        "queue", "start", "size", "_low", "_parent", "_cuts", "_prefix", "_counts", "_starts"
+    )
 
     def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
+        _check_int("window start", start)
+        _check_int("window size", size)
         if start < 0 or size < 0 or start + size > len(queue):
             raise BoundsError(
                 f"window [{start}, {start + size}) does not fit a queue of "
@@ -223,9 +248,20 @@ class ViewWindow:
         self.queue = queue
         self.start = start
         self.size = size
+        self._low = (1 << size) - 1  # the low `size` bits, which mask() keeps
+        self._parent: ViewWindow | None = None
         self._cuts: dict[str, int] = {}
         self._prefix: tuple[tuple[int, tuple[str, ...]], int, list[int]] | None = None
         self._counts: dict[tuple[int, Sequence], int] = {}
+        self._starts: dict[tuple[int, Sequence], int] = {}
+
+    def _head(self, size: int) -> ViewWindow:
+        """The window of this one's first `size` tuples, as a head of it."""
+        if not 0 <= size <= self.size:
+            raise BoundsError(f"a head of {size} tuples does not fit {self!r}")
+        head = ViewWindow(self.queue, self.start, size)
+        head._parent = self
+        return head
 
     def __len__(self) -> int:
         return self.size
@@ -249,13 +285,17 @@ class ViewWindow:
     def mask(self, item: str) -> int:
         """The queue's bitmap of `item` cut to this window: bit i is tuple i.
 
-        Each label is cut once per window; later calls reuse the cut.
+        Each label is cut once per window, a head's from its parent's
+        cut; later calls reuse the cut.
         """
         cut = self._cuts.get(item)
         if cut is None:
-            cut = self._cuts[item] = (
-                (self.queue.mask(item) >> self.start) & ((1 << self.size) - 1)
+            whole = (
+                self.queue.mask(item) >> self.start
+                if self._parent is None
+                else self._parent.mask(item)
             )
+            cut = self._cuts[item] = whole & self._low
         return cut
 
     def alphabet(self) -> list[str]:

@@ -33,6 +33,14 @@ digit width (30 bits in CPython):
     again over the same window at the same span costs one dict lookup,
     so re-mining a window that grew by a block counts only the
     candidates that are new to the old block, plus the new one.
+  * Nested windows read one start set.  Whether start i matches depends
+    only on the tuples [i, i+span), so a head window, the first d tuples
+    of a wider parent, matches exactly the parent's matching starts
+    below d - span + 1.  The parent keeps each sequence's start set, the
+    OR of the last item's new ends (or a single item's cover), and every
+    head counts it with one AND and one popcount.  A sweep's increments
+    are heads of its widest one, so each sequence is matched once per
+    sweep, not once per increment.  A plain window keeps only counts.
 
 The trade-off is the rare item at a huge span: on 20,000 tuples at
 span 10,000, a type that occurs twice costs about 20 ms per item step
@@ -139,9 +147,11 @@ def occur(
     ends, keyed by span.  Candidates arrive sorted, so a run of them
     sharing a prefix matches it once and then walks one item each.  It
     also keeps each count it was asked for, keyed by span and seq, and
-    answers a repeat from that.  The memos never change a result, and
-    every call charges `cost` one scan, memo hit or not, so cost units
-    stay a function of the (candidate, block) pairs asked for.
+    answers a repeat from that.  A head window (ViewWindow._head) is
+    counted from its parent's start set for seq, which the parent
+    matches once for all its heads.  The memos never change a result,
+    and every call charges `cost` one scan, memo hit or not, so cost
+    units stay a function of the (candidate, block) pairs asked for.
     """
     if cost is not None:
         cost.charge(w.size, params.span)
@@ -153,7 +163,26 @@ def occur(
 
 
 def _count(seq: Sequence, w: ViewWindow, span: int) -> int:
-    """occur() without the cost charge and the count memo."""
+    """occur() without the cost charge and the count memo.
+
+    A head window's count is its parent's start set kept to the head's
+    starts; the parent matches each sequence once, whatever its heads.
+    """
+    parent = w._parent
+    if parent is None:
+        return _match(seq, w, span, False)
+    if span > w.size:
+        return 0
+    key = (span, seq)
+    found = parent._starts.get(key)
+    if found is None:
+        found = parent._starts[key] = _match(seq, parent, span, True)
+    # the head's starts are the low size - span + 1 bits
+    return (found & (w._low >> (span - 1))).bit_count()
+
+
+def _match(seq: Sequence, w: ViewWindow, span: int, as_set: bool) -> int:
+    """The starts of w where seq matches: their set if as_set, else their count."""
     if span > w.size:
         return 0
     y = w.mask(seq[-1])
@@ -166,7 +195,8 @@ def _count(seq: Sequence, w: ViewWindow, span: int) -> int:
             step = min(width, span - width)
             cover |= cover >> step
             width += step
-        return (cover & ((1 << starts) - 1)).bit_count()
+        found = cover & ((1 << starts) - 1)
+        return found if as_set else found.bit_count()
     key = (span, seq[:-1])
     memo = w._prefix
     if memo is not None and memo[0] == key:
@@ -182,7 +212,13 @@ def _count(seq: Sequence, w: ViewWindow, span: int) -> int:
         w._prefix = (key, count, ends)
     if not count:
         return 0
-    return count - _walk(0, ends, y, span)[1].bit_count()
+    hits, left = _walk(0, ends, y, span)
+    if not as_set:
+        return count - left.bit_count()
+    found = 0
+    for hit in hits:
+        found |= hit
+    return found
 
 
 def support(seq: Sequence, w: ViewWindow, params: CountParams) -> Fraction:

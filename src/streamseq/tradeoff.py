@@ -26,7 +26,7 @@ from .distance import distance
 from .errors import BoundsError, ContractError, ParameterError
 from .incremental import UpdateInput, ius_update, speedup
 from .mining import MiningParams, mine
-from .model import StreamQueue, window
+from .model import StreamQueue, _check_int, window
 from .occurrence import CostCounter
 
 COST_UNITS = "cost_units"
@@ -50,6 +50,10 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_sizes", tuple(self.delta_sizes))
+        _check_int("initial_size", self.initial_size)
+        for d in self.delta_sizes:
+            _check_int("every delta size", d)
+        _check_int("repetitions", self.repetitions)
         if self.initial_size < 1:
             raise ParameterError(f"initial_size must be >= 1, got {self.initial_size}")
         if not self.delta_sizes:
@@ -150,12 +154,18 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     are measured.  The two must agree on the frequent family; the sweep
     checks that instead of assuming it.
 
+    The increments are nested prefixes of the widest one, [initial_size,
+    initial_size + max delta), so each is built as a head window of it:
+    a sequence is matched once over the widest increment, and each
+    increment counts it by masking that one start set to its own starts.
     In cost units every re-mine reuses the base window, whose count
     memo then holds every candidate counted over it so far, and the
-    update rescans the windows the re-mine counted on; cost units
-    charge each scan all the same.  A wall-clock rep builds fresh
-    windows and a fresh UpdateInput, so no time it records is a memo
-    hit left over from the base or increment mine or an earlier rep.
+    increment's head window; the update rescans the windows the re-mine
+    counted on.  Cost units charge each scan all the same, memo hit or
+    not, so they do not depend on this reuse.  A wall-clock rep builds
+    fresh windows and a fresh UpdateInput, so no time it records is a
+    memo hit left over from the base or increment mine or an earlier
+    rep.
     """
     need = cfg.initial_size + cfg.delta_sizes[-1]
     if need > len(queue):
@@ -165,10 +175,11 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     w0 = window(queue, 0, cfg.initial_size)
     base = mine([w0], cfg.params)
     base_keys = frozenset(base.frequent)
+    wide = window(queue, cfg.initial_size, cfg.delta_sizes[-1])
 
     points: list[SweepPoint] = []
     for d in cfg.delta_sizes:
-        dw = window(queue, cfg.initial_size, d)
+        dw = wide._head(d)
         part = mine([dw], cfg.params)
         if cfg.timing == COST_UNITS:
             full_cost = CostCounter()
@@ -227,6 +238,7 @@ def recommend(points: list[SweepPoint], initial_size: int) -> Recommendation:
     """
     if len(points) < 2:
         raise ContractError("recommend needs at least two sweep points")
+    _check_int("initial_size", initial_size)
     if initial_size < 1:
         raise ParameterError(f"initial_size must be >= 1, got {initial_size}")
     xs = [float(p.delta_size) for p in points]

@@ -255,6 +255,17 @@ class TestViewWindow:
         with pytest.raises(BoundsError):
             ViewWindow(q, 2, 2)
 
+    # a float used to fail deep in the counter with a bare TypeError
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", None])
+    def test_rejects_a_start_that_is_not_an_int(self, bad):
+        with pytest.raises(ParameterError):
+            window(queue_of("a", "b", "c"), bad, 1)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 1.5, "2", None])
+    def test_rejects_a_size_that_is_not_an_int(self, bad):
+        with pytest.raises(ParameterError):
+            window(queue_of("a", "b", "c"), 0, bad)
+
     def test_end_and_ident(self):
         w = window(queue_of("a", "b", "c", "d"), 1, 3)
         assert w.end == 4

@@ -201,7 +201,10 @@ class TestOccurProperties:
         """A window remembers its mask cuts, its last matched prefix and
         every count taken over it.  Whatever order counts arrive in, every
         count equals the oracle's, and a mine repeated over one window, or
-        over a pickled copy of a used one, equals a mine over a fresh one."""
+        over a pickled copy of a used one, equals a mine over a fresh one.
+        A head window of every length, which counts through its parent's
+        start sets, equals and counts as the plain window of its range,
+        pickled or not, and the parent matches each sequence once."""
         q = w.queue
         other = window(q, 0, len(q))
         p, p2 = CountParams(span), CountParams(span2)
@@ -229,6 +232,29 @@ class TestOccurProperties:
         copy = pickle.loads(pickle.dumps(w))
         for s in seqs:
             assert occur(s, copy, p) == occur(s, w, p) == occur_bruteforce(s, w, p)
+
+        wide, asked = window(q, w.start, w.size), sorted(set(seqs))
+        plain_counts = {}
+        for d in range(w.size + 1):
+            head, plain = wide._head(d), window(q, w.start, d)
+            assert head == plain
+            assert [head.mask(lb) for lb in "abcdz"] == [plain.mask(lb) for lb in "abcdz"]
+            for s in asked:
+                plain_counts[d, s] = occur(s, plain, p)
+                assert occur(s, head, p) == plain_counts[d, s]
+        assert len(wide._starts) == len(asked)
+        wide_copy = pickle.loads(pickle.dumps(wide))
+        for d in range(w.size + 1):
+            head_copy = wide_copy._head(d)
+            assert [occur(s, head_copy, p) for s in asked] == [
+                plain_counts[d, s] for s in asked
+            ]
+        for d in data.draw(st.lists(st.integers(0, w.size), max_size=3), label="heads"):
+            head_copy = pickle.loads(pickle.dumps(wide._head(d)))
+            assert [occur(s, head_copy, p) for s in asked] == [
+                plain_counts[d, s] for s in asked
+            ]
+        assert len(wide_copy._starts) == len(asked)
 
         mp = MiningParams(Fraction(1, 10), Fraction(1, 20), p, max_len=3)
         want = mine([window(q, w.start, w.size)], mp)

@@ -5,21 +5,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamseq import (
     BoundsError,
     ContractError,
+    CostCounter,
     CountParams,
     MiningParams,
     ParameterError,
+    StreamQueue,
     SweepConfig,
     SweepPoint,
+    UpdateInput,
+    distance,
     find_intersections,
+    ius_update,
     min_max_normalize,
+    mine,
     recommend,
     recommendation_text,
     run_sweep,
+    speedup,
     sweep_csv,
+    window,
 )
 from streamseq import tradeoff
 from conftest import random_queue
@@ -129,6 +138,12 @@ class TestRecommend:
         assert rec.chosen_x is None and rec.ratio is None
         assert rec.crossings == ()
 
+    @pytest.mark.parametrize("bad", [True, 60.0, 60.5, "60", None])
+    def test_rejects_an_initial_size_that_is_not_an_int(self, bad):
+        pts = _points([10, 20], [2.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ParameterError):
+            recommend(pts, bad)
+
     def test_needs_two_points(self):
         with pytest.raises(ContractError):
             recommend(_points([100], [5.0], [0.1]), 1000)
@@ -232,6 +247,93 @@ class TestRunSweep:
             SweepConfig(initial_size=1, delta_sizes=(1,), params=_params(), timing="gpu")
         with pytest.raises(ParameterError):
             SweepConfig(initial_size=1, delta_sizes=(1,), params=_params(), repetitions=0)
+
+    # True used to run as a delta of 1 and print "True" in the CSV, and a
+    # float to fail inside the counter with a bare TypeError
+    _NOT_INTS = [True, False, 60.0, 60.5, "60", None]
+
+    @pytest.mark.parametrize("bad", _NOT_INTS)
+    def test_rejects_an_initial_size_that_is_not_an_int(self, bad):
+        with pytest.raises(ParameterError):
+            SweepConfig(initial_size=bad, delta_sizes=(10, 20), params=_params())
+
+    @pytest.mark.parametrize("bad", _NOT_INTS)
+    def test_rejects_a_delta_size_that_is_not_an_int(self, bad):
+        with pytest.raises(ParameterError):
+            SweepConfig(initial_size=60, delta_sizes=(bad, 70), params=_params())
+
+    @pytest.mark.parametrize("bad", _NOT_INTS)
+    def test_rejects_repetitions_that_are_not_an_int(self, bad):
+        with pytest.raises(ParameterError):
+            SweepConfig(
+                initial_size=60, delta_sizes=(10, 20), params=_params(), repetitions=bad
+            )
+
+
+def _reference_sweep(queue, cfg):
+    """run_sweep in cost units with every rung a fresh window, or None
+    when some rung's update rescans nothing, which run_sweep refuses."""
+    w0 = window(queue, 0, cfg.initial_size)
+    base = mine([w0], cfg.params)
+    points = []
+    for d in cfg.delta_sizes:
+        dw = window(queue, cfg.initial_size, d)
+        part = mine([dw], cfg.params)
+        full_cost, upd_cost = CostCounter(), CostCounter()
+        full = mine([w0, dw], cfg.params, cost=full_cost)
+        upd_input = UpdateInput(queue, base, part)
+        upd_input.old_blocks, upd_input.delta_blocks = [w0], [dw]
+        upd = ius_update(upd_input, cost=upd_cost)
+        assert upd.frequent == full.frequent
+        t_full, t_ius = full_cost.window_evaluations, upd_cost.window_evaluations
+        if t_ius == 0:
+            return None
+        points.append(
+            SweepPoint(
+                delta_size=d,
+                t_full=t_full,
+                t_ius=t_ius,
+                speedup=speedup(t_full, t_ius),
+                difference=distance(frozenset(base.frequent), frozenset(full.frequent)),
+            )
+        )
+    return points
+
+
+@st.composite
+def _sweeps(draw):
+    """A random queue and a cost-unit sweep over it.  Spans run past the
+    base window and past the shortest rungs, so rungs with no start
+    position, and bases with none, are drawn too.  A base and a rung that
+    both have none leave the update nothing to charge, so half the
+    ladders start at the span."""
+    span = draw(st.integers(1, 10), label="span")
+    initial = draw(st.integers(1, 20), label="initial")
+    low = draw(st.sampled_from([1, span]), label="shortest allowed rung")
+    rungs = st.sets(st.integers(low, 40), min_size=1, max_size=5)
+    deltas = sorted(draw(rungs, label="deltas"))
+    n = initial + deltas[-1] + draw(st.integers(0, 5))
+    labels = st.sets(st.sampled_from("abcd"), min_size=1, max_size=2)
+    rows = draw(st.lists(labels, min_size=n, max_size=n))
+    supp = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 5), Fraction(1, 3)]))
+    params = MiningParams(supp, supp / 2, CountParams(span), max_len=3)
+    queue = StreamQueue((i + 1, r) for i, r in enumerate(rows))
+    return queue, SweepConfig(initial_size=initial, delta_sizes=tuple(deltas), params=params)
+
+
+class TestRunSweepProperties:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_sweeps())
+    def test_equals_a_sweep_over_fresh_windows(self, case):
+        """Every rung counted through the widest increment's start sets
+        gives the points of rungs built as their own windows."""
+        queue, cfg = case
+        want = _reference_sweep(queue, cfg)
+        if want is None:
+            with pytest.raises(ContractError):
+                run_sweep(queue, cfg)
+        else:
+            assert run_sweep(queue, cfg) == want
 
 
 class TestSerialization:
