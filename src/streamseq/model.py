@@ -10,11 +10,16 @@ A Sequence is a non-empty tuple of labels.  A queue is held as columns:
 when the label is in tuple i.  parse_event_log fills those columns
 in one pass over the text, a few operations per record: it sets the
 record's bit in its label's row, where bit r stands for the r-th run,
-a maximal stretch of consecutive records sharing one timestamp.  In a
-time-ordered log each run is one tuple and the rows are the bitmaps.
-Any other log, with a record out of order or a timestamp that comes
-back later, pays one relabel of the runs into sorted timestamp order,
-which also merges runs of one timestamp.  Iterating or indexing a
+a maximal stretch of consecutive records sharing one timestamp.  It
+reads the text in chunks cut after a newline.  A chunk of plain ASCII
+"timestamp,label" lines ending in "\n", whose label text has been seen
+before, is split once and read in bulk, with int() called only where
+a timestamp's text changes.  Any other chunk, or one with a timestamp
+int() refuses, is read line by line.  In a time-ordered log each run
+is one tuple and the rows are the bitmaps.  Any other log, with a
+record out of order or a timestamp that comes back later, pays one
+relabel of the runs into sorted timestamp order, which also merges
+runs of one timestamp.  Iterating or indexing a
 queue yields each tuple's label set, a frozenset, which a parsed queue
 builds only when something asks for it (the oracle,
 serialize_event_log, tests).  A queue built from (time, labels) rows
@@ -365,6 +370,14 @@ class Sequence(tuple):
         return sorted({self.drop(i) for i in range(len(self))})
 
 
+# a chunk of log text is cut just after the first newline at or past
+# this many characters from its start
+_CHUNK = 1 << 16
+# the ASCII characters str.splitlines() breaks a line at, and the comma
+_SEPARATORS = b",\n\r\v\f\x1c\x1d\x1e"
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in _SEPARATORS)
+
+
 def parse_event_log(text: str) -> StreamQueue:
     """Parse event-log text into a StreamQueue.
 
@@ -376,44 +389,136 @@ def parse_event_log(text: str) -> StreamQueue:
     come out sorted by timestamp.  The first bad line raises
     EventLogParseError with its 1-based number.
 
-    One pass over the lines sets one bit per record.  A record's bit is
+    One pass over the text sets one bit per record.  A record's bit is
     its run: a maximal stretch of consecutive records that share one
-    timestamp.  Each record costs one partition at the comma, one int()
-    of the text before it, one dict lookup of the text after it, which
-    yields that label's bytearray row, and one bit set in that row.
-    Everything rare leaves that path: a line int() refuses as written
-    goes to _odd_line (blank and comment lines, a missing comma, a bad
-    timestamp, padding int() refuses), and label text not seen before
-    goes to _new_label_text (a missing comma, the label check, trailing
+    timestamp.  The text is read in chunks of about _CHUNK characters,
+    each cut just after a newline, and each chunk takes one of two
+    lanes.  The bulk lane (_bulk_chunk) takes a chunk of ASCII text in
+    which every line holds exactly one comma and ends in a plain
+    newline, and all label text after the commas has been seen before.
+    It splits the chunk once, looks every label text up at once, calls
+    int() only where a timestamp's text differs from the record before
+    and sets each record's bit.  A timestamp int() refuses as written
+    (a comment line, padding such as U+001F, a bad timestamp) undoes the
+    chunk's runs, and the chunk goes to the line lane, which sets the
+    same bits again.  The line lane (_line_chunk) reads a chunk line by
+    line: a partition at the comma, an int() where the timestamp's text
+    changes, a lookup of the label text, a bit set.  Everything rare
+    leaves that path: a line int() refuses as written goes to _odd_line
+    (blank and comment lines, a missing comma, a bad timestamp, padding
+    int() refuses), and label text not seen before goes to
+    _new_label_text (a missing comma, the label check, trailing
     padding).  In a time-ordered log every run is one tuple, so the rows
     are the queue's bitmaps as they stand; any other log pays one
     relabel of the runs into sorted timestamp order (_queue_of_runs).
     """
-    lines = text.splitlines()
     seen: dict[str, bytearray] = {}  # label text as written -> its label's row
     rows: dict[str, bytearray] = {}  # label -> row, bit r set for run r
     times: list[int] = []  # the timestamp of each run
-    last = None
-    run = -1
-    byte = bit = 0
+    state = (None, -1, 0, 0)  # the last run's timestamp, the run, its byte and bit
+    done = start = 0  # the lines and the characters before the chunk
+    while start < len(text):
+        # just after a newline, which is always a line boundary; or the end
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        chunk = text[start:end]
+        start = end
+        bulk = _bulk_chunk(chunk, seen, times, *state)
+        if bulk is None:
+            lines = chunk.splitlines()
+            state = _line_chunk(lines, done, seen, rows, times, *state)
+            done += len(lines)
+        else:
+            state, records = bulk
+            done += records
+    return _queue_of_runs(times, rows)
+
+
+def _bulk_chunk(
+    chunk: str,
+    seen: dict[str, bytearray],
+    times: list[int],
+    last: int | None,
+    run: int,
+    byte: int,
+    bit: int,
+) -> tuple[tuple[int | None, int, int, int], int] | None:
+    """Parse a chunk of records in bulk, as parse_event_log says: the new
+    (last, run, byte, bit) state and the number of lines; None, with
+    `times` as it was, for a chunk the line lane must read."""
+    if not chunk.isascii():
+        return None
+    body = chunk[:-1] if chunk[-1] == "\n" else chunk
+    # every line holds one comma and ends in "\n", not in another line
+    # boundary; counting commas and lines cannot prove this
+    seps = body.encode("ascii").translate(None, _NOT_SEPARATORS)
+    if seps != b",\n" * (len(seps) >> 1) + b",":
+        return None
+    fields = body.replace("\n", ",").split(",")
+    try:
+        found = list(map(seen.__getitem__, fields[1::2]))
+    except KeyError:
+        return None
+    runs = len(times)
+    last_str = None  # the timestamp text of the last record
+    try:
+        for ts_str, row in zip(fields[::2], found):
+            if ts_str != last_str:
+                last_str = ts_str
+                ts = int(ts_str, 10)
+                if ts != last:
+                    last = ts
+                    times.append(ts)
+                    run += 1
+                    byte = run >> 3
+                    bit = 1 << (run & 7)
+            try:
+                row[byte] |= bit
+            except IndexError:
+                row.extend(bytes(byte + 1))
+                row[byte] |= bit
+    except ValueError:
+        del times[runs:]
+        return None
+    return (last, run, byte, bit), len(found)
+
+
+def _line_chunk(
+    lines: list[str],
+    done: int,
+    seen: dict[str, bytearray],
+    rows: dict[str, bytearray],
+    times: list[int],
+    last: int | None,
+    run: int,
+    byte: int,
+    bit: int,
+) -> tuple[int | None, int, int, int]:
+    """Parse a chunk's `lines`, which follow `done` lines of the log, one
+    at a time, as parse_event_log says; the new (last, run, byte, bit)
+    state."""
+    last_str = None  # the timestamp text of the last record
     for raw in lines:
         ts_str, sep, label = raw.partition(",")
-        try:
-            ts = int(ts_str, 10)
-        except ValueError:
-            ts = _odd_line(lines, raw, ts_str, sep)
-            if ts is None:
-                continue
-        if ts != last:
-            last = ts
-            times.append(ts)
-            run += 1
-            byte = run >> 3
-            bit = 1 << (run & 7)
+        if ts_str != last_str:
+            try:
+                ts = int(ts_str, 10)
+            except ValueError:
+                ts = _odd_line(lines, done, raw, ts_str, sep)
+                if ts is None:
+                    continue
+            last_str = ts_str
+            if ts != last:
+                last = ts
+                times.append(ts)
+                run += 1
+                byte = run >> 3
+                bit = 1 << (run & 7)
         try:
             row = seen[label]
         except KeyError:
-            row = seen[label] = _new_label_text(lines, raw, label, sep, rows, byte)
+            row = seen[label] = _new_label_text(
+                lines, done, raw, label, sep, rows, byte
+            )
         try:
             row[byte] |= bit
         except IndexError:
@@ -421,20 +526,25 @@ def parse_event_log(text: str) -> StreamQueue:
             # doubles when it grows, so it stays within twice its bitmap
             row.extend(bytes(byte + 1))
             row[byte] |= bit
-    return _queue_of_runs(times, rows)
+    return last, run, byte, bit
 
 
-def _line_error(lines: list[str], raw: str, message: str) -> EventLogParseError:
-    """The parse error for line `raw`.
+def _line_error(
+    lines: list[str], done: int, raw: str, message: str
+) -> EventLogParseError:
+    """The parse error for line `raw` of a chunk's `lines`, which follow
+    `done` lines of the log.
 
     An equal earlier line would have failed in the same way first, so
-    the bad line is the first one equal to `raw`; the one-pass parser
-    need not count lines to name it.
+    the bad line is the first one equal to `raw`; the line lane need not
+    count lines to name it.
     """
-    return EventLogParseError(lines.index(raw) + 1, message)
+    return EventLogParseError(done + lines.index(raw) + 1, message)
 
 
-def _odd_line(lines: list[str], raw: str, ts_str: str, sep: str) -> int | None:
+def _odd_line(
+    lines: list[str], done: int, raw: str, ts_str: str, sep: str
+) -> int | None:
     """The timestamp of a line whose text before the comma int() refused.
 
     None for a blank or comment line.  int() ignores whitespace around a
@@ -447,15 +557,17 @@ def _odd_line(lines: list[str], raw: str, ts_str: str, sep: str) -> int | None:
     if not line or line[0] == "#":
         return None
     if not sep:
-        raise _line_error(lines, raw, f"expected 'timestamp,label', got {raw!r}")
+        raise _line_error(lines, done, raw, f"expected 'timestamp,label', got {raw!r}")
     try:
         return int(ts_str.strip(), 10)
     except ValueError:
-        raise _line_error(lines, raw, f"bad timestamp {ts_str.strip()!r}") from None
+        message = f"bad timestamp {ts_str.strip()!r}"
+        raise _line_error(lines, done, raw, message) from None
 
 
 def _new_label_text(
     lines: list[str],
+    done: int,
     raw: str,
     text: str,
     sep: str,
@@ -470,14 +582,14 @@ def _new_label_text(
     EventLogParseError for a line with no comma or a bad label.
     """
     if not sep:
-        raise _line_error(lines, raw, f"expected 'timestamp,label', got {raw!r}")
+        raise _line_error(lines, done, raw, f"expected 'timestamp,label', got {raw!r}")
     label = text.rstrip()
     row = rows.get(label)
     if row is None:
         try:
             _check_label(label)
         except ParameterError as exc:
-            raise _line_error(lines, raw, str(exc)) from None
+            raise _line_error(lines, done, raw, str(exc)) from None
         row = rows[label] = bytearray(byte + 1)
     return row
 

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import pickle
 import random
@@ -28,6 +29,7 @@ from streamseq import (
     serialize_event_log,
     window,
 )
+from streamseq import model
 from streamseq.oracle import contains
 from conftest import labels, queue_of, random_queue
 
@@ -422,6 +424,59 @@ class TestEventLog:
         assert list(q) == list(ref)
         assert serialize_event_log(q) == serialize_event_log(ref)
 
+    # A chunk that gives the parser every label below, so that a chunk
+    # after it can take the bulk lane; _parse_after_head puts the text it
+    # is given in that next chunk.
+    _HEAD = "1,a\n1,b\n1,E001\n1,E002\n1,E023\n"
+
+    def _parse_after_head(self, tail):
+        assert len(tail) < len(self._HEAD)
+        text = self._HEAD + tail
+        with _chunk_size(len(self._HEAD)):
+            _parses_as_the_two_pass_parse(text)
+            return parse_event_log(text)
+
+    def test_balanced_commas_are_not_records(self):
+        # three lines, three commas: only a line-by-line check of the
+        # separators refuses it
+        with pytest.raises(EventLogParseError, match="got '7'") as info:
+            self._parse_after_head("7\nE023\n5,E001,6,E002\n")
+        assert info.value.line_no == 6
+
+    def test_a_comment_inside_a_bulk_chunk_is_skipped(self):
+        q = self._parse_after_head("2,a\n# 1,a\n3,b\n")
+        assert q.times == (1, 2, 3) and q[1] == {"a"} and q[2] == {"b"}
+
+    @pytest.mark.parametrize("brk", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028"])
+    @pytest.mark.parametrize("tail", ["2,a\n3{},b\n", "2,a{}3,b\n", "1{},a\n"])
+    def test_line_breaks_inside_a_chunk_split_as_splitlines(self, tail, brk):
+        # int() takes "3\r" as 3; the line "3" has no comma
+        text = tail.format(brk)
+        if len(text.splitlines()) > text.count(","):
+            with pytest.raises(EventLogParseError, match="expected 'timestamp,label'"):
+                self._parse_after_head(text)
+        else:
+            assert self._parse_after_head(text).times == (1, 2, 3)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_a_timestamp_text_that_comes_back_is_read_again(self, eol):
+        # each lane skips int() only for the text of the record just before
+        q = self._parse_after_head(eol.join(["2,a", "3,b", "2,b", "3,a", ""]))
+        assert q.times == (1, 2, 3) and q[1] == q[2] == {"a", "b"}
+
+    def test_a_bad_timestamp_in_a_bulk_chunk_reports_its_own_line(self):
+        with pytest.raises(EventLogParseError, match="bad timestamp 'x'") as info:
+            self._parse_after_head("2,a\n3,b\nx,a\n4,b\n")
+        assert info.value.line_no == 8
+
+    def test_padding_in_a_bulk_chunk_still_parses(self):
+        # int() refuses the U+001F, so the bulk lane undoes its runs and
+        # the line lane reads the chunk again
+        q = self._parse_after_head("2,a\n3,b\n\x1f4,a\n5,b\n")
+        assert q.times == (1, 2, 3, 4, 5)
+        assert list(q)[1:] == [{"a"}, {"b"}, {"a"}, {"b"}]
+
     def test_serialize_sorts_labels_within_tuple(self):
         q = queue_of("ba")
         assert serialize_event_log(q) == "1,a\n1,b\n"
@@ -442,13 +497,22 @@ class TestEventLog:
 # whitespace that may sit around the fields of a record, and line endings
 _pad = st.text(st.sampled_from(" \t\x1f"), max_size=2)
 _eol = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1e", "\x85", "\u2028"])
+_ascii_labels = st.text(
+    st.characters(min_codepoint=0x21, max_codepoint=0x7E, blacklist_characters=","),
+    min_size=1,
+    max_size=4,
+)
 
 
 @st.composite
-def _written_log(draw):
+def _written_log(draw, clean=False):
     """A random queue and a messy log of it: records shuffled and repeated,
-    blank and comment lines between them, whitespace around the fields."""
-    pool = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
+    blank and comment lines between them, whitespace around the fields.
+    A clean log has ASCII labels, bare fields, "\n" line ends and a blank
+    or comment line before one record in ten, so that the parser's bulk
+    lane takes most of its chunks."""
+    pool = draw(st.lists(_ascii_labels if clean else labels,
+                         min_size=1, max_size=6, unique=True))
     times = sorted(draw(st.sets(st.integers(-10**12, 10**12), max_size=25)))
     rows = [
         (t, draw(st.frozensets(st.sampled_from(pool), min_size=1, max_size=len(pool))))
@@ -457,12 +521,14 @@ def _written_log(draw):
     records = [(t, label) for t, types in rows for label in types]
     records += draw(st.lists(st.sampled_from(records), max_size=5)) if records else []
     records = draw(st.permutations(records))
+    pad, eol = (st.just(""), st.just("\n")) if clean else (_pad, _eol)
+    odd = st.integers(0, 9).map(lambda i: i == 0) if clean else st.booleans()
     lines = []
     for ts, label in records:
-        if draw(st.booleans()):
+        if draw(odd):
             lines.append(draw(st.sampled_from(["", " ", "#", "# 1,a", "  #x,y"])))
-        lines.append(f"{draw(_pad)}{ts}{draw(_pad)},{label}{draw(_pad)}")
-    text = "".join(line + draw(_eol) for line in lines)
+        lines.append(f"{draw(pad)}{ts}{draw(pad)},{label}{draw(pad)}")
+    text = "".join(line + draw(eol) for line in lines)
     return StreamQueue(rows), text
 
 
@@ -492,6 +558,31 @@ def _two_pass_parse(text):
         for ts in times:
             tuples.setdefault(ts, set()).add(label)
     return StreamQueue(sorted(tuples.items()))
+
+
+def _parses_as_the_two_pass_parse(text):
+    """parse_event_log gives _two_pass_parse's queue, or its error with the
+    same line number and message."""
+    try:
+        ref = _two_pass_parse(text)
+    except EventLogParseError as exc:
+        with pytest.raises(EventLogParseError) as info:
+            parse_event_log(text)
+        assert (info.value.line_no, str(info.value)) == (exc.line_no, str(exc))
+    else:
+        q = parse_event_log(text)
+        assert q == ref and q.times == ref.times
+
+
+@contextlib.contextmanager
+def _chunk_size(n):
+    """Have parse_event_log cut its text into chunks of about n characters."""
+    saved = model._CHUNK
+    model._CHUNK = n
+    try:
+        yield
+    finally:
+        model._CHUNK = saved
 
 
 # pieces of messy lines: numbers int() takes or refuses, commas, comment
@@ -529,16 +620,33 @@ class TestEventLogProperties:
     @settings(derandomize=True, database=None, max_examples=500, deadline=None)
     @given(st.lists(st.tuples(_messy_line, _eol), max_size=8))
     def test_matches_the_two_pass_parse_on_messy_lines(self, lines):
-        text = "".join(line + eol for line, eol in lines)
-        try:
-            ref = _two_pass_parse(text)
-        except EventLogParseError as exc:
-            with pytest.raises(EventLogParseError) as info:
-                parse_event_log(text)
-            assert (info.value.line_no, str(info.value)) == (exc.line_no, str(exc))
-        else:
-            q = parse_event_log(text)
-            assert q == ref and q.times == ref.times
+        _parses_as_the_two_pass_parse("".join(line + eol for line, eol in lines))
+
+    # chunks of one line, of a few and of many
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        _written_log(clean=True),
+        st.sampled_from([1, 2, 7, 64]),
+        st.none() | st.tuples(st.integers(0, 200), _messy_line),
+    )
+    def test_chunks_of_a_clean_log_match_the_two_pass_parse(self, case, chunk, odd):
+        _, text = case
+        if odd is not None:
+            lines = text.splitlines(keepends=True)
+            at, line = odd
+            lines.insert(at % (len(lines) + 1), line + "\n")
+            text = "".join(lines)
+        with _chunk_size(chunk):
+            _parses_as_the_two_pass_parse(text)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_messy_line, _eol), max_size=12),
+        st.sampled_from([1, 2, 7, 64]),
+    )
+    def test_chunks_of_messy_lines_match_the_two_pass_parse(self, lines, chunk):
+        with _chunk_size(chunk):
+            _parses_as_the_two_pass_parse("".join(line + eol for line, eol in lines))
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(
