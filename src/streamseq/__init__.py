@@ -9,7 +9,8 @@ change (distance), the update-timing analysis that recommends how far a
 window may grow before re-mining pays off (tradeoff), a reproducible
 synthetic stream generator (generate), and text formats plus a CLI on
 top (patternfile, cli).  The brute-force references that tests check the
-counter and the miner against live in oracle and are not exported.
+counter and the miner against are not part of the package; they live in
+tests/oracle.py.
 """
 
 from .distance import distance, pattern_keys
@@ -23,9 +24,9 @@ from .errors import (
     StreamSeqError,
     UndefinedSupportError,
 )
-from .generate import GenConfig, SplitMix64, generate, type_labels
+from .generate import GenConfig, generate
 from .incremental import UpdateInput, ius_update, speedup
-from .mining import MiningParams, PatternSet, as_fraction, gen_candidates, mine
+from .mining import MiningParams, PatternSet, gen_candidates, mine
 from .model import (
     Sequence,
     StreamQueue,
@@ -46,8 +47,6 @@ from .tradeoff import (
     Recommendation,
     SweepConfig,
     SweepPoint,
-    find_intersections,
-    min_max_normalize,
     recommend,
     recommendation_text,
     run_sweep,
@@ -70,7 +69,6 @@ __all__ = [
     "PatternSet",
     "Recommendation",
     "Sequence",
-    "SplitMix64",
     "StreamQueue",
     "StreamSeqError",
     "SweepConfig",
@@ -78,15 +76,12 @@ __all__ = [
     "UndefinedSupportError",
     "UpdateInput",
     "ViewWindow",
-    "as_fraction",
     "distance",
     "dump_pattern_file",
-    "find_intersections",
     "gen_candidates",
     "generate",
     "ius_update",
     "load_pattern_file",
-    "min_max_normalize",
     "mine",
     "occur",
     "occur_partitioned",
@@ -99,6 +94,5 @@ __all__ = [
     "speedup",
     "support",
     "sweep_csv",
-    "type_labels",
     "window",
 ]

@@ -42,12 +42,9 @@ def _fraction_flag(text: str) -> Fraction:
 
 def _sizes_flag(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(tok, 10) for tok in text.split(","))
+        return tuple(int(tok, 10) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a size list: {text!r}")
-    if not sizes:
-        raise argparse.ArgumentTypeError("size list is empty")
-    return sizes
 
 
 def _pattern_flag(text: str) -> tuple[str, float]:

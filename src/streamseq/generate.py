@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .model import Sequence, StreamQueue
+from .model import Sequence, StreamQueue, _check_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,6 +94,10 @@ class GenConfig:
             object.__setattr__(
                 self, "embedded_after", tuple(tuple(e) for e in self.embedded_after)
             )
+        for name in ("n_types", "n_events", "seed"):
+            _check_int(name, getattr(self, name))
+        if self.drift_at is not None:
+            _check_int("drift_at", self.drift_at)
         if self.n_types < 1:
             raise ParameterError(f"n_types must be >= 1, got {self.n_types}")
         if self.n_events < 1:

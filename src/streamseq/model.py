@@ -21,9 +21,9 @@ record out of order or a timestamp that comes back later, pays one
 relabel of the runs into sorted timestamp order, which also merges
 runs of one timestamp.  Iterating or indexing a
 queue yields each tuple's label set, a frozenset, which a parsed queue
-builds only when something asks for it (the oracle,
-serialize_event_log, tests).  A queue built from (time, labels) rows
-keeps its label sets and derives its bitmaps on first use.  Mining
+builds only when something asks for it (serialize_event_log, or the
+tests and their brute-force oracle).  A queue built from (time, labels)
+rows keeps its label sets and derives its bitmaps on first use.  Mining
 never copies stream data; it works on ViewWindow objects, each the
 (queue, start, size) range of tuples to count over.  A window mined in
 pieces is a list of such ranges, one per block, so that counts can be
@@ -354,20 +354,6 @@ class Sequence(tuple):
 
     def __repr__(self) -> str:
         return "<" + ",".join(self) + ">"
-
-    def drop(self, i: int) -> Sequence:
-        """The subsequence with position i removed. Length must be >= 2."""
-        if len(self) < 2:
-            raise ParameterError("cannot drop from a length-1 sequence")
-        if not 0 <= i < len(self):
-            raise ParameterError(f"drop index {i} out of range")
-        return Sequence(self[:i] + self[i + 1 :])
-
-    def shrink_by_one(self) -> list[Sequence]:
-        """All distinct length-(m-1) subsequences, sorted. Empty for m=1."""
-        if len(self) < 2:
-            return []
-        return sorted({self.drop(i) for i in range(len(self))})
 
 
 # a chunk of log text is cut just after the first newline at or past

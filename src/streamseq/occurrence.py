@@ -47,8 +47,8 @@ span 10,000, a type that occurs twice costs about 20 ms per item step
 (2-vCPU Xeon, CPython 3.11), where a walk over its two positions would
 cost microseconds; a single item now takes 0.1 ms there.  At the
 spans the benchmark uses, 4 and 32, a type in one tuple of 50 counts 4
-to 25 times faster than that walk did.  The oracle module keeps an
-independent brute-force counter that tests hold occur() to.
+to 25 times faster than that walk did.  The tests hold occur() to an
+independent brute-force counter in their oracle, tests/oracle.py.
 """
 
 from __future__ import annotations

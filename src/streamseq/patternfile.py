@@ -97,8 +97,7 @@ def load_pattern_file(text: str) -> PatternSet:
     header: dict = {}
     frequent: dict[Sequence, int] = {}
     border: dict[Sequence, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "\t" in line:
@@ -128,7 +127,7 @@ def load_pattern_file(text: str) -> PatternSet:
         else:
             key, sep, value = line.partition("=")
             if not sep:
-                raise PatternFileError(f"line {line_no}: expected key=value, got {raw!r}")
+                raise PatternFileError(f"line {line_no}: expected key=value, got {line!r}")
             key = key.strip()
             if key in header:
                 raise PatternFileError(f"line {line_no}: duplicate header key {key!r}")

@@ -1,10 +1,11 @@
 """Brute-force reference implementations that tests check against.
 
 contains() and occur_bruteforce() test every start position directly;
-brute_force_frequent() mines by exhaustive embedding enumeration.  None
-of them shares code with the bit-parallel counter in the occurrence
-module or with the level-wise miner, so agreement with them is
-evidence, not tautology.  Not exported from the package.
+brute_force_frequent() mines by exhaustive embedding enumeration, and
+shrink_by_one() lists a sequence's one-shorter subsequences.  None of
+them shares code with the bit-parallel counter in the occurrence module
+or with the level-wise miner, so agreement with them is evidence, not
+tautology.  They import only the package's public names.
 """
 
 from __future__ import annotations
@@ -12,10 +13,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence as PySequence
 
-from .errors import ParameterError
-from .mining import MiningParams, PatternSet
-from .model import Sequence, ViewWindow, window
-from .occurrence import CountParams
+from streamseq import (
+    CountParams,
+    MiningParams,
+    ParameterError,
+    PatternSet,
+    Sequence,
+    ViewWindow,
+    window,
+)
+
+
+def shrink_by_one(seq: Sequence) -> list[Sequence]:
+    """All distinct length-(m-1) subsequences, sorted. Empty for m=1."""
+    if len(seq) < 2:
+        return []
+    return sorted({Sequence(seq[:i] + seq[i + 1 :]) for i in range(len(seq))})
 
 
 def contains(seq: Sequence, w: ViewWindow) -> bool:
@@ -127,7 +140,7 @@ def brute_force_frequent(
     border = {
         s: c
         for s, c in near.items()
-        if all(sub in frequent for sub in s.shrink_by_one())
+        if all(sub in frequent for sub in shrink_by_one(s))
     }
     return PatternSet(
         params=mp,

@@ -29,7 +29,6 @@ from streamseq import (
     generate,
     ius_update,
     load_pattern_file,
-    min_max_normalize,
     mine,
     occur_partitioned,
     parse_event_log,
@@ -39,9 +38,10 @@ from streamseq import (
     window,
 )
 from streamseq.cli import main as cli_main
-from streamseq.oracle import brute_force_frequent
+from streamseq.tradeoff import min_max_normalize
 
 from conftest import random_queue
+from oracle import brute_force_frequent, shrink_by_one
 
 
 # --- criterion 1: the pattern-set distance is a metric ---
@@ -146,7 +146,7 @@ def test_criterion_3_incremental_update_matches_full_mine():
         for seq, count in upd.border.items():
             assert occur_partitioned(seq, [w0, dw], params.count_params) == count
             assert nbd_thr < count <= supp_thr
-            assert all(s in upd.frequent for s in seq.shrink_by_one())
+            assert all(s in upd.frequent for s in shrink_by_one(seq))
         # completeness: the update runs mine's search, so it misses nothing
         assert upd.border == full.border
     elapsed = time.monotonic() - t0

@@ -1,6 +1,8 @@
 """The package's public surface: `__all__` is sorted, unique and importable,
 and a queue reads the way the benchmark reads it."""
 
+import importlib.util
+
 import streamseq
 
 
@@ -18,7 +20,21 @@ def test_surface_size():
     for gone in ("EventType", "StreamTuple"):
         assert gone not in streamseq.__all__
         assert not hasattr(streamseq, gone)
-    assert len(streamseq.__all__) == 44
+    # helpers only tests use stay in their modules, unexported
+    for unexported in (
+        "as_fraction",
+        "SplitMix64",
+        "type_labels",
+        "min_max_normalize",
+        "find_intersections",
+    ):
+        assert unexported not in streamseq.__all__
+        assert not hasattr(streamseq, unexported)
+    # the brute-force oracle lives with the tests, not in the package
+    assert importlib.util.find_spec("streamseq.oracle") is None
+    for gone in ("drop", "shrink_by_one"):
+        assert not hasattr(streamseq.Sequence, gone)
+    assert len(streamseq.__all__) == 39
 
 
 def test_a_queue_counts_one_event_per_distinct_record():

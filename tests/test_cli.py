@@ -323,7 +323,15 @@ class TestExitCodes:
             "--min-supp", "zebra", "--min-nbd-supp", "0.05", "--span", "3",
         )
         assert code == 2
-        capsys.readouterr()
+        # an empty size list, or an empty size in one, is not a size list
+        for sizes in ("", "100,"):
+            code = run(
+                "mine", str(log), str(tmp_path / "o"),
+                "--size", sizes,
+                "--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3",
+            )
+            assert code == 2
+            assert "not a size list" in capsys.readouterr().err
 
     def test_window_outside_log_is_3(self, tmp_path, capsys):
         log = gen_log(tmp_path / "s.log", events=100)

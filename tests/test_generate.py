@@ -5,13 +5,12 @@ from streamseq import (
     GenConfig,
     ParameterError,
     Sequence,
-    SplitMix64,
     generate,
     occur,
     serialize_event_log,
-    type_labels,
     window,
 )
+from streamseq.generate import SplitMix64, type_labels
 
 
 class TestSplitMix64:
@@ -89,6 +88,27 @@ class TestGenConfig:
                 seed=1,
                 embedded=((Sequence.of("E001"), -1.0),),
             )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_types", True),
+            ("n_types", 2.5),
+            ("n_events", True),
+            ("n_events", 10.0),
+            ("seed", 1.5),
+            ("seed", False),
+            ("drift_at", 2.5),
+            ("drift_at", True),
+        ],
+    )
+    def test_counts_and_seed_must_be_ints(self, field, value):
+        given = {"n_types": 4, "n_events": 10, "seed": 1}
+        if field == "drift_at":
+            given["embedded_after"] = ()
+        given[field] = value
+        with pytest.raises(ParameterError, match=f"{field} must be an int"):
+            GenConfig(**given)
 
 
 class TestGenerate:

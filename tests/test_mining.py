@@ -20,8 +20,8 @@ from streamseq import (
 )
 from streamseq import model
 from streamseq.mining import as_fraction
-from streamseq.oracle import brute_force_frequent
 from conftest import alternating_ab, queue_of, random_queue
+from oracle import brute_force_frequent, shrink_by_one
 
 SPAN2 = CountParams(2)
 
@@ -129,7 +129,7 @@ class TestGenCandidates:
                 for t in seqs
                 if s[1:] == t[:-1]
                 and all(
-                    sub in seqs for sub in Sequence(s + t[-1:]).shrink_by_one()
+                    sub in seqs for sub in shrink_by_one(Sequence(s + t[-1:]))
                 )
             }
         )

@@ -18,8 +18,8 @@ from streamseq import (
     window,
 )
 from streamseq.mining import MiningParams
-from streamseq.oracle import brute_force_frequent, contains, occur_bruteforce
 from conftest import alternating_ab, queue_of, random_queue
+from oracle import brute_force_frequent, contains, occur_bruteforce, shrink_by_one
 
 SPAN2 = CountParams(2)
 
@@ -110,7 +110,7 @@ class TestOccur:
             p = CountParams(rng.randint(1, 5))
             s = Sequence.of(*[rng.choice("abc") for _ in range(rng.randint(2, 4))])
             c = occur(s, w, p)
-            for sub in s.shrink_by_one():
+            for sub in shrink_by_one(s):
                 assert occur(sub, w, p) >= c
 
     def test_never_exceeds_start_position_count(self):

@@ -19,9 +19,7 @@ from streamseq import (
     SweepPoint,
     UpdateInput,
     distance,
-    find_intersections,
     ius_update,
-    min_max_normalize,
     mine,
     recommend,
     recommendation_text,
@@ -31,6 +29,7 @@ from streamseq import (
     window,
 )
 from streamseq import tradeoff
+from streamseq.tradeoff import find_intersections, min_max_normalize
 from conftest import random_queue
 
 
