@@ -15,53 +15,114 @@ pinned here so a (seed, config) pair denotes the same stream on any
 Python version, forever.  Draw order per tuple is fixed and documented
 on generate(); nothing about the output depends on set or dict
 iteration order.
+
+The draws are computed in batches.  splitmix64's n-th draw is a mix of
+seed + n * gamma mod 2**64, a function of n alone, so _batches computes
+4096 at a time on one Python int holding one state per 128-bit lane:
+each step of the mix is a single shift, xor, mask or multiply over all
+lanes, and int.to_bytes with a memoryview unpacks the results.
+generate() reads its draws straight from the batches, with no call per
+draw, and SplitMix64's methods read the same stream.  The one-step
+recurrence stays in the tests as the reference the batches must equal.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import chain
+from numbers import Real
+from typing import Iterator
 
 from .errors import ParameterError
 from .model import Sequence, StreamQueue, _check_int
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the Weyl increment
+
+_LANES = 4096  # draws per batch, one per 128-bit lane of a packed int
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")  # 1 per lane
+_LOW = _MASK64 * _ONES  # the low 64 bits of every lane
+# lane k holds (k + 1) * gamma: the Weyl offsets of a batch's draws
+_OFFSETS = int.from_bytes(
+    b"".join(
+        ((k + 1) * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(_LANES)
+    ),
+    "little",
+)
+_STRIDE = (_LANES * _GAMMA & _MASK64) * _ONES  # from one batch to the next
+# the 64-bit words of a packed int's bytes that are its lanes' low halves,
+# lane 0 first; the bytes are in native order, which is how cast("Q") reads
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+
+def _batches(seed: int) -> Iterator[list[int]]:
+    """The splitmix64 stream of `seed`, _LANES draws at a time.
+
+    Draw n (1-based) is mix(seed + n * gamma mod 2**64), so a batch is
+    computed without the draws before it: its Weyl states sit one per
+    128-bit lane of one int, and every step of mix runs on all lanes at
+    once.  A 64-bit lane value times a 64-bit constant fits in its
+    128-bit lane, and masking to the low halves after each step drops
+    what a shift or product carried into the high ones.
+    """
+    states = ((seed & _MASK64) * _ONES + _OFFSETS) & _LOW
+    while True:
+        z = ((states ^ (states >> 30)) & _LOW) * 0xBF58476D1CE4E5B9 & _LOW
+        z = ((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB & _LOW
+        z ^= z >> 31  # the high halves now hold bits of the next lane
+        words = memoryview(z.to_bytes(16 * _LANES, sys.byteorder)).cast("Q")
+        yield words[_LOW_WORDS].tolist()
+        states = (states + _STRIDE) & _LOW
+
+
+def _cutoff(n: int) -> int:
+    """The draws below this are accepted for a uniform integer in [0, n):
+    the largest multiple of n that is at most 2**64, so that every
+    residue mod n has equally many of them."""
+    return (_MASK64 + 1) - ((_MASK64 + 1) % n)
 
 
 class SplitMix64:
     """splitmix64: add a Weyl constant, then mix through two xorshift-
-    multiply rounds.  Passes BigCrush; period 2**64; trivially seedable."""
+    multiply rounds.  Passes BigCrush; period 2**64; trivially seedable.
 
-    __slots__ = ("state",)
+    Iterating yields the remaining 64-bit draws; the methods take theirs
+    from the same stream, computed in batches by _batches.
+    """
+
+    __slots__ = ("_draws",)
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK64
+        self._draws = chain.from_iterable(_batches(seed))
+
+    def __iter__(self) -> Iterator[int]:
+        return self._draws
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return next(self._draws)
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random mantissa bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        return (next(self._draws) >> 11) * 2.0 ** -53
 
     def next_below(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
         if n < 1:
             raise ParameterError(f"next_below needs n >= 1, got {n}")
-        cutoff = (_MASK64 + 1) - ((_MASK64 + 1) % n)
-        while True:
-            r = self.next_u64()
-            if r < cutoff:
-                return r % n
+        return next(filter(_cutoff(n).__gt__, self._draws)) % n
 
 
 def type_labels(n_types: int) -> list[str]:
     """The generated alphabet: E001..E194 style, zero-padded."""
     width = max(3, len(str(n_types)))
     return [f"E{i:0{width}d}" for i in range(1, n_types + 1)]
+
+
+def _check_real(name: str, value: object) -> None:
+    """Raise ParameterError unless `value` is a real number and not a bool."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +163,7 @@ class GenConfig:
             raise ParameterError(f"n_types must be >= 1, got {self.n_types}")
         if self.n_events < 1:
             raise ParameterError(f"n_events must be >= 1, got {self.n_events}")
+        _check_real("tuple_fill", self.tuple_fill)
         if not 1.0 <= self.tuple_fill <= self.n_types:
             raise ParameterError(
                 f"tuple_fill must be in [1, n_types], got {self.tuple_fill}"
@@ -117,6 +179,7 @@ class GenConfig:
             for seq, rate in plist:
                 if not isinstance(seq, Sequence):
                     raise ParameterError(f"embedded pattern {seq!r} is not a Sequence")
+                _check_real("rate", rate)
                 if not 0.0 <= rate <= 1000.0:
                     raise ParameterError(f"rate must be in [0, 1000], got {rate}")
                 missing = [label for label in seq if label not in alphabet]
@@ -138,37 +201,41 @@ def generate(cfg: GenConfig) -> StreamQueue:
     tuple's worth.  Pattern firings scheduled past that boundary are cut
     off with the stream.
     """
-    rng = SplitMix64(cfg.seed)
-    alphabet = type_labels(cfg.n_types)
+    n_types, n_events, drift_at = cfg.n_types, cfg.n_events, cfg.drift_at
+    draws = iter(SplitMix64(cfg.seed))
+    # the draws next_below(n_types) keeps, read from the same stream
+    accepted = filter(_cutoff(n_types).__gt__, draws)
+    alphabet = type_labels(n_types)
     base_fill = int(cfg.tuple_fill)
     frac_fill = cfg.tuple_fill - base_fill
+    active = [(seq, rate / 1000.0) for seq, rate in cfg.embedded]
+    after = [(seq, rate / 1000.0) for seq, rate in cfg.embedded_after or ()]
 
     pending: dict[int, set[str]] = {}
     rows: list[tuple[int, frozenset[str]]] = []
     events = 0
     i = 0
-    while events < cfg.n_events:
-        if cfg.drift_at is not None and i >= cfg.drift_at:
-            active = cfg.embedded_after
-        else:
-            active = cfg.embedded
-        for seq, rate in active:
-            if rng.next_float() < rate / 1000.0:
-                for off, item in enumerate(seq):
-                    pending.setdefault(i + off, set()).add(item)
+    while events < n_events:
+        if i == drift_at:
+            active = after
+        # zip takes one draw per pattern, and none once they run out
+        for (seq, p), u in zip(active, draws):
+            if (u >> 11) * 2.0 ** -53 < p:
+                for at, item in enumerate(seq, i):
+                    pending.setdefault(at, set()).add(item)
         k = base_fill
-        if rng.next_float() < frac_fill:
+        if (next(draws) >> 11) * 2.0 ** -53 < frac_fill:
             k += 1
         types = pending.pop(i, set())
         for _ in range(k):
-            types.add(alphabet[rng.next_below(cfg.n_types)])
+            types.add(alphabet[next(accepted) % n_types])
         rows.append((i + 1, frozenset(types)))
         events += len(types)
         i += 1
 
-    if cfg.drift_at is not None and cfg.drift_at >= len(rows):
+    if drift_at is not None and drift_at >= len(rows):
         raise ParameterError(
-            f"drift_at={cfg.drift_at} lies beyond the generated stream "
+            f"drift_at={drift_at} lies beyond the generated stream "
             f"({len(rows)} tuples); raise n_events or move the boundary"
         )
     return StreamQueue(rows)

@@ -13,9 +13,10 @@ record's bit in its label's row, where bit r stands for the r-th run,
 a maximal stretch of consecutive records sharing one timestamp.  It
 reads the text in chunks cut after a newline.  A chunk of plain ASCII
 "timestamp,label" lines ending in "\n", whose label text has been seen
-before, is split once and read in bulk, with int() called only where
-a timestamp's text changes.  Any other chunk, or one with a timestamp
-int() refuses, is read line by line.  In a time-ordered log each run
+before or is a valid label as written, is split once and read in
+bulk, with int() called only where a timestamp's text changes.  Any
+other chunk, or one with a timestamp int() refuses, is read line by
+line.  In a time-ordered log each run
 is one tuple and the rows are the bitmaps.  Any other log, with a
 record out of order or a timestamp that comes back later, pays one
 relabel of the runs into sorted timestamp order, which also merges
@@ -338,10 +339,11 @@ class Sequence(tuple):
     def _unchecked(cls, labels: tuple[str, ...]) -> Sequence:
         """Wrap a non-empty tuple of labels that were already checked.
 
-        The labels must come from a Sequence, or from a queue's bitmaps,
-        whose labels the queue checked when it was built; either way
-        _check_label has passed on each of them, so checking them again
-        could only repeat that answer.  The mining engine builds every
+        The labels must come from a Sequence, from a queue's bitmaps,
+        whose labels the queue checked when it was built, or from
+        load_pattern_file, which checks each distinct label text once; in
+        each case _check_label has passed on each of them, so checking
+        them again could only repeat that answer.  The mining engine builds every
         candidate this way, so a search over an already-built queue
         makes no label check at all.
         """
@@ -381,15 +383,17 @@ def parse_event_log(text: str) -> StreamQueue:
     each cut just after a newline, and each chunk takes one of two
     lanes.  The bulk lane (_bulk_chunk) takes a chunk of ASCII text in
     which every line holds exactly one comma and ends in a plain
-    newline, and all label text after the commas has been seen before.
-    It splits the chunk once, looks every label text up at once, calls
-    int() only where a timestamp's text differs from the record before
-    and sets each record's bit.  A timestamp int() refuses as written
-    (a comment line, padding such as U+001F, a bad timestamp) undoes the
-    chunk's runs, and the chunk goes to the line lane, which sets the
-    same bits again.  The line lane (_line_chunk) reads a chunk line by
-    line: a partition at the comma, an int() where the timestamp's text
-    changes, a lookup of the label text, a bit set.  Everything rare
+    newline, and every label text after the commas has been seen before
+    or passes _check_label as written.  It splits the chunk once, looks
+    every label text up at once, calls int() only where a timestamp's
+    text differs from the record before and sets each record's bit.  A
+    timestamp int() refuses as written (a comment line, padding such as
+    U+001F, a bad timestamp) undoes the chunk's runs, and the chunk goes
+    to the line lane, which sets the same bits again; the chunk's new
+    label texts are kept only when it finishes in bulk.  The line lane
+    (_line_chunk) reads a chunk line by line: a partition at the comma,
+    an int() where the timestamp's text changes, a lookup of the label
+    text, a bit set.  Everything rare
     leaves that path: a line int() refuses as written goes to _odd_line
     (blank and comment lines, a missing comma, a bad timestamp, padding
     int() refuses), and label text not seen before goes to
@@ -408,7 +412,7 @@ def parse_event_log(text: str) -> StreamQueue:
         end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
         chunk = text[start:end]
         start = end
-        bulk = _bulk_chunk(chunk, seen, times, *state)
+        bulk = _bulk_chunk(chunk, seen, rows, times, *state)
         if bulk is None:
             lines = chunk.splitlines()
             state = _line_chunk(lines, done, seen, rows, times, *state)
@@ -422,6 +426,7 @@ def parse_event_log(text: str) -> StreamQueue:
 def _bulk_chunk(
     chunk: str,
     seen: dict[str, bytearray],
+    rows: dict[str, bytearray],
     times: list[int],
     last: int | None,
     run: int,
@@ -430,7 +435,8 @@ def _bulk_chunk(
 ) -> tuple[tuple[int | None, int, int, int], int] | None:
     """Parse a chunk of records in bulk, as parse_event_log says: the new
     (last, run, byte, bit) state and the number of lines; None, with
-    `times` as it was, for a chunk the line lane must read."""
+    `times`, `seen` and `rows` as they were, for a chunk the line lane
+    must read."""
     if not chunk.isascii():
         return None
     body = chunk[:-1] if chunk[-1] == "\n" else chunk
@@ -440,10 +446,23 @@ def _bulk_chunk(
     if seps != b",\n" * (len(seps) >> 1) + b",":
         return None
     fields = body.replace("\n", ",").split(",")
+    texts = fields[1::2]
+    new: dict[str, bytearray] = {}
     try:
-        found = list(map(seen.__getitem__, fields[1::2]))
+        found = list(map(seen.__getitem__, texts))
     except KeyError:
-        return None
+        # new label text, in order of first appearance; it is committed
+        # only once the chunk has parsed here, so that the label of a line
+        # the line lane skips, such as "# 1,E999", never gets a row
+        for text in dict.fromkeys(texts):
+            if text in seen:
+                continue
+            try:
+                _check_label(text)
+            except ParameterError:
+                return None  # padding, or a bad label
+            new[text] = rows.get(text, bytearray())
+        found = list(map({**seen, **new}.__getitem__, texts))
     runs = len(times)
     last_str = None  # the timestamp text of the last record
     try:
@@ -465,6 +484,8 @@ def _bulk_chunk(
     except ValueError:
         del times[runs:]
         return None
+    seen.update(new)
+    rows.update(new)
     return (last, run, byte, bit), len(found)
 
 

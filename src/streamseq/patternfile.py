@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import PatternFileError, ParameterError, ContractError
 from .mining import MiningParams, PatternSet
-from .model import Sequence
+from .model import Sequence, _check_label
 from .occurrence import CountParams
 
 FORMAT_VERSION = "1"
@@ -97,6 +97,7 @@ def load_pattern_file(text: str) -> PatternSet:
     header: dict = {}
     frequent: dict[Sequence, int] = {}
     border: dict[Sequence, int] = {}
+    checked: set[str] = set()  # label texts _check_label passed
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -117,10 +118,14 @@ def load_pattern_file(text: str) -> PatternSet:
                 raise PatternFileError(
                     f"line {line_no}: bad count {count_str!r}"
                 ) from None
-            try:
-                seq = Sequence(labels)
-            except ParameterError as exc:
-                raise PatternFileError(f"line {line_no}: {exc}") from None
+            for label in labels:
+                if label not in checked:
+                    try:
+                        _check_label(label)
+                    except ParameterError as exc:
+                        raise PatternFileError(f"line {line_no}: {exc}") from None
+                    checked.add(label)
+            seq = Sequence._unchecked(tuple(labels))
             if seq in frequent or seq in border:
                 raise PatternFileError(f"line {line_no}: duplicate entry {seq!r}")
             (frequent if tag == "L" else border)[seq] = count

@@ -1,3 +1,6 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from streamseq import (
@@ -10,7 +13,88 @@ from streamseq import (
     serialize_event_log,
     window,
 )
-from streamseq.generate import SplitMix64, type_labels
+from streamseq.generate import _LANES, SplitMix64, type_labels
+from test_acceptance import _trend_config
+
+_MASK64 = (1 << 64) - 1
+
+
+class ScalarSplitMix64:
+    """The splitmix64 recurrence one draw at a time: the reference that
+    SplitMix64's batches are checked against."""
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def next_float(self):
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def next_below(self, n):
+        cutoff = (_MASK64 + 1) - ((_MASK64 + 1) % n)
+        while True:
+            r = self.next_u64()
+            if r < cutoff:
+                return r % n
+
+
+# seeds on both sides of each 64-bit wrap; every test below reads draws
+# across the boundary between two batches
+_SEEDS = (0, 42, -1, 2**64 - 1, 2**64 + 5)
+
+
+class TestBatchesMatchTheScalarRecurrence:
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_next_u64_across_batches(self, seed):
+        ref = ScalarSplitMix64(seed)
+        g = SplitMix64(seed)
+        n = 2 * _LANES + 3
+        assert [g.next_u64() for _ in range(n)] == [ref.next_u64() for _ in range(n)]
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_iteration_reads_the_same_stream(self, seed):
+        ref = ScalarSplitMix64(seed)
+        g = SplitMix64(seed)
+        head = [g.next_u64() for _ in range(_LANES - 1)]
+        draws = iter(g)
+        tail = [next(draws) for _ in range(3)] + [g.next_u64()]
+        assert head + tail == [ref.next_u64() for _ in range(_LANES + 3)]
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_next_float_and_next_below_across_a_boundary(self, seed):
+        ref = ScalarSplitMix64(seed)
+        g = SplitMix64(seed)
+        for _ in range(_LANES - 50):
+            assert g.next_u64() == ref.next_u64()
+        for _ in range(40):
+            assert g.next_float() == ref.next_float()
+            assert g.next_below(194) == ref.next_below(194)
+        assert g.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_next_below_redraws_as_the_recurrence_does(self, seed):
+        # 2**63 + 1 rejects a draw about half the time, which generate's
+        # alphabets never do
+        n = 2**63 + 1
+        ref = ScalarSplitMix64(seed)
+        g = SplitMix64(seed)
+        for _ in range(_LANES - 100):
+            assert g.next_u64() == ref.next_u64()
+        start = ref.draws
+        calls = 100
+        assert [g.next_below(n) for _ in range(calls)] == [
+            ref.next_below(n) for _ in range(calls)
+        ]
+        assert ref.draws - start > calls + 20  # redraws happened
+        assert g.next_u64() == ref.next_u64()
 
 
 class TestSplitMix64:
@@ -109,6 +193,79 @@ class TestGenConfig:
         given[field] = value
         with pytest.raises(ParameterError, match=f"{field} must be an int"):
             GenConfig(**given)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tuple_fill", "1"),
+            ("tuple_fill", True),
+            ("tuple_fill", None),
+            ("rate", "5"),
+            ("rate", True),
+            ("rate", 1j),
+        ],
+    )
+    def test_fill_and_rates_must_be_real_numbers(self, field, value):
+        if field == "rate":
+            given = {"embedded": ((Sequence.of("E001"), value),)}
+        else:
+            given = {field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+            GenConfig(n_types=4, n_events=10, seed=1, **given)
+
+    def test_fractions_give_the_stream_of_their_floats(self):
+        pair = Sequence.of("E001", "E002")
+        exact = GenConfig(
+            n_types=6,
+            n_events=800,
+            seed=4,
+            tuple_fill=Fraction(3, 2),
+            embedded=((pair, Fraction(45)),),
+        )
+        rounded = GenConfig(
+            n_types=6, n_events=800, seed=4, tuple_fill=1.5, embedded=((pair, 45.0),)
+        )
+        assert serialize_event_log(generate(exact)) == serialize_event_log(
+            generate(rounded)
+        )
+
+
+# SHA-256 of serialize_event_log(generate(cfg)), pinned when draws were
+# made one scalar step at a time; batching the draws must not move a byte
+_PINNED_STREAMS = [
+    (
+        lambda: _trend_config(1, 100_000, drift_at=20_000),
+        "66f2ca434a319ed79d8bb629a5426211b87d522e9ca099437c028d828fcb6818",
+    ),
+    (
+        lambda: GenConfig(n_types=6, n_events=3000, seed=5, tuple_fill=1.5),
+        "b90d67763113ed077cc4f62e9dc3c208743a7a39c6a68bbfe48d925fa24e4380",
+    ),
+    (
+        lambda: GenConfig(
+            n_types=40,
+            n_events=20000,
+            seed=11,
+            tuple_fill=2.25,
+            embedded=((Sequence.of("E001", "E002", "E003"), 30.0),),
+        ),
+        "ee4c2738b47821017fb7b39b72ef240bf56ed55c3b15a67054c3a80cf9bfc4c3",
+    ),
+    (
+        lambda: GenConfig(n_types=10, n_events=5000, seed=-3),
+        "44555d3131623e58f4b29645ab03cfa18915658790b976a1ad4d0058cd7ac55a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config,digest",
+    _PINNED_STREAMS,
+    ids=["trend", "fill-1.5", "fill-2.25", "seed-minus-3"],
+)
+def test_pinned_stream(config, digest):
+    text = serialize_event_log(generate(config()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestGenerate:

@@ -469,6 +469,37 @@ class TestEventLog:
         assert q.times == (1, 2, 3, 4, 5)
         assert list(q)[1:] == [{"a"}, {"b"}, {"a"}, {"b"}]
 
+    def test_a_comment_in_the_first_chunk_gives_its_label_no_row(self):
+        # the bulk lane meets E999 as new label text before int() refuses
+        # "# 1" and the line lane skips the line
+        text = "1,E001\n# 1,E999\n2,E002\n"
+        _parses_as_the_two_pass_parse(text)
+        q = parse_event_log(text)
+        assert q.alphabet() == ["E001", "E002"]
+        assert q == StreamQueue([(1, {"E001"}), (2, {"E002"})])
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("1,E001\n2,E002\n3,E001 \n4,E0 3\n5,E004\n", 4, "whitespace"),
+            ("1,a\n2,b\n3,\n4,c\n", 3, "non-empty"),
+        ],
+    )
+    def test_a_bad_label_in_the_first_chunk_reports_its_own_line(
+        self, text, line_no, message
+    ):
+        _parses_as_the_two_pass_parse(text)
+        with pytest.raises(EventLogParseError, match=message) as info:
+            parse_event_log(text)
+        assert info.value.line_no == line_no
+
+    def test_a_label_written_bare_after_padded_keeps_its_row(self):
+        # the padded text reaches the line lane, the bare one the bulk lane
+        text = "1,a \n2,a\n3,b\n"
+        with _chunk_size(1):
+            _parses_as_the_two_pass_parse(text)
+            assert list(parse_event_log(text)) == [{"a"}, {"a"}, {"b"}]
+
     def test_serialize_sorts_labels_within_tuple(self):
         q = queue_of("ba")
         assert serialize_event_log(q) == "1,a\n1,b\n"

@@ -13,6 +13,8 @@ from streamseq import (
     mine,
     window,
 )
+from streamseq import patternfile
+from streamseq.model import _check_label
 from streamseq.patternfile import dump_pattern_file, load_pattern_file
 from conftest import alternating_ab, labels, queue_of, random_queue
 
@@ -48,6 +50,18 @@ def test_load_golden():
     assert ps.blocks == ((0, 4),)
     assert ps.frequent == ref.frequent
     assert ps.border == ref.border
+
+
+def test_each_distinct_label_text_is_checked_once(monkeypatch):
+    checked = []
+
+    def counting(label):
+        checked.append(label)
+        _check_label(label)
+
+    monkeypatch.setattr(patternfile, "_check_label", counting)
+    assert load_pattern_file(GOLDEN).frequent == _reference_set().frequent
+    assert sorted(checked) == ["a", "b"]  # of six label fields
 
 
 def test_round_trip_random_pattern_sets():
@@ -201,6 +215,20 @@ class TestLoadRejectsMalformedInput:
         load_pattern_file(text.replace("NBD\ta\tb\ta\t2\n", ""))
         with pytest.raises(PatternFileError, match="longer than span=2"):
             load_pattern_file(text)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("L\tb c\t3\n", "whitespace"),
+            ("NBD\ta\tb c\t2\n", "whitespace"),  # after a label checked before
+            ("L\t\t3\n", "non-empty"),
+            ("L\ta\ud800\t3\n", "surrogates"),
+        ],
+    )
+    def test_a_bad_label_is_reported_on_its_first_line(self, entry, message):
+        line_no = GOLDEN.count("\n") + 1
+        with pytest.raises(PatternFileError, match=f"^line {line_no}: .*{message}"):
+            load_pattern_file(GOLDEN + entry + entry)
 
     def test_truncated_entry_line(self):
         with pytest.raises(PatternFileError):
