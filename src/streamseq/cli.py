@@ -40,10 +40,20 @@ def _fraction_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}")
 
 
+def _count_flag(text: str) -> int:
+    try:
+        count = int(text, 10)
+        if count >= 0:
+            return count
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a count >= 0: {text!r}")
+
+
 def _sizes_flag(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok, 10) for tok in text.split(","))
-    except ValueError:
+        return tuple(map(_count_flag, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"not a size list: {text!r}")
 
 
@@ -109,8 +119,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    queue = parse_event_log(_read_text(args.log))
     params = _mining_params(args)
+    queue = parse_event_log(_read_text(args.log))
     blocks = []
     at = args.start
     for size in args.size:
@@ -172,7 +182,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"--deltas needs at least two sizes to recommend from, "
             f"got {len(args.deltas)}"
         )
-    queue = parse_event_log(_read_text(args.log))
     cfg = SweepConfig(
         initial_size=args.initial,
         delta_sizes=args.deltas,
@@ -180,6 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         timing=args.timing,
         repetitions=args.reps,
     )
+    queue = parse_event_log(_read_text(args.log))
     points = run_sweep(queue, cfg)
     _write_text(args.csv_out, sweep_csv(points))
     text = recommendation_text(recommend(points, cfg.initial_size))
@@ -215,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine a log window into a pattern file")
     p.add_argument("log", help="event-log path")
     p.add_argument("out", help="pattern-file path to write")
-    p.add_argument("--start", type=int, default=0, help="window start tuple index")
+    p.add_argument("--start", type=_count_flag, default=0,
+                   help="window start tuple index")
     p.add_argument("--size", type=_sizes_flag, required=True,
                    help="window size in tuples; a comma list mines "
                    "contiguous blocks (e.g. 20000,2000)")
@@ -226,9 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("log", help="event-log path")
     p.add_argument("old", help="pattern file of the window mined so far")
     p.add_argument("out", help="pattern-file path to write")
-    p.add_argument("--start", type=int, default=None,
+    p.add_argument("--start", type=_count_flag, default=None,
                    help="increment start (default: end of the mined window)")
-    p.add_argument("--size", type=int, required=True, help="increment size in tuples")
+    p.add_argument("--size", type=_count_flag, required=True,
+                   help="increment size in tuples")
     _add_param_flags(p, required=False)
     p.set_defaults(func=cmd_update)
 

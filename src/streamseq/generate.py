@@ -21,9 +21,9 @@ seed + n * gamma mod 2**64, a function of n alone, so _batches computes
 4096 at a time on one Python int holding one state per 128-bit lane:
 each step of the mix is a single shift, xor, mask or multiply over all
 lanes, and int.to_bytes with a memoryview unpacks the results.
-generate() reads its draws straight from the batches, with no call per
-draw, and SplitMix64's methods read the same stream.  The one-step
-recurrence stays in the tests as the reference the batches must equal.
+generate() reads its draws straight from the batches (_draws), with no
+call per draw.  The one-step recurrence stays in the tests as the
+reference the batches must equal.
 """
 
 from __future__ import annotations
@@ -83,34 +83,10 @@ def _cutoff(n: int) -> int:
     return (_MASK64 + 1) - ((_MASK64 + 1) % n)
 
 
-class SplitMix64:
-    """splitmix64: add a Weyl constant, then mix through two xorshift-
-    multiply rounds.  Passes BigCrush; period 2**64; trivially seedable.
-
-    Iterating yields the remaining 64-bit draws; the methods take theirs
-    from the same stream, computed in batches by _batches.
-    """
-
-    __slots__ = ("_draws",)
-
-    def __init__(self, seed: int) -> None:
-        self._draws = chain.from_iterable(_batches(seed))
-
-    def __iter__(self) -> Iterator[int]:
-        return self._draws
-
-    def next_u64(self) -> int:
-        return next(self._draws)
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random mantissa bits."""
-        return (next(self._draws) >> 11) * 2.0 ** -53
-
-    def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection."""
-        if n < 1:
-            raise ParameterError(f"next_below needs n >= 1, got {n}")
-        return next(filter(_cutoff(n).__gt__, self._draws)) % n
+def _draws(seed: int) -> Iterator[int]:
+    """The 64-bit splitmix64 draws of `seed`, one at a time, read from
+    its batches."""
+    return chain.from_iterable(_batches(seed))
 
 
 def type_labels(n_types: int) -> list[str]:
@@ -202,8 +178,8 @@ def generate(cfg: GenConfig) -> StreamQueue:
     off with the stream.
     """
     n_types, n_events, drift_at = cfg.n_types, cfg.n_events, cfg.drift_at
-    draws = iter(SplitMix64(cfg.seed))
-    # the draws next_below(n_types) keeps, read from the same stream
+    draws = _draws(cfg.seed)
+    # the draws kept for a uniform type index, read from the same stream
     accepted = filter(_cutoff(n_types).__gt__, draws)
     alphabet = type_labels(n_types)
     base_fill = int(cfg.tuple_fill)

@@ -10,24 +10,22 @@ A Sequence is a non-empty tuple of labels.  A queue is held as columns:
 when the label is in tuple i.  parse_event_log fills those columns
 in one pass over the text, a few operations per record: it sets the
 record's bit in its label's row, where bit r stands for the r-th run,
-a maximal stretch of consecutive records sharing one timestamp.  It
-reads the text in chunks cut after a newline.  A chunk of plain ASCII
-"timestamp,label" lines ending in "\n", whose label text has been seen
-before or is a valid label as written, is split once and read in
-bulk, with int() called only where a timestamp's text changes.  Any
-other chunk, or one with a timestamp int() refuses, is read line by
-line.  In a time-ordered log each run
+a maximal stretch of consecutive records sharing one timestamp.  Its
+one label table maps each label to its row.  It reads the text in
+chunks cut after a newline, each in one of two lanes: a chunk of
+plain ASCII "timestamp,label" lines ending in "\n" is read in bulk;
+any other chunk is read line by line.  In a time-ordered log each run
 is one tuple and the rows are the bitmaps.  Any other log, with a
 record out of order or a timestamp that comes back later, pays one
 relabel of the runs into sorted timestamp order, which also merges
-runs of one timestamp.  Iterating or indexing a
-queue yields each tuple's label set, a frozenset, which a parsed queue
-builds only when something asks for it (serialize_event_log, or the
-tests and their brute-force oracle).  A queue built from (time, labels)
-rows keeps its label sets and derives its bitmaps on first use.  Mining
-never copies stream data; it works on ViewWindow objects, each the
-(queue, start, size) range of tuples to count over.  A window mined in
-pieces is a list of such ranges, one per block, so that counts can be
+runs of one timestamp.  Iterating or indexing a queue yields each
+tuple's label set, a frozenset, which a parsed queue builds only when
+something asks for it (serialize_event_log, or the tests and their
+brute-force oracle).  A queue built from (time, labels) rows keeps its
+label sets and derives its bitmaps on first use.  Mining never copies
+stream data; it works on ViewWindow objects, each the (queue, start,
+size) range of tuples to count over.  A window mined in pieces is a
+list of such ranges, one per block, so that counts can be
 maintained per block.
 
 Everything here is immutable after construction, which is what makes the
@@ -372,37 +370,30 @@ def parse_event_log(text: str) -> StreamQueue:
     Each record line is "timestamp,event_label" with a base-10 integer
     timestamp and a label _check_label accepts; whitespace around the
     timestamp and after the label is ignored.  Lines that are empty or
-    start with '#' are skipped.  Records may arrive in any order and may repeat: they are
-    grouped by timestamp, duplicates within a timestamp merge, and tuples
-    come out sorted by timestamp.  The first bad line raises
-    EventLogParseError with its 1-based number.
+    start with '#' are skipped.  Records may arrive in any order and may
+    repeat: they are grouped by timestamp, duplicates within a timestamp
+    merge, and tuples come out sorted by timestamp.  The first bad line
+    raises EventLogParseError with its 1-based number.
 
-    One pass over the text sets one bit per record.  A record's bit is
-    its run: a maximal stretch of consecutive records that share one
-    timestamp.  The text is read in chunks of about _CHUNK characters,
-    each cut just after a newline, and each chunk takes one of two
-    lanes.  The bulk lane (_bulk_chunk) takes a chunk of ASCII text in
-    which every line holds exactly one comma and ends in a plain
-    newline, and every label text after the commas has been seen before
-    or passes _check_label as written.  It splits the chunk once, looks
-    every label text up at once, calls int() only where a timestamp's
-    text differs from the record before and sets each record's bit.  A
-    timestamp int() refuses as written (a comment line, padding such as
-    U+001F, a bad timestamp) undoes the chunk's runs, and the chunk goes
-    to the line lane, which sets the same bits again; the chunk's new
-    label texts are kept only when it finishes in bulk.  The line lane
-    (_line_chunk) reads a chunk line by line: a partition at the comma,
-    an int() where the timestamp's text changes, a lookup of the label
-    text, a bit set.  Everything rare
-    leaves that path: a line int() refuses as written goes to _odd_line
-    (blank and comment lines, a missing comma, a bad timestamp, padding
-    int() refuses), and label text not seen before goes to
-    _new_label_text (a missing comma, the label check, trailing
-    padding).  In a time-ordered log every run is one tuple, so the rows
-    are the queue's bitmaps as they stand; any other log pays one
-    relabel of the runs into sorted timestamp order (_queue_of_runs).
+    One pass over the text sets one bit per record, in its label's row
+    in `rows`, the one label table.  A record's bit is its run: a
+    maximal stretch of consecutive records that share one timestamp.
+    The text is read in chunks of about _CHUNK characters, each cut just
+    after a newline, and each chunk takes one of two lanes.  The bulk
+    lane (_bulk_chunk) takes a chunk of ASCII text in which every line
+    holds exactly one comma and ends in a plain newline.  It splits the
+    chunk once, looks every label text up at once, calls int() only
+    where a timestamp's text differs from the record before and sets
+    each record's bit.  A bad label, or a timestamp int() refuses as
+    written (a comment line, padding such as U+001F, a bad timestamp),
+    drops the chunk's runs and new labels and sends it to the line lane
+    (_line_chunk), which sets the same bits again, line by line: a
+    partition at the comma, an int() where the timestamp's text changes,
+    a lookup of the label text, a bit set.  In a time-ordered log every
+    run is one tuple, so the rows are the queue's bitmaps as they stand;
+    any other log pays one relabel of the runs into sorted timestamp
+    order (_queue_of_runs).
     """
-    seen: dict[str, bytearray] = {}  # label text as written -> its label's row
     rows: dict[str, bytearray] = {}  # label -> row, bit r set for run r
     times: list[int] = []  # the timestamp of each run
     state = (None, -1, 0, 0)  # the last run's timestamp, the run, its byte and bit
@@ -412,10 +403,10 @@ def parse_event_log(text: str) -> StreamQueue:
         end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
         chunk = text[start:end]
         start = end
-        bulk = _bulk_chunk(chunk, seen, rows, times, *state)
+        bulk = _bulk_chunk(chunk, rows, times, *state)
         if bulk is None:
             lines = chunk.splitlines()
-            state = _line_chunk(lines, done, seen, rows, times, *state)
+            state = _line_chunk(lines, done, rows, times, *state)
             done += len(lines)
         else:
             state, records = bulk
@@ -425,7 +416,6 @@ def parse_event_log(text: str) -> StreamQueue:
 
 def _bulk_chunk(
     chunk: str,
-    seen: dict[str, bytearray],
     rows: dict[str, bytearray],
     times: list[int],
     last: int | None,
@@ -435,8 +425,8 @@ def _bulk_chunk(
 ) -> tuple[tuple[int | None, int, int, int], int] | None:
     """Parse a chunk of records in bulk, as parse_event_log says: the new
     (last, run, byte, bit) state and the number of lines; None, with
-    `times`, `seen` and `rows` as they were, for a chunk the line lane
-    must read."""
+    `times` and `rows` as they were, for a chunk the line lane must
+    read."""
     if not chunk.isascii():
         return None
     body = chunk[:-1] if chunk[-1] == "\n" else chunk
@@ -449,20 +439,22 @@ def _bulk_chunk(
     texts = fields[1::2]
     new: dict[str, bytearray] = {}
     try:
-        found = list(map(seen.__getitem__, texts))
+        found = list(map(rows.__getitem__, texts))
     except KeyError:
-        # new label text, in order of first appearance; it is committed
+        # each label text without its trailing padding, as the line lane reads it
+        texts = list(map(str.rstrip, texts))
+        # new labels, in order of first appearance; they are committed
         # only once the chunk has parsed here, so that the label of a line
         # the line lane skips, such as "# 1,E999", never gets a row
         for text in dict.fromkeys(texts):
-            if text in seen:
+            if text in rows:
                 continue
             try:
                 _check_label(text)
             except ParameterError:
-                return None  # padding, or a bad label
-            new[text] = rows.get(text, bytearray())
-        found = list(map({**seen, **new}.__getitem__, texts))
+                return None  # a bad label, which the line lane names
+            new[text] = bytearray()
+        found = list(map({**rows, **new}.__getitem__, texts))
     runs = len(times)
     last_str = None  # the timestamp text of the last record
     try:
@@ -484,7 +476,6 @@ def _bulk_chunk(
     except ValueError:
         del times[runs:]
         return None
-    seen.update(new)
     rows.update(new)
     return (last, run, byte, bit), len(found)
 
@@ -492,7 +483,6 @@ def _bulk_chunk(
 def _line_chunk(
     lines: list[str],
     done: int,
-    seen: dict[str, bytearray],
     rows: dict[str, bytearray],
     times: list[int],
     last: int | None,
@@ -502,7 +492,16 @@ def _line_chunk(
 ) -> tuple[int | None, int, int, int]:
     """Parse a chunk's `lines`, which follow `done` lines of the log, one
     at a time, as parse_event_log says; the new (last, run, byte, bit)
-    state."""
+    state.
+
+    int() ignores whitespace around a number, but not all that
+    str.strip() removes: U+001F is one it refuses.  So a timestamp int()
+    refuses as written is read again stripped, unless its line is blank
+    or a comment, and a label text missing from `rows` is looked up
+    again without its trailing padding.  An equal earlier line would
+    have failed in the same way first, so the bad line is named as the
+    first one equal to it; no line count is kept.
+    """
     last_str = None  # the timestamp text of the last record
     for raw in lines:
         ts_str, sep, label = raw.partition(",")
@@ -510,9 +509,14 @@ def _line_chunk(
             try:
                 ts = int(ts_str, 10)
             except ValueError:
-                ts = _odd_line(lines, done, raw, ts_str, sep)
-                if ts is None:
+                line = raw.strip()
+                if not line or line[0] == "#":
                     continue
+                try:
+                    ts = int(ts_str.strip(), 10)
+                except ValueError:
+                    message = f"bad timestamp {ts_str.strip()!r}"
+                    break
             last_str = ts_str
             if ts != last:
                 last = ts
@@ -521,11 +525,17 @@ def _line_chunk(
                 byte = run >> 3
                 bit = 1 << (run & 7)
         try:
-            row = seen[label]
+            row = rows[label]
         except KeyError:
-            row = seen[label] = _new_label_text(
-                lines, done, raw, label, sep, rows, byte
-            )
+            label = label.rstrip()
+            row = rows.get(label)
+            if row is None:
+                try:
+                    _check_label(label)
+                except ParameterError as exc:
+                    message = str(exc)
+                    break
+                row = rows[label] = bytearray(byte + 1)
         try:
             row[byte] |= bit
         except IndexError:
@@ -533,72 +543,12 @@ def _line_chunk(
             # doubles when it grows, so it stays within twice its bitmap
             row.extend(bytes(byte + 1))
             row[byte] |= bit
-    return last, run, byte, bit
-
-
-def _line_error(
-    lines: list[str], done: int, raw: str, message: str
-) -> EventLogParseError:
-    """The parse error for line `raw` of a chunk's `lines`, which follow
-    `done` lines of the log.
-
-    An equal earlier line would have failed in the same way first, so
-    the bad line is the first one equal to `raw`; the line lane need not
-    count lines to name it.
-    """
-    return EventLogParseError(done + lines.index(raw) + 1, message)
-
-
-def _odd_line(
-    lines: list[str], done: int, raw: str, ts_str: str, sep: str
-) -> int | None:
-    """The timestamp of a line whose text before the comma int() refused.
-
-    None for a blank or comment line.  int() ignores whitespace around a
-    number, but not all that str.strip() removes: U+001F is one it
-    refuses.  So a good record can land here too, and its timestamp is
-    read again without its padding.  Raises EventLogParseError for a
-    line with no comma or a bad timestamp.
-    """
-    line = raw.strip()
-    if not line or line[0] == "#":
-        return None
-    if not sep:
-        raise _line_error(lines, done, raw, f"expected 'timestamp,label', got {raw!r}")
-    try:
-        return int(ts_str.strip(), 10)
-    except ValueError:
-        message = f"bad timestamp {ts_str.strip()!r}"
-        raise _line_error(lines, done, raw, message) from None
-
-
-def _new_label_text(
-    lines: list[str],
-    done: int,
-    raw: str,
-    text: str,
-    sep: str,
-    rows: dict[str, bytearray],
-    byte: int,
-) -> bytearray:
-    """The row of the label written as `text`, seen for the first time.
-
-    The label is `text` without its trailing padding; text that pads a
-    label seen before shares that label's row.  A new label is checked
-    once and gets a row that ends at byte `byte`.  Raises
-    EventLogParseError for a line with no comma or a bad label.
-    """
-    if not sep:
-        raise _line_error(lines, done, raw, f"expected 'timestamp,label', got {raw!r}")
-    label = text.rstrip()
-    row = rows.get(label)
-    if row is None:
-        try:
-            _check_label(label)
-        except ParameterError as exc:
-            raise _line_error(lines, done, raw, str(exc)) from None
-        row = rows[label] = bytearray(byte + 1)
-    return row
+    else:
+        return last, run, byte, bit
+    # the loop broke at line `raw`
+    if not sep:  # and so its label text is ""
+        message = f"expected 'timestamp,label', got {raw!r}"
+    raise EventLogParseError(done + lines.index(raw) + 1, message)
 
 
 def _queue_of_runs(times: list[int], rows: dict[str, bytearray]) -> StreamQueue:

@@ -309,6 +309,34 @@ def test_sweep_with_one_delta_is_2_before_reading_the_log(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: --deltas")
 
 
+_MINE = ("--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("mine", ("--size", "-5", *_MINE)),
+    ("mine", ("--start", "-3", "--size", "100", *_MINE)),
+    ("mine", ("--size", "100,-20", *_MINE)),
+    ("mine", ("--size", "100", "--min-supp", "0.1", "--min-nbd-supp", "0.05",
+              "--span", "0")),
+    ("update", ("--size", "-5")),
+    ("update", ("--start", "-10", "--size", "100")),
+    ("sweep", ("--initial", "0", "--deltas", "10,20", *_MINE)),
+    ("sweep", ("--initial", "100", "--deltas", "10,20", "--reps", "0", *_MINE)),
+    ("sweep", ("--initial", "100", "--deltas", "20,10", *_MINE)),
+])
+def test_bad_parameter_is_2_before_reading_the_log(tmp_path, capsys, command, flags):
+    # the log does not exist, so reading it first would exit 4
+    log, out = tmp_path / "missing.log", tmp_path / "out"
+    outputs = {
+        "mine": (out,),
+        "update": (tmp_path / "missing.patterns", out),
+        "sweep": (out, tmp_path / "rec"),
+    }[command]
+    assert run(command, str(log), *map(str, outputs), *flags) == 2
+    assert not any(path.exists() for path in tmp_path.iterdir())
+    assert "error:" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_errors_are_2(self, capsys):
         assert run("mine") == 2  # missing required arguments

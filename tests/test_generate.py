@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,7 +14,7 @@ from streamseq import (
     serialize_event_log,
     window,
 )
-from streamseq.generate import _LANES, SplitMix64, type_labels
+from streamseq.generate import _LANES, _cutoff, _draws, type_labels
 from test_acceptance import _trend_config
 
 _MASK64 = (1 << 64) - 1
@@ -21,7 +22,7 @@ _MASK64 = (1 << 64) - 1
 
 class ScalarSplitMix64:
     """The splitmix64 recurrence one draw at a time: the reference that
-    SplitMix64's batches are checked against."""
+    the batched draws are checked against."""
 
     def __init__(self, seed):
         self.state = seed & _MASK64
@@ -46,6 +47,17 @@ class ScalarSplitMix64:
                 return r % n
 
 
+def below(draws, n):
+    """A uniform integer in [0, n) from `draws`, by the expression generate
+    uses: reject the draws at or past the cutoff, reduce the first kept."""
+    return next(filter(_cutoff(n).__gt__, draws)) % n
+
+
+def unit_float(draws):
+    """A uniform float in [0, 1) from the next draw, as generate reads one."""
+    return (next(draws) >> 11) * 2.0 ** -53
+
+
 # seeds on both sides of each 64-bit wrap; every test below reads draws
 # across the boundary between two batches
 _SEEDS = (0, 42, -1, 2**64 - 1, 2**64 + 5)
@@ -53,58 +65,57 @@ _SEEDS = (0, 42, -1, 2**64 - 1, 2**64 + 5)
 
 class TestBatchesMatchTheScalarRecurrence:
     @pytest.mark.parametrize("seed", _SEEDS)
-    def test_next_u64_across_batches(self, seed):
+    def test_draws_across_batches(self, seed):
         ref = ScalarSplitMix64(seed)
-        g = SplitMix64(seed)
         n = 2 * _LANES + 3
-        assert [g.next_u64() for _ in range(n)] == [ref.next_u64() for _ in range(n)]
+        assert list(islice(_draws(seed), n)) == [ref.next_u64() for _ in range(n)]
 
     @pytest.mark.parametrize("seed", _SEEDS)
-    def test_iteration_reads_the_same_stream(self, seed):
+    def test_each_call_starts_the_stream_afresh(self, seed):
         ref = ScalarSplitMix64(seed)
-        g = SplitMix64(seed)
-        head = [g.next_u64() for _ in range(_LANES - 1)]
-        draws = iter(g)
-        tail = [next(draws) for _ in range(3)] + [g.next_u64()]
-        assert head + tail == [ref.next_u64() for _ in range(_LANES + 3)]
+        first = _draws(seed)
+        head = list(islice(first, _LANES + 3))
+        assert head == [ref.next_u64() for _ in range(_LANES + 3)]
+        assert next(_draws(seed)) == head[0]
+        assert next(first) == ref.next_u64()
 
     @pytest.mark.parametrize("seed", _SEEDS)
-    def test_next_float_and_next_below_across_a_boundary(self, seed):
+    def test_floats_and_indices_across_a_boundary(self, seed):
         ref = ScalarSplitMix64(seed)
-        g = SplitMix64(seed)
+        draws = _draws(seed)
         for _ in range(_LANES - 50):
-            assert g.next_u64() == ref.next_u64()
+            assert next(draws) == ref.next_u64()
         for _ in range(40):
-            assert g.next_float() == ref.next_float()
-            assert g.next_below(194) == ref.next_below(194)
-        assert g.next_u64() == ref.next_u64()
+            assert unit_float(draws) == ref.next_float()
+            assert below(draws, 194) == ref.next_below(194)
+        assert next(draws) == ref.next_u64()
 
+    @pytest.mark.parametrize("n", (194, 2**63 + 1))
     @pytest.mark.parametrize("seed", _SEEDS)
-    def test_next_below_redraws_as_the_recurrence_does(self, seed):
+    def test_indices_redraw_as_the_recurrence_does(self, seed, n):
         # 2**63 + 1 rejects a draw about half the time, which generate's
-        # alphabets never do
-        n = 2**63 + 1
+        # alphabets, such as 194 types, practically never do
         ref = ScalarSplitMix64(seed)
-        g = SplitMix64(seed)
+        draws = _draws(seed)
         for _ in range(_LANES - 100):
-            assert g.next_u64() == ref.next_u64()
+            assert next(draws) == ref.next_u64()
         start = ref.draws
         calls = 100
-        assert [g.next_below(n) for _ in range(calls)] == [
+        assert [below(draws, n) for _ in range(calls)] == [
             ref.next_below(n) for _ in range(calls)
         ]
-        assert ref.draws - start > calls + 20  # redraws happened
-        assert g.next_u64() == ref.next_u64()
+        redraws = ref.draws - start - calls
+        assert redraws > 20 if n > 2**63 else redraws == 0
+        assert next(draws) == ref.next_u64()
 
 
-class TestSplitMix64:
+class TestDraws:
     def test_known_stream_for_seed_zero(self):
         # first output of the reference splitmix64 sequence
-        assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+        assert next(_draws(0)) == 0xE220A8397B1DCDAF
 
     def test_regression_stream_for_seed_42(self):
-        g = SplitMix64(42)
-        assert [g.next_u64() for _ in range(4)] == [
+        assert list(islice(_draws(42), 4)) == [
             13679457532755275413,
             2949826092126892291,
             5139283748462763858,
@@ -112,21 +123,21 @@ class TestSplitMix64:
         ]
 
     def test_floats_live_in_unit_interval(self):
-        g = SplitMix64(7)
-        vals = [g.next_float() for _ in range(1000)]
+        draws = _draws(7)
+        vals = [unit_float(draws) for _ in range(1000)]
         assert all(0.0 <= v < 1.0 for v in vals)
         assert len(set(vals)) > 990  # not obviously degenerate
 
-    def test_next_below_bounds_and_determinism(self):
-        a = SplitMix64(5)
-        b = SplitMix64(5)
-        draws = [a.next_below(13) for _ in range(500)]
-        assert [b.next_below(13) for _ in range(500)] == draws
+    def test_indices_bounds_and_determinism(self):
+        a = _draws(5)
+        b = _draws(5)
+        draws = [below(a, 13) for _ in range(500)]
+        assert [below(b, 13) for _ in range(500)] == draws
         assert all(0 <= d < 13 for d in draws)
         assert set(draws) == set(range(13))  # all residues reachable
 
     def test_seed_wraps_to_64_bits(self):
-        assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
+        assert next(_draws(2**64)) == next(_draws(0))
 
 
 class TestTypeLabels:

@@ -493,12 +493,18 @@ class TestEventLog:
             parse_event_log(text)
         assert info.value.line_no == line_no
 
-    def test_a_label_written_bare_after_padded_keeps_its_row(self):
-        # the padded text reaches the line lane, the bare one the bulk lane
-        text = "1,a \n2,a\n3,b\n"
-        with _chunk_size(1):
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize(
+        "text", ["1,a \n2,a\n3,b\n", "1,a\n2,a \n3,b\n", "1,a \n2,a \n3,b\n"]
+    )
+    def test_a_label_written_bare_after_padded_keeps_its_row(self, text, chunk):
+        # both lanes strip the padding after a label, so padded and bare
+        # text share the label's one row, in chunks of one line or of two
+        with _chunk_size(chunk):
             _parses_as_the_two_pass_parse(text)
-            assert list(parse_event_log(text)) == [{"a"}, {"a"}, {"b"}]
+            queue = parse_event_log(text)
+        assert list(queue) == [{"a"}, {"a"}, {"b"}]
+        assert queue.alphabet() == ["a", "b"]
 
     def test_serialize_sorts_labels_within_tuple(self):
         q = queue_of("ba")
