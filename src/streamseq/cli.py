@@ -137,7 +137,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_update(args: argparse.Namespace) -> int:
-    queue = parse_event_log(_read_text(args.log))
     old = load_pattern_file(_read_text(args.old))
     for flag in ("min_supp", "min_nbd_supp", "span", "max_len"):
         have, want = getattr(args, flag), getattr(old.params, flag)
@@ -146,6 +145,7 @@ def cmd_update(args: argparse.Namespace) -> int:
                 f"--{flag.replace('_', '-')} {have} does not match the "
                 f"pattern file's {want}"
             )
+    queue = parse_event_log(_read_text(args.log))
     start = args.start
     if start is None:
         start = max((end for _, end in old.blocks), default=0)

@@ -265,7 +265,6 @@ def _levelwise(
         within = params.max_len is None or m <= params.max_len
         candidates = gen_candidates(level) if level and within else []
 
-    result.validate()
     return result
 
 

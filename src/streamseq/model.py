@@ -33,12 +33,11 @@ windows safe to share between the miner, the incremental updater and
 the sweep driver without locking.  The exception is memos that never
 change a result.  A queue builds its bitmaps or its label sets on first
 use.  A window fills a memo of each label's bitmap cut to it, one label
-at a time, keeps the last prefix the occurrence counter matched over
-it, replacing it when the prefix changes, and remembers every count
-taken over it, by span and sequence.  A window that head windows were
-cut from also remembers each sequence's set of matching starts, which
-its heads count from.  Each memo entry is written in one statement, so
-a reader sees it whole or not at all.
+at a time, and keeps the last prefix the occurrence counter matched
+over it, replacing it when the prefix changes.  A window that head
+windows were cut from also remembers each sequence's set of matching
+starts, which its heads count from.  Each memo entry is written in one
+statement, so a reader sees it whole or not at all.
 """
 
 from __future__ import annotations
@@ -214,17 +213,15 @@ class ViewWindow:
     mask(), and its tuples are the queue's, queue[start:end].  start
     and size are ints, not bools.
 
-    A window holds four memos that never change a result and take no
+    A window holds three memos that never change a result and take no
     part in equality or in what a window means: `_cuts`, filled once per
     label by mask() with that label's bitmap cut to the window;
     `_prefix`, the last prefix the occurrence counter matched here, as
     one tuple ((span, prefix), count, ends) that the next new prefix
-    replaces; `_counts`, which maps (span, sequence) to the count the
-    occurrence counter took here, so a sequence counted twice over one
-    window is counted once; and `_starts`, which maps (span, sequence)
-    to the sequence's set of matching starts here, bit i for start i,
-    filled only for a window that heads were cut from.  Each memo entry
-    is written in a single statement, so a reader never sees one
+    replaces; and `_starts`, which maps (span, sequence) to the
+    sequence's set of matching starts here, bit i for start i, filled
+    only for a window that heads were cut from.  Each memo entry is
+    written in a single statement, so a reader never sees one
     half-written.
 
     A head window, built by _head(d), is the first d tuples of a wider
@@ -238,7 +235,7 @@ class ViewWindow:
     """
 
     __slots__ = (
-        "queue", "start", "size", "_low", "_parent", "_cuts", "_prefix", "_counts", "_starts"
+        "queue", "start", "size", "_low", "_parent", "_cuts", "_prefix", "_starts"
     )
 
     def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
@@ -256,7 +253,6 @@ class ViewWindow:
         self._parent: ViewWindow | None = None
         self._cuts: dict[str, int] = {}
         self._prefix: tuple[tuple[int, tuple[str, ...]], int, list[int]] | None = None
-        self._counts: dict[tuple[int, Sequence], int] = {}
         self._starts: dict[tuple[int, Sequence], int] = {}
 
     def _head(self, size: int) -> ViewWindow:

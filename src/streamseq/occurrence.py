@@ -29,10 +29,6 @@ digit width (30 bits in CPython):
     prefix is the previous candidate's costs one item step; any other
     costs one step per item.  The candidates of a mining level arrive
     sorted, so each prefix is matched once per block.
-  * A window also keeps every count taken over it.  A sequence counted
-    again over the same window at the same span costs one dict lookup,
-    so re-mining a window that grew by a block counts only the
-    candidates that are new to the old block, plus the new one.
   * Nested windows read one start set.  Whether start i matches depends
     only on the tuples [i, i+span), so a head window, the first d tuples
     of a wider parent, matches exactly the parent's matching starts
@@ -40,7 +36,7 @@ digit width (30 bits in CPython):
     OR of the last item's new ends (or a single item's cover), and every
     head counts it with one AND and one popcount.  A sweep's increments
     are heads of its widest one, so each sequence is matched once per
-    sweep, not once per increment.  A plain window keeps only counts.
+    sweep, not once per increment.
 
 The trade-off is the rare item at a huge span: on 20,000 tuples at
 span 10,000, a type that occurs twice costs about 20 ms per item step
@@ -145,29 +141,16 @@ def occur(
 
     The window keeps the last prefix it matched, with its count and
     ends, keyed by span.  Candidates arrive sorted, so a run of them
-    sharing a prefix matches it once and then walks one item each.  It
-    also keeps each count it was asked for, keyed by span and seq, and
-    answers a repeat from that.  A head window (ViewWindow._head) is
-    counted from its parent's start set for seq, which the parent
-    matches once for all its heads.  The memos never change a result,
-    and every call charges `cost` one scan, memo hit or not, so cost
-    units stay a function of the (candidate, block) pairs asked for.
+    sharing a prefix matches it once and then walks one item each.  A
+    head window (ViewWindow._head) is counted from its parent's start
+    set for seq, kept to the head's starts, which the parent matches
+    once for all its heads.  The memos never change a result, and every
+    call charges `cost` one scan, memo hit or not, so cost units stay a
+    function of the (candidate, block) pairs asked for.
     """
     if cost is not None:
         cost.charge(w.size, params.span)
-    key = (params.span, seq)
-    count = w._counts.get(key)
-    if count is None:
-        count = w._counts[key] = _count(seq, w, params.span)
-    return count
-
-
-def _count(seq: Sequence, w: ViewWindow, span: int) -> int:
-    """occur() without the cost charge and the count memo.
-
-    A head window's count is its parent's start set kept to the head's
-    starts; the parent matches each sequence once, whatever its heads.
-    """
+    span = params.span
     parent = w._parent
     if parent is None:
         return _match(seq, w, span, False)

@@ -12,7 +12,9 @@ window by about that fraction before re-mining.
 
 Timings can be wall-clock or the deterministic cost model from the
 occurrence module; the cost model is the default because it makes every
-figure in the analysis reproducible bit for bit.
+figure in the analysis reproducible bit for bit.  In cost units the full
+re-mine is charged from the lattice, not run: the update's frequent
+family fixes every candidate the re-mine would count.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from fractions import Fraction
 from .distance import distance
 from .errors import BoundsError, ContractError, ParameterError
 from .incremental import UpdateInput, ius_update, speedup
-from .mining import MiningParams, mine
-from .model import StreamQueue, _check_int, window
+from .mining import MiningParams, PatternSet, gen_candidates, mine
+from .model import Sequence, StreamQueue, ViewWindow, _check_int, window
 from .occurrence import CostCounter
 
 COST_UNITS = "cost_units"
@@ -144,28 +146,53 @@ def find_intersections(xs, a, b) -> list[float]:
     return sorted(hits)
 
 
+def _remine_charge(w0: ViewWindow, dw: ViewWindow, ps: PatternSet) -> int:
+    """The cost units mine([w0, dw], ps.params) charges, given its frequent family.
+
+    The re-mine counts every single in either window and then, per
+    level m, gen_candidates(F_m) for its frequent level F_m, stopping at
+    the first empty level or once m + 1 would pass max_len.  It charges
+    each candidate once per block, max(0, size - span + 1) per block, as
+    CostCounter.charge does.  ps is any pattern set whose frequent family
+    is the re-mine's, such as the update of those two windows.
+    """
+    p = ps.params
+    levels: dict[int, list[Sequence]] = {}
+    for seq in ps.frequent:
+        levels.setdefault(len(seq), []).append(seq)
+    n = len({*w0.alphabet(), *dw.alphabet()})
+    m = 1
+    while levels.get(m) and (p.max_len is None or m < p.max_len):
+        n += len(gen_candidates(levels[m]))
+        m += 1
+    return n * sum(max(0, w.size - p.span + 1) for w in (w0, dw))
+
+
 def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     """Measure full-remine cost, update cost and pattern drift per delta.
 
     The base window [0, initial_size) is mined once up front; each delta
     then gets its increment mined (both excluded from timing, since a
     deployed system would hold those pattern sets already), after which
-    the full re-mine of the composed blocks and the incremental update
-    are measured.  The two must agree on the frequent family; the sweep
-    checks that instead of assuming it.
+    the incremental update is measured against a full re-mine of the
+    composed blocks.
+
+    In cost units no re-mine runs.  The update's frequent family is the
+    re-mine's, since the sweep mined the base and every increment over
+    their own blocks, so it fixes which candidates the re-mine would
+    count, and the re-mine's charge follows from the lattice
+    (_remine_charge).  In wall-clock mode the re-mine is timed, and an
+    update that disagrees with it raises ContractError.
 
     The increments are nested prefixes of the widest one, [initial_size,
     initial_size + max delta), so each is built as a head window of it:
     a sequence is matched once over the widest increment, and each
     increment counts it by masking that one start set to its own starts.
-    In cost units every re-mine reuses the base window, whose count
-    memo then holds every candidate counted over it so far, and the
-    increment's head window; the update rescans the windows the re-mine
-    counted on.  Cost units charge each scan all the same, memo hit or
-    not, so they do not depend on this reuse.  A wall-clock rep builds
-    fresh windows and a fresh UpdateInput, so no time it records is a
-    memo hit left over from the base or increment mine or an earlier
-    rep.
+    In cost units the update rescans the base window and the increment's
+    head window.  Cost units charge each scan all the same, so they do
+    not depend on this reuse.  A wall-clock rep builds fresh windows and
+    a fresh UpdateInput, so no time it records is a memo hit left over
+    from the base or increment mine or an earlier rep.
     """
     need = cfg.initial_size + cfg.delta_sizes[-1]
     if need > len(queue):
@@ -182,14 +209,12 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
         dw = wide._head(d)
         part = mine([dw], cfg.params)
         if cfg.timing == COST_UNITS:
-            full_cost = CostCounter()
-            full = mine([w0, dw], cfg.params, cost=full_cost)
             upd_cost = CostCounter()
             upd_input = UpdateInput(queue, base, part)
-            # the same ranges, over the windows the re-mine just counted on
+            # the same ranges, over the windows the base and increment mines used
             upd_input.old_blocks, upd_input.delta_blocks = [w0], [dw]
             upd = ius_update(upd_input, cost=upd_cost)
-            t_full: float = full_cost.window_evaluations
+            t_full: float = _remine_charge(w0, dw, upd)
             t_ius: float = upd_cost.window_evaluations
         else:
             full_times = []
@@ -206,11 +231,11 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
                 upd_times.append(time.perf_counter() - t0)
             t_full = statistics.median(full_times)
             t_ius = statistics.median(upd_times)
-        if upd.frequent != full.frequent:
-            raise ContractError(
-                f"update and re-mine disagree at delta {d}; "
-                "the input pattern sets do not match their blocks"
-            )
+            if upd.frequent != full.frequent:
+                raise ContractError(
+                    f"update and re-mine disagree at delta {d}; "
+                    "the input pattern sets do not match their blocks"
+                )
         if t_ius == 0:
             raise ContractError(
                 f"the update at delta {d} needs no rescan, so its speedup "
@@ -222,7 +247,7 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
                 t_full=t_full,
                 t_ius=t_ius,
                 speedup=speedup(t_full, t_ius),
-                difference=distance(base_keys, frozenset(full.frequent)),
+                difference=distance(base_keys, frozenset(upd.frequent)),
             )
         )
     return points

@@ -309,6 +309,19 @@ def test_sweep_with_one_delta_is_2_before_reading_the_log(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: --deltas")
 
 
+def test_update_flag_against_the_pattern_file_is_3_before_reading_the_log(tmp_path, capsys):
+    # a contradicting flag is a data error whatever the log; reading the
+    # log first would exit 4 on a missing one
+    log, old, out = gen_log(tmp_path / "s.log"), tmp_path / "t0.p", tmp_path / "out.p"
+    assert run("mine", str(log), str(old), "--size", "200",
+               "--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "4") == 0
+    capsys.readouterr()
+    code = run("update", str(tmp_path / "missing.log"), str(old), str(out),
+               "--size", "10", "--span", "7")
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --span 7 does not match")
+
 _MINE = ("--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3")
 
 

@@ -130,6 +130,25 @@ class TestUpdateProperties:
         )
         assert dump_pattern_file(back) == text
 
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        _gapped_split(),
+        st.integers(5, 60),
+        st.integers(1, 6),
+        st.sampled_from([None, 1, 2, 3, 4]),
+    )
+    def test_every_mine_and_update_result_validates(self, split, pct, span, max_len):
+        # the engine does not check its own output; this holds it to
+        # every invariant PatternSet.validate checks
+        old_blocks, delta_blocks = split
+        supp = Fraction(pct, 100)
+        params = MiningParams(supp, supp / 3, CountParams(span), max_len=max_len)
+        q = old_blocks[0].queue
+        old, part = mine(old_blocks, params), mine(delta_blocks, params)
+        for result in (old, part, mine(old_blocks + delta_blocks, params),
+                       ius_update(UpdateInput(q, old, part))):
+            result.validate()
+
 
 class TestMembershipTransitions:
     def test_demotion_when_delta_starves_a_frequent_sequence(self):

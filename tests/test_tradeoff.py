@@ -200,7 +200,7 @@ class TestRunSweep:
         real_mine, real_update = tradeoff.mine, tradeoff.ius_update
 
         def used(windows):
-            return any(w._cuts or w._prefix or w._counts for w in windows)
+            return any(w._cuts or w._prefix or w._starts for w in windows)
 
         def mine(blocks, params, cost=None):
             blocks = list(blocks)
@@ -227,6 +227,42 @@ class TestRunSweep:
             ["mine"] * 4 + ["update"] * 3
         )
         assert not any(reused for _, reused in seen)
+
+    def test_cost_units_run_no_remine(self, monkeypatch):
+        # the re-mine's charge comes from the lattice, so only the base
+        # and the increments are mined
+        calls = []
+        real_mine = tradeoff.mine
+
+        def mine(blocks, params, cost=None):
+            calls.append(len(blocks))
+            return real_mine(blocks, params, cost)
+
+        monkeypatch.setattr(tradeoff, "mine", mine)
+        q = random_queue(random.Random(65), 90, ["a", "b", "c"])
+        cfg = SweepConfig(initial_size=40, delta_sizes=(10, 30, 50), params=_params())
+        run_sweep(q, cfg)
+        assert calls == [1] * (1 + len(cfg.delta_sizes))
+
+    def test_wall_clock_refuses_an_update_that_disagrees_with_the_remine(self, monkeypatch):
+        real_update = tradeoff.ius_update
+
+        def ius_update(inp, cost=None):
+            upd = real_update(inp, cost)
+            upd.frequent.popitem()
+            return upd
+
+        monkeypatch.setattr(tradeoff, "ius_update", ius_update)
+        q = random_queue(random.Random(66), 80, ["a", "b", "c"])
+        cfg = SweepConfig(
+            initial_size=40,
+            delta_sizes=(10, 30),
+            params=_params(),
+            timing="wall_clock",
+            repetitions=1,
+        )
+        with pytest.raises(ContractError, match="disagree"):
+            run_sweep(q, cfg)
 
     def test_queue_too_short_rejected(self):
         rng = random.Random(63)
@@ -305,7 +341,9 @@ def _sweeps(draw):
     base window and past the shortest rungs, so rungs with no start
     position, and bases with none, are drawn too.  A base and a rung that
     both have none leave the update nothing to charge, so half the
-    ladders start at the span."""
+    ladders start at the span.  max_len is drawn with None among its
+    values, so the re-mine's charge stops both at an empty level and at
+    the cap."""
     span = draw(st.integers(1, 10), label="span")
     initial = draw(st.integers(1, 20), label="initial")
     low = draw(st.sampled_from([1, span]), label="shortest allowed rung")
@@ -315,7 +353,8 @@ def _sweeps(draw):
     labels = st.sets(st.sampled_from("abcd"), min_size=1, max_size=2)
     rows = draw(st.lists(labels, min_size=n, max_size=n))
     supp = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 5), Fraction(1, 3)]))
-    params = MiningParams(supp, supp / 2, CountParams(span), max_len=3)
+    max_len = draw(st.sampled_from([None, 1, 2, 3]), label="max_len")
+    params = MiningParams(supp, supp / 2, CountParams(span), max_len=max_len)
     queue = StreamQueue((i + 1, r) for i, r in enumerate(rows))
     return queue, SweepConfig(initial_size=initial, delta_sizes=tuple(deltas), params=params)
 
