@@ -188,7 +188,7 @@ def generate(cfg: GenConfig) -> StreamQueue:
     after = [(seq, rate / 1000.0) for seq, rate in cfg.embedded_after or ()]
 
     pending: dict[int, set[str]] = {}
-    rows: list[tuple[int, frozenset[str]]] = []
+    sets: list[frozenset[str]] = []
     events = 0
     i = 0
     while events < n_events:
@@ -205,13 +205,15 @@ def generate(cfg: GenConfig) -> StreamQueue:
         types = pending.pop(i, set())
         for _ in range(k):
             types.add(alphabet[next(accepted) % n_types])
-        rows.append((i + 1, frozenset(types)))
+        sets.append(frozenset(types))
         events += len(types)
         i += 1
 
-    if drift_at is not None and drift_at >= len(rows):
+    if drift_at is not None and drift_at >= len(sets):
         raise ParameterError(
             f"drift_at={drift_at} lies beyond the generated stream "
-            f"({len(rows)} tuples); raise n_events or move the boundary"
+            f"({len(sets)} tuples); raise n_events or move the boundary"
         )
-    return StreamQueue(rows)
+    # every tuple holds at least one label, from type_labels or a checked
+    # Sequence, so the queue needs no check of its rows
+    return StreamQueue._from_sets(tuple(range(1, len(sets) + 1)), tuple(sets))

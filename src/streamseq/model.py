@@ -32,10 +32,11 @@ Everything here is immutable after construction, which is what makes the
 windows safe to share between the miner, the incremental updater and
 the sweep driver without locking.  The exception is memos that never
 change a result.  A queue builds its bitmaps or its label sets on first
-use.  A window fills a memo of each label's bitmap cut to it, one label
-at a time, and keeps the last prefix the occurrence counter matched
-over it, replacing it when the prefix changes.  A window that head
-windows were cut from also remembers each sequence's set of matching
+use.  A window keeps four memos: each label's bitmap cut to it, filled
+one label at a time; the last prefix the occurrence counter matched
+over it, replaced when the prefix changes; each last item's suffix
+covers, which grow with the longest ends list asked; and, in a window
+that head windows were cut from, each sequence's set of matching
 starts, which its heads count from.  Each memo entry is written in one
 statement, so a reader sees it whole or not at all.
 """
@@ -128,6 +129,18 @@ class StreamQueue:
         queue._masks = masks
         return queue
 
+    @classmethod
+    def _from_sets(
+        cls, times: tuple[int, ...], sets: tuple[frozenset[str], ...]
+    ) -> StreamQueue:
+        """A queue given as strictly increasing timestamps and each tuple's
+        non-empty label set, every label one that _check_label passes."""
+        queue = cls.__new__(cls)
+        queue.times = times
+        queue._sets = sets
+        queue._masks = None
+        return queue
+
     def _label_sets(self) -> tuple[frozenset[str], ...]:
         """Each tuple's labels in time order; a parsed queue builds them on
         first use."""
@@ -213,16 +226,19 @@ class ViewWindow:
     mask(), and its tuples are the queue's, queue[start:end].  start
     and size are ints, not bools.
 
-    A window holds three memos that never change a result and take no
+    A window holds four memos that never change a result and take no
     part in equality or in what a window means: `_cuts`, filled once per
     label by mask() with that label's bitmap cut to the window;
     `_prefix`, the last prefix the occurrence counter matched here, as
     one tuple ((span, prefix), count, ends) that the next new prefix
-    replaces; and `_starts`, which maps (span, sequence) to the
-    sequence's set of matching starts here, bit i for start i, filled
-    only for a window that heads were cut from.  Each memo entry is
-    written in a single statement, so a reader never sees one
-    half-written.
+    replaces; `_after`, which maps (span, item) to the item's suffix
+    covers, entry e the starts with the item at some offset in (e,
+    span), filled for items that end a sequence of two or more and
+    replaced by a longer list when a longer ends list asks; and
+    `_starts`, which maps (span, sequence) to the sequence's set of
+    matching starts here, bit i for start i, filled only for a window
+    that heads were cut from.  Each memo entry is written in a single
+    statement, so a reader never sees one half-written.
 
     A head window, built by _head(d), is the first d tuples of a wider
     window, its parent, and reads through the parent's memos: its cut
@@ -235,7 +251,8 @@ class ViewWindow:
     """
 
     __slots__ = (
-        "queue", "start", "size", "_low", "_parent", "_cuts", "_prefix", "_starts"
+        "queue", "start", "size", "_low", "_parent",
+        "_cuts", "_prefix", "_after", "_starts",
     )
 
     def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
@@ -253,6 +270,7 @@ class ViewWindow:
         self._parent: ViewWindow | None = None
         self._cuts: dict[str, int] = {}
         self._prefix: tuple[tuple[int, tuple[str, ...]], int, list[int]] | None = None
+        self._after: dict[tuple[int, str], list[int]] = {}
         self._starts: dict[tuple[int, Sequence], int] = {}
 
     def _head(self, size: int) -> ViewWindow:

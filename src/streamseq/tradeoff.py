@@ -8,7 +8,9 @@ increment sizes, min_max_normalize puts the two series on a common
 [0, 1] scale, and recommend reads off where the falling speedup curve
 meets the rising difference curve.  The first meeting point, divided by
 the base window size, is the recommended increment ratio: grow the
-window by about that fraction before re-mining.
+window by about that fraction before re-mining.  The normalization and
+the crossings are exact rationals; only the reported values are floats,
+each the nearest float to its exact value.
 
 Timings can be wall-clock or the deterministic cost model from the
 occurrence module; the cost model is the default because it makes every
@@ -87,8 +89,9 @@ class Recommendation:
 
     crossings holds every meeting abscissa in increasing order;
     chosen_x is the first one, ratio is chosen_x / initial window size,
-    ratio_range brackets first to last crossing.  degenerate flags a
-    sweep where one series was constant, which leaves normalization
+    ratio_range brackets first to last crossing.  Each is the float
+    nearest to the exact rational recommend computes.  degenerate flags
+    a sweep where one series was constant, which leaves normalization
     meaningless; no crossing is reported then.
     """
 
@@ -99,28 +102,29 @@ class Recommendation:
     degenerate: bool
 
 
-def min_max_normalize(values) -> list[float]:
+def min_max_normalize(values) -> list[Fraction]:
     """Affinely map values onto [0, 1]: v' = (v - min) / (max - min).
 
-    The minimum maps to exactly 0.0 and the maximum to exactly 1.0, bit
-    for bit.  A constant series has no spread to map and collapses to
-    0.0 everywhere.
+    Each value is read as the Fraction it equals, a float included, and
+    mapped exactly: the minimum to 0, the maximum to 1.  A constant
+    series has no spread to map and collapses to 0 everywhere.
     """
-    vals = [float(v) for v in values]
+    vals = [Fraction(v) for v in values]
     if not vals:
         raise ParameterError("cannot normalize an empty series")
     lo, hi = min(vals), max(vals)
     if hi == lo:
-        return [0.0] * len(vals)
+        return [Fraction(0)] * len(vals)
     width = hi - lo
     return [(v - lo) / width for v in vals]
 
 
-def find_intersections(xs, a, b) -> list[float]:
+def find_intersections(xs, a, b) -> list[Fraction]:
     """All x where two piecewise-linear curves over the grid xs meet.
 
     a and b are the curves' y values at each grid point; xs must
-    strictly increase.  Returned in increasing order.  A grid point
+    strictly increase.  Every value is read as the Fraction it equals,
+    so each meeting is exact.  Returned in increasing order.  A grid point
     where the curves are exactly equal is reported once.  Strictly
     opposite signs of the gap across a segment give one interior
     crossing by linear interpolation; a segment where the curves
@@ -131,10 +135,11 @@ def find_intersections(xs, a, b) -> list[float]:
         raise ContractError(
             f"grid and curves differ in length: {len(xs)}, {len(a)}, {len(b)}"
         )
+    xs = [Fraction(x) for x in xs]
     if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
         raise ParameterError("curve x values must strictly increase")
-    gap = [ay - by for ay, by in zip(a, b)]
-    hits: set[float] = set()
+    gap = [Fraction(ay) - Fraction(by) for ay, by in zip(a, b)]
+    hits: set[Fraction] = set()
     for i, g in enumerate(gap):
         if g == 0:
             hits.add(xs[i])
@@ -253,30 +258,40 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     return points
 
 
+def _series(points: list[SweepPoint]) -> tuple[list[Fraction], list[Fraction]]:
+    """A sweep's speedups, t_full / t_ius, and differences, as exact
+    rationals; a wall-clock float time converts exactly."""
+    speedups = [speedup(Fraction(p.t_full), Fraction(p.t_ius)) for p in points]
+    return speedups, [Fraction(p.difference) for p in points]
+
+
 def recommend(points: list[SweepPoint], initial_size: int) -> Recommendation:
     """Normalize both series and intersect them.
 
     Needs at least two points to interpolate between.  When either
     series is constant the sweep is degenerate: normalization would
     fabricate a geometry the data does not have, so no crossing or
-    ratio is reported and the degenerate flag is set instead.
+    ratio is reported and the degenerate flag is set instead.  The
+    speedups are read from t_full and t_ius, not from the rounded
+    SweepPoint.speedup, and everything up to the reported floats is
+    exact, so a grid point where the normalized curves are equal is a
+    meeting, never a tiny gap of either sign.
     """
     if len(points) < 2:
         raise ContractError("recommend needs at least two sweep points")
     _check_int("initial_size", initial_size)
     if initial_size < 1:
         raise ParameterError(f"initial_size must be >= 1, got {initial_size}")
-    xs = [float(p.delta_size) for p in points]
-    sp = [p.speedup for p in points]
-    df = [float(p.difference) for p in points]
+    sp, df = _series(points)
     degenerate = (max(sp) == min(sp)) or (max(df) == min(df))
-    crossings = () if degenerate else tuple(
-        find_intersections(xs, min_max_normalize(sp), min_max_normalize(df))
+    crossings = [] if degenerate else find_intersections(
+        [p.delta_size for p in points], min_max_normalize(sp), min_max_normalize(df)
     )
-    ratios = [x / initial_size for x in crossings]
+    xs = tuple(map(float, crossings))
+    ratios = [float(x / initial_size) for x in crossings]
     return Recommendation(
-        crossings=crossings,
-        chosen_x=crossings[0] if crossings else None,
+        crossings=xs,
+        chosen_x=xs[0] if xs else None,
         ratio=ratios[0] if ratios else None,
         ratio_range=(ratios[0], ratios[-1]) if ratios else None,
         degenerate=degenerate,
@@ -284,15 +299,19 @@ def recommend(points: list[SweepPoint], initial_size: int) -> Recommendation:
 
 
 def sweep_csv(points: list[SweepPoint]) -> str:
-    """Render sweep points as CSV with raw and normalized columns."""
+    """Render sweep points as CSV with raw and normalized columns.
+
+    The normalized columns are the exact curves recommend intersects,
+    each printed from its nearest float.
+    """
     if not points:
         raise ParameterError("no sweep points to render")
-    sp_n = min_max_normalize([p.speedup for p in points])
-    df_n = min_max_normalize([float(p.difference) for p in points])
+    sp_n, df_n = map(min_max_normalize, _series(points))
     lines = ["delta_size,speedup,difference,speedup_norm,difference_norm"]
     for p, s, d in zip(points, sp_n, df_n):
         lines.append(
-            f"{p.delta_size},{p.speedup:.6f},{float(p.difference):.6f},{s:.6f},{d:.6f}"
+            f"{p.delta_size},{p.speedup:.6f},{float(p.difference):.6f},"
+            f"{float(s):.6f},{float(d):.6f}"
         )
     return "\n".join(lines) + "\n"
 

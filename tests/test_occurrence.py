@@ -1,6 +1,8 @@
 import pickle
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from streamseq import (
     window,
 )
 from streamseq.mining import MiningParams
+from streamseq.occurrence import _last_item, _walk
 from conftest import alternating_ab, queue_of, random_queue
 from oracle import brute_force_frequent, contains, occur_bruteforce, shrink_by_one
 
@@ -154,7 +157,70 @@ _sequences = st.lists(st.sampled_from(_ROW_LABELS), min_size=1, max_size=4).map(
 )
 
 
+def _count_noting_ends(win, s, params, longest):
+    """Check occur(s, win, params) against the oracle.  When the count
+    reached its last item's step, note in `longest` the longest ends
+    list that step has been given for (window, span, last item)."""
+    assert occur(s, win, params) == occur_bruteforce(s, win, params)
+    memo = win._prefix
+    if (
+        len(s) > 1
+        and params.span <= win.size
+        and win.mask(s[-1])
+        and memo is not None
+        and memo[0] == (params.span, s[:-1])
+        and memo[1]
+    ):
+        key = (id(win), params.span, s[-1])
+        longest[key] = max(longest.get(key, 0), len(memo[2]))
+
+
+def _check_after_memo(win, longest):
+    """win._after holds, per (span, item) it was filled for, the suffix
+    covers after[e] = OR of y >> d over e < d < span, as many of them as
+    the longest ends list asked, which is at most min(span, size)."""
+    filled = {(sp, item) for wid, sp, item in longest if wid == id(win)}
+    assert set(win._after) == filled
+    for (span, item), after in win._after.items():
+        assert len(after) == longest[id(win), span, item] <= min(span, win.size)
+        y = win.mask(item)
+        for e, a in enumerate(after):
+            assert a == reduce(or_, (y >> d for d in range(e + 1, span)), 0)
+
+
 class TestOccurProperties:
+    @_PROPERTY
+    @given(
+        st.lists(st.booleans(), max_size=50),
+        st.integers(1, 40),
+        st.data(),
+    )
+    def test_the_last_item_step_is_the_walk(self, ybits, span, data):
+        """_last_item finds the starts _walk(0, ends, y, span) would: the
+        OR of its hits, with the prefix's count less the starts left
+        waiting as its popcount.  Several ends lists over one window,
+        shorter and longer, read and grow one memo."""
+        w = window(queue_of(*(["a"] if b else ["z"] for b in ybits)), 0, len(ybits))
+        y = w.mask("a")
+        asked = []
+        for _ in range(data.draw(st.integers(1, 4), label="lists")):
+            n = data.draw(st.integers(0, span), label="n")
+            # each start's prefix match ends at one offset below n, or nowhere
+            offsets = data.draw(
+                st.lists(st.integers(-1, n - 1), min_size=w.size, max_size=w.size),
+                label="offsets",
+            )
+            ends = [
+                sum(1 << i for i, o in enumerate(offsets) if o == e) for e in range(n)
+            ]
+            hits, left = _walk(0, ends, y, span)
+            found = _last_item(w, span, "a", ends)
+            assert found == reduce(or_, hits, 0)
+            count = sum(e.bit_count() for e in ends)
+            assert found.bit_count() == count - left.bit_count()
+            asked.append(n)
+        assert len(w._after.get((span, "a"), [])) == max(asked)
+
     @_PROPERTY
     @given(_long_windows(), _sequences, st.data())
     def test_equals_bruteforce_on_long_windows(self, w, s, data):
@@ -198,17 +264,21 @@ class TestOccurProperties:
         st.data(),
     )
     def test_the_window_memos_never_change_a_count(self, w, seqs, span, span2, data):
-        """A window remembers its mask cuts, its last matched prefix and
-        every count taken over it.  Whatever order counts arrive in, every
-        count equals the oracle's, and a mine repeated over one window, or
-        over a pickled copy of a used one, equals a mine over a fresh one.
-        A head window of every length, which counts through its parent's
-        start sets, equals and counts as the plain window of its range,
-        pickled or not, and the parent matches each sequence once."""
+        """A window remembers its mask cuts, its last matched prefix, its
+        last items' suffix covers and every count taken over it.  Whatever
+        order counts arrive in, every count equals the oracle's, and a mine
+        repeated over one window, or over a pickled copy of a used one,
+        equals a mine over a fresh one.  A last item shared by other
+        prefixes, or asked again after a prefix whose match ends later,
+        reads and grows one entry of suffix covers, which stays exact and
+        no longer than the longest ends list asked.  A head window of
+        every length, which counts through its parent's start sets, equals
+        and counts as the plain window of its range, pickled or not, and
+        the parent matches each sequence once."""
         q = w.queue
         other = window(q, 0, len(q))
         p, p2 = CountParams(span), CountParams(span2)
-        kinds = st.sampled_from(["again", "span", "other", "dead"])
+        kinds = st.sampled_from(["again", "span", "other", "dead", "shared"])
         steps = []
         for s in sorted(set(seqs)):
             steps.append((w, p, s))
@@ -220,10 +290,33 @@ class TestOccurProperties:
                     steps.append((w, p2, s))
                 elif kind == "other":
                     steps.append((other, p, s))
-                else:  # "e" is in no tuple, so this prefix never matches
+                elif kind == "dead":
+                    # "e" is in no tuple, so this prefix never matches
                     steps.append((w, p, Sequence.of("e", *s)))
+                else:  # the same last item after another prefix
+                    head = data.draw(_sequences, label="prefix")
+                    steps.append((w, p, Sequence.of(*head, s[-1])))
+        longest = {}
         for win, params, s in steps:
-            assert occur(s, win, params) == occur_bruteforce(s, win, params)
+            _count_noting_ends(win, s, params, longest)
+        _check_after_memo(w, longest)
+        _check_after_memo(other, longest)
+
+        # every pair ending in each item, asked in the order of their ends
+        # lists' lengths, so that each longer one grows the item's entry
+        probe, grow = window(q, w.start, w.size), window(q, w.start, w.size)
+        lengths = {}
+        pairs = [Sequence.of(x, y) for y in _ROW_LABELS for x in _ROW_LABELS]
+        for s in pairs:
+            _count_noting_ends(probe, s, p, lengths)
+            lengths[s] = lengths.pop((id(probe), span, s[-1]), 0)
+        longest = {}
+        for s in sorted(pairs, key=lambda s: (s[-1], lengths[s])):
+            _count_noting_ends(grow, s, p, longest)
+            assert len(grow._after.get((span, s[-1]), [])) == longest.get(
+                (id(grow), span, s[-1]), 0
+            )
+        _check_after_memo(grow, longest)
 
         n = len(q)
         fresh, used = window(q, 0, n), window(q, 0, n)

@@ -106,7 +106,81 @@ def _points(xs, sp, df):
     ]
 
 
+def _reference_crossings(points, initial_size):
+    """An exact reference for recommend: the normalized curves as
+    Fractions, then every rung where they are equal and every segment
+    whose ends lie strictly on opposite sides, solved as two lines.
+    None for a degenerate sweep."""
+    xs = [Fraction(p.delta_size) for p in points]
+    curves = []
+    for raw in (
+        [Fraction(p.t_full) / Fraction(p.t_ius) for p in points],
+        [Fraction(p.difference) for p in points],
+    ):
+        lo, hi = min(raw), max(raw)
+        if lo == hi:
+            return None
+        curves.append([(v - lo) / (hi - lo) for v in raw])
+    (a, b), found = curves, set()
+    for i, x in enumerate(xs):
+        if a[i] == b[i]:
+            found.add(x)
+    for i in range(len(xs) - 1):
+        d0, d1 = a[i] - b[i], a[i + 1] - b[i + 1]
+        if d0 * d1 < 0:
+            slope = (d1 - d0) / (xs[i + 1] - xs[i])
+            found.add(xs[i] - d0 / slope)
+    return [x / initial_size for x in sorted(found)]
+
+
+@st.composite
+def _tied_sweeps(draw):
+    """Small-integer sweeps, where equal normalized values are common."""
+    n = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    return [
+        SweepPoint(
+            delta_size=sum(gaps[: i + 1]),
+            t_full=(t_full := draw(st.integers(1, 6))),
+            t_ius=(t_ius := draw(st.integers(1, 4))),
+            speedup=t_full / t_ius,
+            difference=Fraction(draw(st.integers(0, 6)), 6),
+        )
+        for i in range(n)
+    ]
+
+
 class TestRecommend:
+    def test_an_exact_tie_is_a_crossing(self):
+        # at the first rung both normalized curves are exactly 1/5; in
+        # floats the speedup's reads a hair above the difference's, so the
+        # first crossing was missed and the ratio read 4.346
+        pts = [
+            SweepPoint(d, t_full, t_ius, t_full / t_ius, diff)
+            for d, t_full, t_ius, diff in zip(
+                (6, 22, 43, 46, 49, 51),
+                (27, 28, 14, 30, 6, 28),
+                (9, 2, 7, 7, 24, 16),
+                map(Fraction, ("1/6", "1/6", "0", "5/6", "1/3", "1/3")),
+            )
+        ]
+        rec = recommend(pts, 10)
+        assert rec.chosen_x == 6.0 and rec.ratio == 0.6
+        assert recommendation_text(rec).splitlines()[1] == "ratio=0.600000"
+        rows = list(csv.DictReader(io.StringIO(sweep_csv(pts))))
+        assert rows[0]["speedup_norm"] == rows[0]["difference_norm"] == "0.200000"
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_tied_sweeps(), st.integers(1, 50))
+    def test_crossings_equal_an_exact_reference(self, pts, initial_size):
+        want = _reference_crossings(pts, initial_size)
+        rec = recommend(pts, initial_size)
+        assert rec.degenerate == (want is None)
+        want = want or []
+        assert rec.crossings == tuple(float(r * initial_size) for r in want)
+        assert rec.ratio == (float(want[0]) if want else None)
+        assert rec.ratio_range == ((float(want[0]), float(want[-1])) if want else None)
+
     def test_single_crossing(self):
         pts = _points([100, 200, 300], [9.0, 6.0, 3.0], [0.1, 0.2, 0.7])
         rec = recommend(pts, 1000)
@@ -200,7 +274,9 @@ class TestRunSweep:
         real_mine, real_update = tradeoff.mine, tradeoff.ius_update
 
         def used(windows):
-            return any(w._cuts or w._prefix or w._starts for w in windows)
+            return any(
+                w._cuts or w._prefix or w._after or w._starts for w in windows
+            )
 
         def mine(blocks, params, cost=None):
             blocks = list(blocks)
