@@ -137,6 +137,17 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_update(args: argparse.Namespace) -> int:
+    # each flag given must lie in the domain mine checks, whatever the
+    # pattern file holds; a lone threshold stands in for the other one,
+    # so its domain is (0, 1]
+    supp = args.min_supp if args.min_supp is not None else args.min_nbd_supp
+    nbd = args.min_nbd_supp if args.min_nbd_supp is not None else supp
+    MiningParams(
+        min_supp=1 if supp is None else supp,
+        min_nbd_supp=1 if nbd is None else nbd,
+        count_params=CountParams(span=1 if args.span is None else args.span),
+        max_len=args.max_len,
+    )
     old = load_pattern_file(_read_text(args.old))
     for flag in ("min_supp", "min_nbd_supp", "span", "max_len"):
         have, want = getattr(args, flag), getattr(old.params, flag)

@@ -69,6 +69,7 @@ def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:
     Returns the PatternSet of the composed window; it matches
     mine(old_blocks + delta_blocks, old.params) exactly, counts included.
     Only rescans are charged to `cost`; stored-count lookups are free.
+    The search's per-level candidate counts are added to `cost` too.
     """
     old, dlt = inp.old, inp.delta
     cp = old.params.count_params
@@ -82,6 +83,7 @@ def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:
         lambda seq: side(old, inp.old_blocks, seq) + side(dlt, inp.delta_blocks, seq),
         old.params,
         old.blocks + dlt.blocks,
+        cost,
     )
 
 

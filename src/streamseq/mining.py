@@ -235,6 +235,7 @@ def _levelwise(
     count: Callable[[Sequence], int],
     params: MiningParams,
     blocks: tuple[tuple[int, int], ...],
+    cost: CostCounter | None = None,
 ) -> PatternSet:
     """The level-wise search shared by mine() and the incremental update.
 
@@ -243,7 +244,8 @@ def _levelwise(
     as frequent or border against the thresholds for the total size of
     `blocks`.  The search stops at the first empty frequent level or
     past max_len.  Candidates are visited in Sequence order, so any cost
-    `count` charges is reproducible run to run.
+    `count` charges is reproducible run to run.  Given a counter, the
+    search adds each level's number of candidates to `cost.candidates`.
     """
     result = PatternSet(params=params, blocks=blocks, frequent={}, border={})
     result.validate()  # refuses overlapping blocks before any counting
@@ -253,6 +255,8 @@ def _levelwise(
     candidates = sorted(singles)
     m = 1
     while candidates:
+        if cost is not None:
+            cost.candidates[m] = cost.candidates.get(m, 0) + len(candidates)
         level: list[Sequence] = []
         for cand in candidates:
             c = count(cand)
@@ -290,4 +294,5 @@ def mine(
         lambda seq: occur_partitioned(seq, blocks, cp, cost),
         params,
         tuple((b.start, b.end) for b in blocks),
+        cost,
     )

@@ -33,12 +33,12 @@ windows safe to share between the miner, the incremental updater and
 the sweep driver without locking.  The exception is memos that never
 change a result.  A queue builds its bitmaps or its label sets on first
 use.  A window keeps four memos: each label's bitmap cut to it, filled
-one label at a time; the last prefix the occurrence counter matched
-over it, replaced when the prefix changes; each last item's suffix
-covers, which grow with the longest ends list asked; and, in a window
-that head windows were cut from, each sequence's set of matching
-starts, which its heads count from.  Each memo entry is written in one
-statement, so a reader sees it whole or not at all.
+one label at a time; the path of prefixes the occurrence counter last
+matched over it, replaced when the prefix changes; each last item's
+offset planes, built once per span; and, in a window that head windows
+were cut from, each sequence's set of matching starts, which its heads
+count from.  Each memo entry is written in one statement, so a reader
+sees it whole or not at all.
 """
 
 from __future__ import annotations
@@ -219,6 +219,10 @@ def _check_int(name: str, value: object) -> None:
         raise ParameterError(f"{name} must be an int, got {value!r}")
 
 
+# a matched prefix's last item, its ends and, once built, its end planes
+_PathNode = tuple[str, list[int], list[int] | None]
+
+
 class ViewWindow:
     """The range [start, start+size) of a queue's tuples, to count over.
 
@@ -229,12 +233,13 @@ class ViewWindow:
     A window holds four memos that never change a result and take no
     part in equality or in what a window means: `_cuts`, filled once per
     label by mask() with that label's bitmap cut to the window;
-    `_prefix`, the last prefix the occurrence counter matched here, as
-    one tuple ((span, prefix), count, ends) that the next new prefix
-    replaces; `_after`, which maps (span, item) to the item's suffix
-    covers, entry e the starts with the item at some offset in (e,
-    span), filled for items that end a sequence of two or more and
-    replaced by a longer list when a longer ends list asks; and
+    `_path`, the prefix the occurrence counter last matched here, as
+    (span, nodes) with one node (item, ends, end planes or None) per
+    prefix length, which the next prefix replaces from the first item
+    where the two differ; `_lasts`, which maps (span, item) to the
+    item's (span - 1).bit_length() offset planes, plane k the starts
+    whose last offset of the item inside the span has bit k set, filled
+    for items that end a sequence of two or more; and
     `_starts`, which maps (span, sequence) to the sequence's set of
     matching starts here, bit i for start i, filled only for a window
     that heads were cut from.  Each memo entry is written in a single
@@ -252,7 +257,7 @@ class ViewWindow:
 
     __slots__ = (
         "queue", "start", "size", "_low", "_parent",
-        "_cuts", "_prefix", "_after", "_starts",
+        "_cuts", "_path", "_lasts", "_starts",
     )
 
     def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
@@ -269,8 +274,8 @@ class ViewWindow:
         self._low = (1 << size) - 1  # the low `size` bits, which mask() keeps
         self._parent: ViewWindow | None = None
         self._cuts: dict[str, int] = {}
-        self._prefix: tuple[tuple[int, tuple[str, ...]], int, list[int]] | None = None
-        self._after: dict[tuple[int, str], list[int]] = {}
+        self._path: tuple[int, tuple[_PathNode, ...]] | None = None
+        self._lasts: dict[tuple[int, str], list[int]] = {}
         self._starts: dict[tuple[int, Sequence], int] = {}
 
     def _head(self, size: int) -> ViewWindow:

@@ -25,21 +25,25 @@ digit width (30 bits in CPython):
     start at once with a few big-int operations per offset inside the
     span, so it costs O(min(span, gap) * W / word), where gap is the
     longest run of tuples without the item.
-  * A candidate's last item costs one AND and one OR per entry of its
-    prefix's ends list, at most span of them, O(len(ends) * W / word).
-    It reads the item's suffix covers, which the window keeps per
-    (span, item) and builds once for every prefix the item ends, with
-    one shift and one OR per entry.
-  * A window keeps the last prefix matched over it.  A candidate whose
-    prefix is the previous candidate's costs its last item; any other
-    costs one step per prefix item first.  The candidates of a mining
-    level arrive sorted, so each prefix is matched once per block.
+  * A candidate's last item costs 4b big-int operations, with b =
+    (span - 1).bit_length(), and one popcount: O(b * W / word).  Each
+    start carries two offsets, E, where its prefix's match ends, and L,
+    the last offset inside the span where the item sits, and the
+    candidate matches where E < L.  Both are kept bit-sliced, as b
+    planes each, and compared plane by plane.  The end planes cost
+    O(len(ends) * b * W / word) once per prefix node, the item's
+    offset planes O(span * W / word) once per (span, item) and window.
+  * A window keeps its matched path: one node per prefix length, for
+    the last prefix asked.  A candidate walks only the prefix items past
+    the head it shares with the path, so its cost is the item steps of
+    the new items plus its last item.  The candidates of a mining level
+    arrive sorted, so each prefix node is matched once per block.
   * Nested windows read one start set.  Whether start i matches depends
     only on the tuples [i, i+span), so a head window, the first d tuples
     of a wider parent, matches exactly the parent's matching starts
-    below d - span + 1.  The parent keeps each sequence's start set, the
-    OR of the last item's new ends (or a single item's cover), and every
-    head counts it with one AND and one popcount.  A sweep's increments
+    below d - span + 1.  The parent keeps each sequence's start set, as
+    the last item's comparison (or a single item's cover) gives it, and
+    every head counts it with one AND and one popcount.  A sweep's increments
     are heads of its widest one, so each sequence is matched once per
     sweep, not once per increment.
 
@@ -48,21 +52,22 @@ The trade-offs are the rare item and the memory at a huge span.  On
 20 ms per item step (2-vCPU Xeon, CPython 3.11), where a walk over its
 two positions would cost microseconds; a single item takes 0.1 ms
 there.  At the spans the benchmark uses, 4 and 32, a type in one tuple
-of 50 counts 4 to 25 times faster than that walk did.  The suffix
-covers hold, per window, span and last item, one int of the window's
-width per entry of the longest ends list asked, at most span of them,
-so at most (last items) * span * W bits.  On the benchmark's seed-1 deep
-stream (20,000 tuples, span 32, max_len 5) they took a mine from 0.89
-to 2.81 MiB traced peak and to 0.6 times its time; on 4,000 of its
-tuples at span 256 and max_len 2, from 6.5 to 31.3 MiB and to 0.5
-times its time.  The tests hold occur() to an independent brute-force
-counter in their oracle, tests/oracle.py.
+of 50 counts 4 to 25 times faster than that walk did.  A window's
+counting memos hold (last items) * b + (path) ints of W bits, the path
+being each node's ends, at most span of them, and its b planes.  On
+the benchmark's seed-1 deep stream (20,000 tuples, span 32, max_len 5)
+one mine's traced peak is 1.6 MiB; on 4,000 of its tuples at span 256
+and max_len 2 it is 7.3 MiB.  The tests hold occur() to an independent
+brute-force counter in their oracle, tests/oracle.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import compress, cycle
+from operator import or_
 from typing import Iterable
 
 from .errors import ParameterError, UndefinedSupportError
@@ -89,24 +94,28 @@ class CostCounter:
     window_evaluations and bumps scans by one.  The totals depend only on
     which (candidate, block) pairs were scanned, never on wall time, so
     repeated runs of a deterministic caller produce identical totals.
+    A level-wise search (mine or the incremental update) given a counter
+    also adds to candidates[m] the number of length-m candidates it
+    counted.
     """
 
     window_evaluations: int = 0
     scans: int = 0
+    candidates: dict[int, int] = field(default_factory=dict)
 
     def charge(self, window_len: int, span: int) -> None:
         self.window_evaluations += max(0, window_len - span + 1)
         self.scans += 1
 
 
-def _walk(pending: int, ends: list[int], y: int, span: int) -> tuple[list[int], int]:
+def _walk(pending: int, ends: list[int], y: int, span: int) -> list[int]:
     """Match one more prefix item, with window bitmap y, after the items so far.
 
     ends[d] is the set of starts whose prefix match ends at offset d, and
     `pending` the starts already waiting for the item at offset 0 (every
     legal start, for the empty prefix).  Returns the new ends, without
-    trailing empty sets, and the starts still waiting once the span is
-    used up: those whose prefix matches but the item does not follow.
+    trailing empty sets.  A start still waiting once the span is used up
+    drops out: its prefix matches but the item does not follow.
     """
     hits: list[int] = []
     n_ends = len(ends)
@@ -120,7 +129,7 @@ def _walk(pending: int, ends: list[int], y: int, span: int) -> tuple[list[int], 
             pending |= ends[d]
     while hits and not hits[-1]:
         hits.pop()
-    return hits, pending
+    return hits
 
 
 def occur(
@@ -149,22 +158,28 @@ def occur(
     walk for one item stops once nothing waits past the last ends entry,
     so it costs O(min(span, gap) * W / word) as the module docstring
     says.  The last item needs no new ends, only whether it follows:
-    start i in ends[e] matches when Y sits at an offset in (e, span),
-    that is when i is in after[e], the OR of Y >> d over e < d < span.
-    So the starts are the OR of ends[e] & after[e] (_last_item), and
-    the count is their popcount.
+    start i, whose prefix match ends at offset E(i), matches when Y sits
+    at an offset in (E(i), span), that is when E(i) < L(i), L(i) being
+    the last offset d < span with Y at i + d, or 0.  Both offsets are
+    kept as b = (span - 1).bit_length() bit planes, int k holding bit k
+    of every start's offset, and _last_item compares them low plane to
+    high with four big-int operations a plane.  The end planes are
+    stored complemented within the matched starts, so a start the prefix
+    does not match reads as the largest offset and never matches.  The
+    count is the popcount of the result.
 
-    The window keeps the last prefix it matched, with its count and
-    ends, keyed by span, and each last item's after sets, keyed by
-    (span, item) and as long as the longest ends list asked.
-    Candidates arrive sorted, so a run of them sharing a prefix matches
-    it once and then closes one last item each, and each item's after
-    sets serve every prefix it ends.  A head window (ViewWindow._head)
-    is counted from its parent's start set for seq, kept to the head's
-    starts, which the parent matches once for all its heads.  The memos
-    never change a result, and every call charges `cost` one scan, memo
-    hit or not, so cost units stay a function of the (candidate, block)
-    pairs asked for.
+    The window keeps its matched path, keyed by span: one node per
+    prefix length, each the item, its ends and, once a candidate closes
+    there, its end planes.  It keeps each last item's offset planes too,
+    keyed by (span, item).  A candidate walks only the prefix items past
+    the head it shares with the path, and candidates arrive sorted, so a
+    run of them sharing a prefix matches it once and then closes one
+    last item each, and each item's planes serve every prefix it ends.
+    A head window (ViewWindow._head) is counted from its parent's start
+    set for seq, kept to the head's starts, which the parent matches
+    once for all its heads.  The memos never change a result, and every
+    call charges `cost` one scan, memo hit or not, so cost units stay a
+    function of the (candidate, block) pairs asked for.
     """
     if cost is not None:
         cost.charge(w.size, params.span)
@@ -189,26 +204,14 @@ def _match(seq: Sequence, w: ViewWindow, span: int, as_set: bool) -> int:
     y = w.mask(seq[-1])
     if not y:
         return 0
-    starts = w.size - span + 1
+    starts = (1 << (w.size - span + 1)) - 1
     if len(seq) == 1:
-        found = _cover(y, span) & ((1 << starts) - 1)
-        return found if as_set else found.bit_count()
-    key = (span, seq[:-1])
-    memo = w._prefix
-    if memo is not None and memo[0] == key:
-        _, count, ends = memo
+        found = _cover(y, span) & starts
     else:
-        count, ends, pending = starts, [], (1 << starts) - 1
-        for item in key[1]:
-            ends, left = _walk(pending, ends, w.mask(item), span)
-            count -= left.bit_count()
-            if not count:
-                break
-            pending = 0
-        w._prefix = (key, count, ends)
-    if not count:
-        return 0
-    found = _last_item(w, span, seq[-1], ends)
+        planes = _prefix_planes(w, span, seq[:-1], starts)
+        if planes is None:
+            return 0
+        found = _last_item(w, span, seq[-1], planes)
     return found if as_set else found.bit_count()
 
 
@@ -222,34 +225,103 @@ def _cover(y: int, width: int) -> int:
     return cover
 
 
-def _last_item(w: ViewWindow, span: int, item: str, ends: list[int]) -> int:
-    """The starts in `ends` that find `item` after their prefix's match.
+def _prefix_planes(
+    w: ViewWindow, span: int, prefix: tuple[str, ...], starts: int
+) -> list[int] | None:
+    """The end planes of prefix's match over w (_end_planes), or None
+    when it matches nowhere.
 
-    ends[e] is the set of starts whose prefix match ends at offset e, and
-    after[e] the set of starts with `item` at some offset in (e, span),
-    so the answer is the OR of ends[e] & after[e].  The window keeps
-    `after` per (span, item), as long as the longest `ends` asked so far.
-    A longer `ends`, of n entries, adds the missing entries: after[n-1],
-    the OR of y >> d over n <= d < span for the item's bitmap y, from
-    doubling shifts, and each one below from the one above, as
-    after[e] = after[e + 1] | y >> (e + 1).
+    The window keeps its matched path: one node (item, ends, planes) per
+    prefix length, for the last prefix asked at this span.  A prefix
+    walks only its items past the head it shares with the path; planes
+    are built once, for the node a candidate closes, and the path is
+    replaced by the prefix's nodes in one statement.
+    """
+    memo = w._path
+    path = memo[1] if memo is not None and memo[0] == span else ()
+    k = 0
+    for node, item in zip(path, prefix):
+        if node[0] != item:
+            break
+        k += 1
+    if k and not path[k - 1][1]:
+        return None  # a shared head that matches nowhere
+    if k == len(prefix) and path[k - 1][2] is not None:
+        return path[k - 1][2]
+    nodes = list(path[:k])
+    for item in prefix[k:]:
+        pending, ends = (0, nodes[-1][1]) if nodes else (starts, [])
+        ends = _walk(pending, ends, w.mask(item), span)
+        nodes.append((item, ends, None))
+        if not ends:
+            break
+    item, ends, _ = nodes[-1]
+    planes = None
+    if ends:
+        planes = _end_planes(ends, span)
+        nodes[-1] = (item, ends, planes)
+    w._path = (span, tuple(nodes))
+    return planes
+
+
+def _end_planes(ends: list[int], span: int) -> list[int]:
+    """The complemented planes of the end offsets E that `ends` holds.
+
+    ends[e] is the set of starts whose match ends at offset e < span.
+    Plane k, for k below (span - 1).bit_length(), is the OR of the
+    ends[e] with bit k of e set, XORed with the OR of all of them: it
+    holds the matched starts whose E has bit k clear.  So a start the
+    prefix does not match reads as the largest offset.
+    """
+    matched = reduce(or_, ends, 0)
+    return [
+        reduce(or_, compress(ends, cycle((0,) * h + (1,) * h)), 0) ^ matched
+        for h in (1 << k for k in range((span - 1).bit_length()))
+    ]
+
+
+def _last_item(w: ViewWindow, span: int, item: str, planes: list[int]) -> int:
+    """The starts whose prefix match, with complemented end planes
+    `planes`, is followed by `item` within the span.
+
+    Start i matches when its prefix ends at an offset E below L, the
+    last offset of the item after i (_last_offsets).  The planes are
+    compared one bit at a time, low to high: a bit where L is 1 and E
+    is 0 makes E < L so far, one where L is 0 and E is 1 makes it
+    false, and equal bits keep the verdict of the bits below.  Each
+    plane costs four big-int operations.
+    """
+    found = 0
+    for last, not_end in zip(_last_offsets(w, span, item), planes):
+        found = (last & not_end) | (found & (not_end ^ last))
+    return found
+
+
+def _last_offsets(w: ViewWindow, span: int, item: str) -> list[int]:
+    """The offset planes of item's last occurrence after each start of w.
+
+    L(i) is the largest offset d in (0, span) with `item` in tuple i + d,
+    or 0 when there is none, and plane k holds the starts with bit k of
+    L set, for k below (span - 1).bit_length().  They are built from
+    y >> d, d from span - 1 down to 1, each adding the starts that no
+    larger d reached, and kept per (span, item).
     """
     key = (span, item)
-    after = w._after.get(key, [])
-    n, have = len(ends), len(after)
-    if n > have:
+    planes = w._lasts.get(key)
+    if planes is None:
         y = w.mask(item)
-        top = _cover(y, span - n) >> n if n < span else 0
-        new = [top]
-        for e in range(n - 2, have - 1, -1):
-            top |= y >> (e + 1)
-            new.append(top)
-        after = w._after[key] = after + new[::-1]
-    found = 0
-    for e, a in zip(ends, after):
-        if e:
-            found |= e & a
-    return found
+        planes = [0] * (span - 1).bit_length()
+        seen = 0
+        for d in range(span - 1, 0, -1):
+            now = seen | y >> d
+            fresh = now ^ seen
+            if fresh:
+                for b in range(d.bit_length()):
+                    if d >> b & 1:
+                        planes[b] |= fresh
+            seen = now
+        w._lasts[key] = planes
+    return planes
 
 
 def support(seq: Sequence, w: ViewWindow, params: CountParams) -> Fraction:

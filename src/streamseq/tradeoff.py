@@ -29,8 +29,8 @@ from fractions import Fraction
 from .distance import distance
 from .errors import BoundsError, ContractError, ParameterError
 from .incremental import UpdateInput, ius_update, speedup
-from .mining import MiningParams, PatternSet, gen_candidates, mine
-from .model import Sequence, StreamQueue, ViewWindow, _check_int, window
+from .mining import MiningParams, mine
+from .model import StreamQueue, ViewWindow, _check_int, window
 from .occurrence import CostCounter
 
 COST_UNITS = "cost_units"
@@ -151,26 +151,24 @@ def find_intersections(xs, a, b) -> list[Fraction]:
     return sorted(hits)
 
 
-def _remine_charge(w0: ViewWindow, dw: ViewWindow, ps: PatternSet) -> int:
-    """The cost units mine([w0, dw], ps.params) charges, given its frequent family.
+def _remine_charge(
+    w0: ViewWindow, dw: ViewWindow, span: int, upd_cost: CostCounter
+) -> int:
+    """The cost units mine([w0, dw]) charges, given the update's counter.
 
     The re-mine counts every single in either window and then, per
     level m, gen_candidates(F_m) for its frequent level F_m, stopping at
     the first empty level or once m + 1 would pass max_len.  It charges
     each candidate once per block, max(0, size - span + 1) per block, as
-    CostCounter.charge does.  ps is any pattern set whose frequent family
-    is the re-mine's, such as the update of those two windows.
+    CostCounter.charge does.  upd_cost is the counter of the update of
+    those two windows, whose frequent family is the re-mine's: its
+    search joined the same levels and tallied the same candidates from
+    length 2 on.  Only its singles differ, being the ones either side
+    stored.
     """
-    p = ps.params
-    levels: dict[int, list[Sequence]] = {}
-    for seq in ps.frequent:
-        levels.setdefault(len(seq), []).append(seq)
     n = len({*w0.alphabet(), *dw.alphabet()})
-    m = 1
-    while levels.get(m) and (p.max_len is None or m < p.max_len):
-        n += len(gen_candidates(levels[m]))
-        m += 1
-    return n * sum(max(0, w.size - p.span + 1) for w in (w0, dw))
+    n += sum(c for m, c in upd_cost.candidates.items() if m >= 2)
+    return n * sum(max(0, w.size - span + 1) for w in (w0, dw))
 
 
 def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
@@ -219,7 +217,7 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
             # the same ranges, over the windows the base and increment mines used
             upd_input.old_blocks, upd_input.delta_blocks = [w0], [dw]
             upd = ius_update(upd_input, cost=upd_cost)
-            t_full: float = _remine_charge(w0, dw, upd)
+            t_full: float = _remine_charge(w0, dw, cfg.params.span, upd_cost)
             t_ius: float = upd_cost.window_evaluations
         else:
             full_times = []

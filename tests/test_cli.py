@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -52,6 +53,24 @@ def test_mine_writes_pattern_file_and_summary(tmp_path, capsys):
     assert int(fields["NBD"]) == len(ps.border)
     assert int(fields["cost_units"]) > 0
     assert ps.window_size == 200
+
+
+def test_a_wide_span_mine_is_pinned(tmp_path, capsys):
+    # the benchmark's deep stream at its smoke size: 194 types, four
+    # planted length-6 patterns, mined at span 32 up to length 5
+    log, out = tmp_path / "deep.log", tmp_path / "deep.p"
+    planted = [
+        "--pattern=" + "+".join(f"E{i:03d}" for i in range(k, k + 6)) + "@25"
+        for k in (1, 7, 13, 19)
+    ]
+    assert run("gen", str(log), "--types", "194", "--events", "8000", "--seed", "1",
+               *planted) == 0
+    assert run("mine", str(log), str(out), "--size", "3000", "--span", "32",
+               "--min-supp", "3/8", "--min-nbd-supp", "1/8", "--max-len", "5") == 0
+    assert capsys.readouterr().out == "L=248 NBD=647 cost_units=2773046\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6d4091bcd3c30ffbbb32b1da7bb1c6930bb865ac45d8bf044d8e3c8adf8f5450"
+    )
 
 
 def test_mine_multi_block_records_block_ids(tmp_path):
@@ -109,7 +128,12 @@ def test_update_rejects_contradicting_flags(tmp_path):
         "--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3",
         "--max-len", "3",
     )
-    for flags in (["--min-supp", "0.2"], ["--max-len", "2"]):
+    for flags in (
+        ["--min-supp", "0.2"],
+        ["--min-nbd-supp", "0.02"],
+        ["--span", "5"],
+        ["--max-len", "2"],
+    ):
         code = run(
             "update", str(log), str(base), str(tmp_path / "x.patterns"),
             "--size", "50", *flags,
@@ -325,6 +349,26 @@ def test_update_flag_against_the_pattern_file_is_3_before_reading_the_log(tmp_pa
 _MINE = ("--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3")
 
 
+@pytest.mark.parametrize("flag, value, got", [
+    ("--span", "0", "0"),
+    ("--max-len", "0", "0"),
+    # a lone threshold stands in for the other one, so both read the same
+    ("--min-supp", "2", "min_supp=2, min_nbd_supp=2"),
+    ("--min-nbd-supp", "0", "min_supp=0, min_nbd_supp=0"),
+])
+def test_update_flag_outside_its_domain_has_mines_message(
+    tmp_path, capsys, flag, value, got
+):
+    log, out = tmp_path / "missing.log", tmp_path / "out"
+    given = {**dict(zip(_MINE[::2], _MINE[1::2])), flag: value}
+    assert run("mine", str(log), str(out), "--size", "100",
+               *[x for pair in given.items() for x in pair]) == 2
+    rule = capsys.readouterr().err.split(", got ")[0]
+    assert run("update", str(log), str(tmp_path / "missing.patterns"), str(out),
+               "--size", "100", flag, value) == 2
+    assert capsys.readouterr().err == f"{rule}, got {got}\n"
+
+
 @pytest.mark.parametrize("command, flags", [
     ("mine", ("--size", "-5", *_MINE)),
     ("mine", ("--start", "-3", "--size", "100", *_MINE)),
@@ -333,6 +377,11 @@ _MINE = ("--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3")
               "--span", "0")),
     ("update", ("--size", "-5")),
     ("update", ("--start", "-10", "--size", "100")),
+    ("update", ("--size", "100", "--span", "0")),
+    ("update", ("--size", "100", "--max-len", "0")),
+    ("update", ("--size", "100", "--min-supp", "2")),
+    ("update", ("--size", "100", "--min-nbd-supp", "0")),
+    ("update", ("--size", "100", "--min-supp", "1/10", "--min-nbd-supp", "1/5")),
     ("sweep", ("--initial", "0", "--deltas", "10,20", *_MINE)),
     ("sweep", ("--initial", "100", "--deltas", "10,20", "--reps", "0", *_MINE)),
     ("sweep", ("--initial", "100", "--deltas", "20,10", *_MINE)),

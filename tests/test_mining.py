@@ -256,6 +256,20 @@ class TestMine:
         assert a.frequent == b.frequent and a.border == b.border
         assert list(a.frequent) == list(b.frequent)  # iteration order too
 
+    def test_the_search_tallies_its_candidates_per_level(self):
+        # level 1 counts every single, level m the joins of level m-1's
+        # frequent sequences; a counter used twice adds both searches
+        rng = random.Random(27)
+        q = random_queue(rng, 60, ["a", "b", "c"])
+        params = MiningParams(Fraction(1, 5), Fraction(1, 10), SPAN2, max_len=3)
+        cost = CostCounter()
+        ps = mine([window(q, 0, 60)], params, cost=cost)
+        levels = {m: [s for s in ps.frequent if len(s) == m] for m in (1, 2)}
+        want = {1: 3, 2: len(gen_candidates(levels[1])), 3: len(gen_candidates(levels[2]))}
+        assert want[3] > 0 and cost.candidates == want
+        mine([window(q, 0, 60)], params, cost=cost)
+        assert cost.candidates == {m: 2 * c for m, c in want.items()}
+
 
 class TestPatternSetValidate:
     def _params(self):

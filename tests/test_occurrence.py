@@ -20,7 +20,7 @@ from streamseq import (
     window,
 )
 from streamseq.mining import MiningParams
-from streamseq.occurrence import _last_item, _walk
+from streamseq.occurrence import _end_planes, _last_item, _walk
 from conftest import alternating_ab, queue_of, random_queue
 from oracle import brute_force_frequent, contains, occur_bruteforce, shrink_by_one
 
@@ -157,35 +157,88 @@ _sequences = st.lists(st.sampled_from(_ROW_LABELS), min_size=1, max_size=4).map(
 )
 
 
-def _count_noting_ends(win, s, params, longest):
-    """Check occur(s, win, params) against the oracle.  When the count
-    reached its last item's step, note in `longest` the longest ends
-    list that step has been given for (window, span, last item)."""
+def _greedy_ends(prefix, win, span):
+    """The ends list of prefix's greedy match over win, found tuple by
+    tuple: entry d holds the starts whose match ends at offset d, and
+    trailing empty entries are dropped."""
+    rows = [win.queue[t] for t in range(win.start, win.end)]
+    ends = {}
+    for i in range(win.size - span + 1):
+        at = i - 1
+        for item in prefix:
+            at = next((t for t in range(at + 1, i + span) if item in rows[t]), None)
+            if at is None:
+                break
+        else:
+            ends[at - i] = ends.get(at - i, 0) | 1 << i
+    return [ends.get(d, 0) for d in range(max(ends, default=-1) + 1)]
+
+
+def _planes_of(offsets, span):
+    """Plane k of per-start offsets: the starts whose offset has bit k set."""
+    return [
+        sum(1 << i for i, o in offsets.items() if o >> k & 1)
+        for k in range((span - 1).bit_length())
+    ]
+
+
+def _direct_end_planes(ends, span):
+    """The complemented end planes, start by start: a start in ends[e]
+    is in plane k when bit k of e is clear."""
+    top = (1 << (span - 1).bit_length()) - 1
+    return _planes_of(
+        {i: top ^ e for e, s in enumerate(ends)
+         for i in range(s.bit_length()) if s >> i & 1},
+        span,
+    )
+
+
+def _direct_last_offsets(win, span, item):
+    """The planes of L(i), the last offset d in (0, span) with item in
+    tuple i + d, or 0, for every tuple i of win."""
+    y = win.mask(item)
+    return _planes_of(
+        {i: max((d for d in range(1, span) if y >> (i + d) & 1), default=0)
+         for i in range(win.size)},
+        span,
+    )
+
+
+def _count_checking_path(win, s, params, closed):
+    """Check occur(s, win, params) against the oracle, and win's matched
+    path after it: each node's ends equal a fresh greedy match of the
+    path's items up to it, and its planes, once built, equal the direct
+    ones; only the last node may match nowhere.  When the count closed
+    s's last item, which it does when the prefix matches somewhere,
+    note (window, span, last item) in `closed`."""
     assert occur(s, win, params) == occur_bruteforce(s, win, params)
-    memo = win._prefix
-    if (
-        len(s) > 1
-        and params.span <= win.size
-        and win.mask(s[-1])
-        and memo is not None
-        and memo[0] == (params.span, s[:-1])
-        and memo[1]
-    ):
-        key = (id(win), params.span, s[-1])
-        longest[key] = max(longest.get(key, 0), len(memo[2]))
+    uses_path = len(s) > 1 and params.span <= win.size and win.mask(s[-1])
+    if win._path is None:
+        assert not uses_path
+        return
+    span, nodes = win._path
+    for j, (_, ends, planes) in enumerate(nodes):
+        assert ends == _greedy_ends([n[0] for n in nodes[: j + 1]], win, span)
+        assert ends or (j == len(nodes) - 1 and planes is None)
+        assert planes is None or planes == _direct_end_planes(ends, span)
+    if uses_path:
+        prefix = s[:-1]
+        assert span == params.span
+        items = tuple(node[0] for node in nodes)
+        assert items[: len(prefix)] == prefix[: len(items)]
+        if occur_bruteforce(prefix, win, params):
+            assert nodes[len(prefix) - 1][2] is not None
+            closed.add((id(win), span, s[-1]))
+        else:
+            assert len(nodes) <= len(prefix) and not nodes[-1][1]
 
 
-def _check_after_memo(win, longest):
-    """win._after holds, per (span, item) it was filled for, the suffix
-    covers after[e] = OR of y >> d over e < d < span, as many of them as
-    the longest ends list asked, which is at most min(span, size)."""
-    filled = {(sp, item) for wid, sp, item in longest if wid == id(win)}
-    assert set(win._after) == filled
-    for (span, item), after in win._after.items():
-        assert len(after) == longest[id(win), span, item] <= min(span, win.size)
-        y = win.mask(item)
-        for e, a in enumerate(after):
-            assert a == reduce(or_, (y >> d for d in range(e + 1, span)), 0)
+def _check_last_offsets(win, closed):
+    """win._lasts holds exactly the (span, item) pairs it closed a
+    candidate with, each as its (span - 1).bit_length() offset planes."""
+    assert set(win._lasts) == {(sp, item) for wid, sp, item in closed if wid == id(win)}
+    for (span, item), planes in win._lasts.items():
+        assert planes == _direct_last_offsets(win, span, item)
 
 
 class TestOccurProperties:
@@ -196,13 +249,12 @@ class TestOccurProperties:
         st.data(),
     )
     def test_the_last_item_step_is_the_walk(self, ybits, span, data):
-        """_last_item finds the starts _walk(0, ends, y, span) would: the
-        OR of its hits, with the prefix's count less the starts left
-        waiting as its popcount.  Several ends lists over one window,
-        shorter and longer, read and grow one memo."""
+        """_last_item, comparing the end planes of an ends list with the
+        item's last-offset planes, finds the starts _walk(0, ends, y,
+        span) would: the OR of its hits.  Spans run past the window, and
+        several ends lists over one window read one memo entry."""
         w = window(queue_of(*(["a"] if b else ["z"] for b in ybits)), 0, len(ybits))
         y = w.mask("a")
-        asked = []
         for _ in range(data.draw(st.integers(1, 4), label="lists")):
             n = data.draw(st.integers(0, span), label="n")
             # each start's prefix match ends at one offset below n, or nowhere
@@ -213,13 +265,12 @@ class TestOccurProperties:
             ends = [
                 sum(1 << i for i, o in enumerate(offsets) if o == e) for e in range(n)
             ]
-            hits, left = _walk(0, ends, y, span)
-            found = _last_item(w, span, "a", ends)
-            assert found == reduce(or_, hits, 0)
-            count = sum(e.bit_count() for e in ends)
-            assert found.bit_count() == count - left.bit_count()
-            asked.append(n)
-        assert len(w._after.get((span, "a"), [])) == max(asked)
+            planes = _end_planes(ends, span)
+            assert planes == _direct_end_planes(ends, span)
+            found = _last_item(w, span, "a", planes)
+            assert found == reduce(or_, _walk(0, ends, y, span), 0)
+        assert list(w._lasts) == [(span, "a")]
+        assert w._lasts[span, "a"] == _direct_last_offsets(w, span, "a")
 
     @_PROPERTY
     @given(_long_windows(), _sequences, st.data())
@@ -264,21 +315,23 @@ class TestOccurProperties:
         st.data(),
     )
     def test_the_window_memos_never_change_a_count(self, w, seqs, span, span2, data):
-        """A window remembers its mask cuts, its last matched prefix, its
-        last items' suffix covers and every count taken over it.  Whatever
+        """A window remembers its mask cuts, its matched path, its last
+        items' offset planes and every count taken over it.  Whatever
         order counts arrive in, every count equals the oracle's, and a mine
         repeated over one window, or over a pickled copy of a used one,
-        equals a mine over a fresh one.  A last item shared by other
-        prefixes, or asked again after a prefix whose match ends later,
-        reads and grows one entry of suffix covers, which stays exact and
-        no longer than the longest ends list asked.  A head window of
-        every length, which counts through its parent's start sets, equals
-        and counts as the plain window of its range, pickled or not, and
-        the parent matches each sequence once."""
+        equals a mine over a fresh one.  Prefixes that share a head with
+        the path and then diverge, that extend it or stop short of it,
+        keep every path node equal to a fresh match, and each last item
+        keeps exactly its direct offset planes.  A head window of every
+        length, which counts through its parent's start sets, equals and
+        counts as the plain window of its range, pickled or not, and the
+        parent matches each sequence once."""
         q = w.queue
         other = window(q, 0, len(q))
         p, p2 = CountParams(span), CountParams(span2)
-        kinds = st.sampled_from(["again", "span", "other", "dead", "shared"])
+        kinds = st.sampled_from(
+            ["again", "span", "other", "dead", "shared", "diverge", "longer"]
+        )
         steps = []
         for s in sorted(set(seqs)):
             steps.append((w, p, s))
@@ -293,30 +346,21 @@ class TestOccurProperties:
                 elif kind == "dead":
                     # "e" is in no tuple, so this prefix never matches
                     steps.append((w, p, Sequence.of("e", *s)))
-                else:  # the same last item after another prefix
+                elif kind == "shared":  # the same last item after another prefix
                     head = data.draw(_sequences, label="prefix")
                     steps.append((w, p, Sequence.of(*head, s[-1])))
-        longest = {}
+                elif kind == "diverge":  # a head of s, then other items
+                    cut = data.draw(st.integers(0, len(s) - 1), label="cut")
+                    tail = data.draw(_sequences, label="tail")
+                    steps.append((w, p, Sequence.of(*s[:cut], *tail)))
+                else:  # s itself as the prefix
+                    steps.append((w, p, Sequence.of(*s, data.draw(
+                        st.sampled_from(_ROW_LABELS), label="last"))))
+        closed = set()
         for win, params, s in steps:
-            _count_noting_ends(win, s, params, longest)
-        _check_after_memo(w, longest)
-        _check_after_memo(other, longest)
-
-        # every pair ending in each item, asked in the order of their ends
-        # lists' lengths, so that each longer one grows the item's entry
-        probe, grow = window(q, w.start, w.size), window(q, w.start, w.size)
-        lengths = {}
-        pairs = [Sequence.of(x, y) for y in _ROW_LABELS for x in _ROW_LABELS]
-        for s in pairs:
-            _count_noting_ends(probe, s, p, lengths)
-            lengths[s] = lengths.pop((id(probe), span, s[-1]), 0)
-        longest = {}
-        for s in sorted(pairs, key=lambda s: (s[-1], lengths[s])):
-            _count_noting_ends(grow, s, p, longest)
-            assert len(grow._after.get((span, s[-1]), [])) == longest.get(
-                (id(grow), span, s[-1]), 0
-            )
-        _check_after_memo(grow, longest)
+            _count_checking_path(win, s, params, closed)
+        _check_last_offsets(w, closed)
+        _check_last_offsets(other, closed)
 
         n = len(q)
         fresh, used = window(q, 0, n), window(q, 0, n)
@@ -355,6 +399,20 @@ class TestOccurProperties:
         for win in (w, pickle.loads(pickle.dumps(w))):
             got = mine([win], mp)
             assert (got.frequent, got.border) == (want.frequent, want.border)
+
+
+    def test_a_wide_span_keeps_eight_planes_per_last_item(self):
+        # at span 256 each last item keeps (256 - 1).bit_length() = 8
+        # planes of the window's width, not an int per offset
+        q = random_queue(random.Random(256), 700, list("abcdefgh"), max_fill=1)
+        w = window(q, 0, len(q))
+        mp = MiningParams(Fraction(1, 2), Fraction(1, 4), CountParams(256), max_len=2)
+        assert len(mine([w], mp).frequent) > len(w.alphabet())
+        assert {item for _, item in w._lasts} == set(w.alphabet())
+        assert sum(len(planes) for planes in w._lasts.values()) <= len(w.alphabet()) * 8
+        assert all(plane >> w.size == 0 for planes in w._lasts.values() for plane in planes)
+        span, nodes = w._path
+        assert span == 256 and len(nodes) == 1 and len(nodes[0][1]) <= span
 
 
 class TestSupport:

@@ -275,7 +275,7 @@ class TestRunSweep:
 
         def used(windows):
             return any(
-                w._cuts or w._prefix or w._after or w._starts for w in windows
+                w._cuts or w._path or w._lasts or w._starts for w in windows
             )
 
         def mine(blocks, params, cost=None):
