@@ -24,14 +24,33 @@ lanes, and int.to_bytes with a memoryview unpacks the results.
 generate() reads its draws straight from the batches (_draws), with no
 call per draw.  The one-step recurrence stays in the tests as the
 reference the batches must equal.
+
+A draw u is tested as an int, never turned into a float.  It stands for
+the uniform (u >> 11) * 2.0 ** -53 in [0, 1), and an event of
+probability p happens when that float is below p.  For an int m,
+m * 2**-53 < p holds exactly when m < ceil(p * 2**53), and u >> 11 < c
+exactly when u < c << 11, so the test is u < _threshold(p), one int
+comparison against a threshold computed once per pattern and once for
+the fill.  Each pattern's laydown, its (offset, item) pairs, is also
+computed once, and a tuple's patterns are tested in C by
+itertools.compress.  The generator loop that tests each draw as a float
+stays in the tests as the reference these streams must equal byte for
+byte.
+
+Memory does not grow with n_types: a pattern label is checked by
+parsing it against the label format, and a type's label is formatted
+when it is first drawn, so no alphabet is ever built.  n_types is at
+most 2**64, the number of values one draw can take.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, islice
 from numbers import Real
+from operator import gt
 from typing import Iterator
 
 from .errors import ParameterError
@@ -89,10 +108,77 @@ def _draws(seed: int) -> Iterator[int]:
     return chain.from_iterable(_batches(seed))
 
 
+def _threshold(p: Real) -> int:
+    """The draws u that pass (u >> 11) * 2.0 ** -53 < p are exactly those
+    below this int.
+
+    The float is m * 2**-53 for m = u >> 11 in [0, 2**53), exactly, and
+    grows with m, so the test passes for every m below some c and for
+    none from c on; u >> 11 < c exactly when u < c << 11.  For a float
+    or a Fraction p, c is ceil(p * 2**53) held to [0, 2**53].  Bisection
+    on the expression itself finds c, so it means what the expression
+    means for any real p: a Fraction is compared exactly, never rounded
+    through a float product, and a NumPy float32, which Fraction()
+    refuses, is compared as NumPy compares it.
+    """
+    low, high = 0, 1 << 53
+    while low < high:
+        mid = (low + high) >> 1
+        if mid * 2.0 ** -53 < p:
+            low = mid + 1
+        else:
+            high = mid
+    return low << 11
+
+
+def _width(n_types: int) -> int:
+    """The digits of a type label: those of n_types, at least three."""
+    return max(3, len(str(n_types)))
+
+
 def type_labels(n_types: int) -> list[str]:
     """The generated alphabet: E001..E194 style, zero-padded."""
-    width = max(3, len(str(n_types)))
+    width = _width(n_types)
     return [f"E{i:0{width}d}" for i in range(1, n_types + 1)]
+
+
+def _is_type_label(label: str, n_types: int) -> bool:
+    """Whether `label` is in type_labels(n_types), read off the label
+    itself: "E", then _width(n_types) ASCII digits naming 1..n_types."""
+    digits = label[1:]
+    return (
+        label[:1] == "E"
+        and len(digits) == _width(n_types)
+        and digits.isascii()
+        and digits.isdigit()
+        and 1 <= int(digits) <= n_types
+    )
+
+
+class _Labels(dict):
+    """Type index -> label, each formatted when it is first drawn, so
+    memory grows with the types a stream holds, not with n_types."""
+
+    def __init__(self, n_types: int) -> None:
+        self.width = _width(n_types)
+
+    def __missing__(self, index: int) -> str:
+        label = self[index] = f"E{index + 1:0{self.width}d}"
+        return label
+
+
+# a pattern's laydown: (offset, item) per item, offset 0 on the firing tuple
+_Plan = tuple[tuple[int, str], ...]
+
+
+def _schedules(
+    embedded: tuple[tuple[Sequence, float], ...],
+) -> tuple[tuple[_Plan, ...], tuple[int, ...]]:
+    """Each pattern's laydown and the threshold its firing draw must fall
+    below, as two parallel tuples."""
+    plans = tuple(tuple(enumerate(seq)) for seq, _ in embedded)
+    limits = tuple(_threshold(rate / 1000.0) for _, rate in embedded)
+    return plans, limits
 
 
 def _check_real(name: str, value: object) -> None:
@@ -105,7 +191,8 @@ def _check_real(name: str, value: object) -> None:
 class GenConfig:
     """Generator settings.
 
-    n_types     alphabet size; labels come from type_labels(n_types)
+    n_types     alphabet size, 1..2**64; labels are those of
+                type_labels(n_types), formatted only when drawn
     n_events    stop once at least this many events have been emitted
     seed        splitmix64 seed
     tuple_fill  mean background items per tuple, >= 1; the fractional
@@ -137,6 +224,9 @@ class GenConfig:
             _check_int("drift_at", self.drift_at)
         if self.n_types < 1:
             raise ParameterError(f"n_types must be >= 1, got {self.n_types}")
+        if self.n_types > 1 << 64:
+            # past 2**64 no 64-bit draw can stand for a uniform type index
+            raise ParameterError(f"n_types must be <= 2**64, got {self.n_types}")
         if self.n_events < 1:
             raise ParameterError(f"n_events must be >= 1, got {self.n_events}")
         _check_real("tuple_fill", self.tuple_fill)
@@ -150,7 +240,6 @@ class GenConfig:
             )
         if self.drift_at is not None and self.drift_at < 1:
             raise ParameterError(f"drift_at must be >= 1, got {self.drift_at}")
-        alphabet = set(type_labels(self.n_types))
         for plist in (self.embedded, self.embedded_after or ()):
             for seq, rate in plist:
                 if not isinstance(seq, Sequence):
@@ -158,7 +247,9 @@ class GenConfig:
                 _check_real("rate", rate)
                 if not 0.0 <= rate <= 1000.0:
                     raise ParameterError(f"rate must be in [0, 1000], got {rate}")
-                missing = [label for label in seq if label not in alphabet]
+                missing = [
+                    label for label in seq if not _is_type_label(label, self.n_types)
+                ]
                 if missing:
                     raise ParameterError(
                         f"pattern {seq!r} uses labels outside the alphabet: {missing}"
@@ -176,37 +267,47 @@ def generate(cfg: GenConfig) -> StreamQueue:
     count reaches n_events, so the total overshoots by at most one
     tuple's worth.  Pattern firings scheduled past that boundary are cut
     off with the stream.
+
+    Each uniform is a draw u read as (u >> 11) * 2.0 ** -53, and it is
+    below p exactly when u < _threshold(p) (module docstring), so the
+    comparisons are on ints and give the float comparison's answer for
+    a float or a Fraction alike.  A type index is the first draw below
+    _cutoff(n_types), reduced mod n_types; its label is formatted when
+    first drawn, so memory grows with the types drawn, not n_types.
     """
     n_types, n_events, drift_at = cfg.n_types, cfg.n_events, cfg.drift_at
     draws = _draws(cfg.seed)
-    # the draws kept for a uniform type index, read from the same stream
-    accepted = filter(_cutoff(n_types).__gt__, draws)
-    alphabet = type_labels(n_types)
+    # the label of a uniform type index per kept draw, read lazily from
+    # the same stream; n_types.__rmod__(u) is u % n_types
+    labels = map(
+        _Labels(n_types).__getitem__,
+        map(n_types.__rmod__, filter(_cutoff(n_types).__gt__, draws)),
+    )
     base_fill = int(cfg.tuple_fill)
-    frac_fill = cfg.tuple_fill - base_fill
-    active = [(seq, rate / 1000.0) for seq, rate in cfg.embedded]
-    after = [(seq, rate / 1000.0) for seq, rate in cfg.embedded_after or ()]
+    extra = _threshold(cfg.tuple_fill - base_fill)
+    plans, limits = _schedules(cfg.embedded)
 
-    pending: dict[int, set[str]] = {}
+    pending: defaultdict[int, set[str]] = defaultdict(set)
     sets: list[frozenset[str]] = []
     events = 0
     i = 0
     while events < n_events:
         if i == drift_at:
-            active = after
-        # zip takes one draw per pattern, and none once they run out
-        for (seq, p), u in zip(active, draws):
-            if (u >> 11) * 2.0 ** -53 < p:
-                for at, item in enumerate(seq, i):
-                    pending.setdefault(at, set()).add(item)
-        k = base_fill
-        if (next(draws) >> 11) * 2.0 ** -53 < frac_fill:
-            k += 1
-        types = pending.pop(i, set())
-        for _ in range(k):
-            types.add(alphabet[next(accepted) % n_types])
-        sets.append(frozenset(types))
-        events += len(types)
+            plans, limits = _schedules(cfg.embedded_after)
+        # compress asks for a plan before its selector, and map for a limit
+        # before its draw, so this takes one draw per pattern and no more
+        for plan in compress(plans, map(gt, limits, draws)):
+            for offset, item in plan:
+                pending[i + offset].add(item)
+        k = base_fill + (next(draws) < extra)
+        due = pending.pop(i, None)
+        if due is None:
+            row = frozenset(islice(labels, k))
+        else:
+            due.update(islice(labels, k))
+            row = frozenset(due)
+        sets.append(row)
+        events += len(row)
         i += 1
 
     if drift_at is not None and drift_at >= len(sets):

@@ -598,11 +598,13 @@ def serialize_event_log(queue: StreamQueue) -> str:
 
     One record per (timestamp, type), tuples in time order, labels sorted
     within each tuple; ends with a newline when non-empty.  The output is
-    a fixed point: parse -> serialize -> parse is the identity.
+    a fixed point: parse -> serialize -> parse is the identity.  A tuple
+    is written as one string, not one per record: with head "\n{time},",
+    its records are head + head.join(its sorted labels), so the joined
+    text starts with a newline, which is moved to the end.
     """
-    lines = [
-        f"{time},{label}"
-        for time, labels in zip(queue.times, queue)
-        for label in sorted(labels)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    parts = []
+    for time, labels in zip(queue.times, queue):
+        head = f"\n{time},"
+        parts.append(head + head.join(sorted(labels)))
+    return "".join(parts)[1:] + "\n" if parts else ""

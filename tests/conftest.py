@@ -1,10 +1,26 @@
 """Shared builders for the test suite."""
 
+import importlib
 import random
 
+import pytest
 from hypothesis import strategies as st
 
 from streamseq import StreamQueue, window
+
+
+@pytest.fixture
+def small_alphabets_only(monkeypatch):
+    """Make type_labels refuse a large alphabet, so that code which still
+    builds the whole alphabet fails at once instead of allocating it."""
+    module = importlib.import_module("streamseq.generate")
+    whole = module.type_labels
+
+    def guarded(n_types):
+        assert n_types <= 10_000, f"type_labels({n_types}) builds the whole alphabet"
+        return whole(n_types)
+
+    monkeypatch.setattr(module, "type_labels", guarded)
 
 
 def queue_of(*groups):

@@ -5,7 +5,12 @@ brute_force_frequent() mines by exhaustive embedding enumeration, and
 shrink_by_one() lists a sequence's one-shorter subsequences.  None of
 them shares code with the bit-parallel counter in the occurrence module
 or with the level-wise miner, so agreement with them is evidence, not
-tautology.  They import only the package's public names.
+tautology.  ScalarSplitMix64 is the splitmix64 recurrence one draw at a
+time, generate_reference() the generator loop that tests each draw as a
+float and builds the whole alphabet, and serialize_reference() the
+writer that makes one string per record; the package's batched draws,
+integer thresholds and one string per tuple must reproduce them byte
+for byte.  They import only the package's public names.
 """
 
 from __future__ import annotations
@@ -15,13 +20,17 @@ from typing import Sequence as PySequence
 
 from streamseq import (
     CountParams,
+    GenConfig,
     MiningParams,
     ParameterError,
     PatternSet,
     Sequence,
+    StreamQueue,
     ViewWindow,
     window,
 )
+
+_MASK64 = (1 << 64) - 1
 
 
 def shrink_by_one(seq: Sequence) -> list[Sequence]:
@@ -148,3 +157,86 @@ def brute_force_frequent(
         frequent=frequent,
         border=border,
     )
+
+
+class ScalarSplitMix64:
+    """The splitmix64 recurrence one draw at a time: the reference that
+    the batched draws are checked against."""
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def next_float(self):
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def next_below(self, n):
+        cutoff = (_MASK64 + 1) - ((_MASK64 + 1) % n)
+        while True:
+            r = self.next_u64()
+            if r < cutoff:
+                return r % n
+
+
+def generate_reference(cfg: GenConfig) -> StreamQueue:
+    """The stream `cfg` denotes, by the generator loop that tests every
+    draw as a float in [0, 1) and indexes a list of the whole alphabet;
+    its draws come from the scalar recurrence."""
+    n_types, n_events, drift_at = cfg.n_types, cfg.n_events, cfg.drift_at
+    draws = iter(ScalarSplitMix64(cfg.seed).next_u64, None)
+    # the draws kept for a uniform type index, read from the same stream
+    accepted = filter(((_MASK64 + 1) - ((_MASK64 + 1) % n_types)).__gt__, draws)
+    width = max(3, len(str(n_types)))
+    alphabet = [f"E{i:0{width}d}" for i in range(1, n_types + 1)]
+    base_fill = int(cfg.tuple_fill)
+    frac_fill = cfg.tuple_fill - base_fill
+    active = [(seq, rate / 1000.0) for seq, rate in cfg.embedded]
+    after = [(seq, rate / 1000.0) for seq, rate in cfg.embedded_after or ()]
+
+    pending: dict[int, set[str]] = {}
+    sets: list[frozenset[str]] = []
+    events = 0
+    i = 0
+    while events < n_events:
+        if i == drift_at:
+            active = after
+        # zip takes one draw per pattern, and none once they run out
+        for (seq, p), u in zip(active, draws):
+            if (u >> 11) * 2.0 ** -53 < p:
+                for at, item in enumerate(seq, i):
+                    pending.setdefault(at, set()).add(item)
+        k = base_fill
+        if (next(draws) >> 11) * 2.0 ** -53 < frac_fill:
+            k += 1
+        types = pending.pop(i, set())
+        for _ in range(k):
+            types.add(alphabet[next(accepted) % n_types])
+        sets.append(frozenset(types))
+        events += len(types)
+        i += 1
+
+    if drift_at is not None and drift_at >= len(sets):
+        raise ParameterError(
+            f"drift_at={drift_at} lies beyond the generated stream "
+            f"({len(sets)} tuples); raise n_events or move the boundary"
+        )
+    return StreamQueue(zip(range(1, len(sets) + 1), sets))
+
+
+def serialize_reference(queue: StreamQueue) -> str:
+    """Event-log text by one string per (timestamp, label) record, labels
+    sorted within each tuple."""
+    lines = [
+        f"{time},{label}"
+        for time, labels in zip(queue.times, queue)
+        for label in sorted(labels)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")

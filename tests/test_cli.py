@@ -34,6 +34,33 @@ def test_gen_writes_parseable_deterministic_log(tmp_path):
     assert len(q) > 0
 
 
+def test_gen_readme_example_is_pinned(tmp_path):
+    # pinned before draws were tested as ints and tuples written as one string
+    log = tmp_path / "events.log"
+    assert run("gen", str(log), "--types", "60", "--events", "6000", "--seed", "3",
+               "--pattern", "E001+E002@90", "--pattern", "E005@120") == 0
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+        "f3f08ec254b60eede8a88696e35b3edb1b34829acacdaf937607635d7ef1f10b"
+    )
+
+
+def test_gen_draws_from_a_huge_alphabet(tmp_path, small_alphabets_only):
+    log = tmp_path / "big.log"
+    assert run("gen", str(log), "--types", str(10**12), "--events", "3000",
+               "--seed", "1") == 0
+    labels = {line.split(",")[1] for line in log.read_text().splitlines()}
+    assert 2900 < len(labels) <= 3000
+    assert all(len(label) == 14 and label[0] == "E" for label in labels)
+
+
+def test_gen_past_2_64_types_is_2(tmp_path, capsys, small_alphabets_only):
+    log = tmp_path / "big.log"
+    assert run("gen", str(log), "--types", str(2**64 + 1), "--events", "30",
+               "--seed", "1") == 2
+    assert "n_types must be <= 2**64" in capsys.readouterr().err
+    assert not log.exists()
+
+
 def test_mine_writes_pattern_file_and_summary(tmp_path, capsys):
     log = gen_log(tmp_path / "s.log")
     out = tmp_path / "w.patterns"

@@ -1,8 +1,11 @@
 import hashlib
+import importlib
+import math
 from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamseq import (
     CountParams,
@@ -14,37 +17,14 @@ from streamseq import (
     serialize_event_log,
     window,
 )
-from streamseq.generate import _LANES, _cutoff, _draws, type_labels
+from streamseq.generate import _LANES, _cutoff, _draws, _threshold, type_labels
+from oracle import ScalarSplitMix64, generate_reference, serialize_reference
 from test_acceptance import _trend_config
 
+# the module; the package's name `generate` is the function
+generate_module = importlib.import_module("streamseq.generate")
+
 _MASK64 = (1 << 64) - 1
-
-
-class ScalarSplitMix64:
-    """The splitmix64 recurrence one draw at a time: the reference that
-    the batched draws are checked against."""
-
-    def __init__(self, seed):
-        self.state = seed & _MASK64
-        self.draws = 0
-
-    def next_u64(self):
-        self.draws += 1
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_float(self):
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def next_below(self, n):
-        cutoff = (_MASK64 + 1) - ((_MASK64 + 1) % n)
-        while True:
-            r = self.next_u64()
-            if r < cutoff:
-                return r % n
 
 
 def below(draws, n):
@@ -54,7 +34,7 @@ def below(draws, n):
 
 
 def unit_float(draws):
-    """A uniform float in [0, 1) from the next draw, as generate reads one."""
+    """The uniform float in [0, 1) that the next draw stands for."""
     return (next(draws) >> 11) * 2.0 ** -53
 
 
@@ -266,13 +246,43 @@ _PINNED_STREAMS = [
         lambda: GenConfig(n_types=10, n_events=5000, seed=-3),
         "44555d3131623e58f4b29645ab03cfa18915658790b976a1ad4d0058cd7ac55a",
     ),
+    # pinned before draws were tested as ints: the benchmark's deep stream
+    (
+        lambda: GenConfig(
+            n_types=194,
+            n_events=50_000,
+            seed=1,
+            embedded=tuple(
+                (Sequence.of(*(f"E{i:03d}" for i in range(k, k + 6))), 25.0)
+                for k in (1, 7, 13, 19)
+            ),
+        ),
+        "701a8fdb4d47529f9ba9ef6293120dea332d60881d04d810c1b06dcd2a24f014",
+    ),
+    # and a drift between patterns that never and always fire, with an
+    # exact fractional fill
+    (
+        lambda: GenConfig(
+            n_types=12,
+            n_events=6000,
+            seed=7,
+            tuple_fill=Fraction(19, 10),
+            embedded=((Sequence.of("E001", "E002"), 0.0), (Sequence.of("E003"), 1000.0)),
+            drift_at=1000,
+            embedded_after=(
+                (Sequence.of("E004", "E005", "E006"), 1000.0),
+                (Sequence.of("E007"), 0),
+            ),
+        ),
+        "3e2cfca29f88f5640dbd5c523dc013f3f3cd291e0c1819de0e3b33dafeb019fa",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "config,digest",
     _PINNED_STREAMS,
-    ids=["trend", "fill-1.5", "fill-2.25", "seed-minus-3"],
+    ids=["trend", "fill-1.5", "fill-2.25", "seed-minus-3", "deep", "drift-0-1000"],
 )
 def test_pinned_stream(config, digest):
     text = serialize_event_log(generate(config()))
@@ -352,3 +362,131 @@ class TestGenerate:
         )
         with pytest.raises(ParameterError):
             generate(cfg)
+
+
+# probabilities on and around the boundaries of the draws' grid of
+# 2**-53, as floats, ints and Fractions
+_PROBABILITIES = [
+    0, 0.0, 5e-324, 1e-300, 2.0**-54, 2.0**-53, 3 * 2.0**-54, 0.025, 0.08,
+    1 / 3, 0.5, 0.9, 1 - 2.0**-53, 1.0, 1,
+    Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), Fraction(3, 2**54),
+    Fraction(2**53 - 1, 2**53), Fraction(5, 2**53) + Fraction(1, 2**110),
+    Fraction(5, 2**53) - Fraction(1, 2**110),
+]
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("p", _PROBABILITIES)
+    def test_boundary_draws_pass_as_the_float_test_does(self, p):
+        limit = _threshold(p)
+        c = limit >> 11
+        assert limit == c << 11
+        assert c == min(max(math.ceil(Fraction(p) * 2**53), 0), 2**53)
+        for u in ((c - 1) << 11, (c << 11) - 1, c << 11):
+            if 0 <= u <= _MASK64:
+                assert (u < limit) == ((u >> 11) * 2.0**-53 < p)
+
+    def test_a_fraction_is_not_rounded_through_a_float_product(self):
+        p = Fraction(5, 2**53) + Fraction(1, 2**110)
+        # the float product rounds down onto an integer, one below the
+        # exact ceiling, though the draws with u >> 11 == 5 pass the test
+        assert math.ceil(p * 2.0**53) == 5
+        assert 5 * 2.0**-53 < p
+        assert _threshold(p) == 6 << 11
+
+    def test_a_numpy_float32_is_compared_as_numpy_compares_it(self):
+        np = pytest.importorskip("numpy")
+        p = np.float32(25.0) / 1000.0
+        limit = _threshold(p)
+        c = limit >> 11
+        for u in ((c - 1) << 11, (c << 11) - 1, c << 11):
+            assert (u < limit) == bool((u >> 11) * 2.0**-53 < p)
+
+
+class TestHugeAlphabets:
+    def test_a_huge_alphabet_stream_is_its_draws(self, small_alphabets_only):
+        n = 3 * 2**62  # past 2**63, so a quarter of the draws are redrawn
+        q = generate(GenConfig(n_types=n, n_events=3000, seed=5, tuple_fill=1.5))
+        ref = ScalarSplitMix64(5)
+        for labels in q:
+            k = 2 if ref.next_float() < 0.5 else 1
+            assert labels == {f"E{ref.next_below(n) + 1:020d}" for _ in range(k)}
+        assert sum(map(len, q)) >= 3000
+
+    def test_pattern_labels_are_read_off_the_label(self, small_alphabets_only):
+        n = 10**12  # labels of 13 digits
+        ends = Sequence.of("E0000000000001", "E1000000000000")
+        cfg = GenConfig(n_types=n, n_events=50, seed=2, embedded=((ends, 1000.0),))
+        assert ends[0] in generate(cfg)[0]
+        for bad in ("E001", "E1000000000001", "E0000000000000", "e0000000000001",
+                    "F0000000000001", "E00000000000010", "E+00000000001",
+                    "E000000000000\u0661", "E000000000000\xb2"):
+            with pytest.raises(ParameterError, match="outside the alphabet"):
+                GenConfig(n_types=n, n_events=50, seed=2,
+                          embedded=((Sequence.of(bad), 5.0),))
+
+    @pytest.mark.parametrize("n", [1, 9, 999, 1000, 1001, 1500])
+    def test_reading_a_label_agrees_with_the_alphabet(self, n):
+        alphabet = set(type_labels(n))
+        tried = [f"E{i:0{w}d}" for i in range(-1, n + 3) for w in range(1, 6)]
+        tried += ["", "E", "E-01", "E 001", "e001", "E001x", "E\u0661\u0662\u0663"]
+        for label in tried:
+            assert generate_module._is_type_label(label, n) == (label in alphabet)
+
+    def test_2_64_types_is_the_most(self, small_alphabets_only):
+        q = generate(GenConfig(n_types=2**64, n_events=20, seed=3))
+        ref = ScalarSplitMix64(3)
+        for labels in q:
+            ref.next_u64()  # the fill draw
+            assert labels == {f"E{ref.next_u64() + 1:020d}"}
+        with pytest.raises(ParameterError, match=r"n_types must be <= 2\*\*64"):
+            GenConfig(n_types=2**64 + 1, n_events=20, seed=3)
+
+
+_RATES = st.one_of(
+    st.sampled_from([0, 0.0, 500, 500.0, 1000, 1000.0]),
+    st.floats(0, 1000),
+    st.fractions(0, 1000, max_denominator=10**6),
+)
+
+
+@st.composite
+def _configs(draw):
+    """Small configs: fills integral and fractional, as floats and as
+    Fractions of denominator 3, 7 or 10; rates on the ends of their range,
+    in the middle and odd; drift inside and past the stream."""
+    n_types = draw(st.integers(1, 300))
+    alphabet = type_labels(n_types)
+
+    def patterns():
+        return tuple(
+            (Sequence.of(*draw(st.lists(st.sampled_from(alphabet), min_size=1,
+                                        max_size=4))), draw(_RATES))
+            for _ in range(draw(st.integers(0, 4)))
+        )
+
+    den = draw(st.sampled_from([1, 3, 7, 10]))
+    fill = Fraction(draw(st.integers(den, min(n_types, 4) * den)), den)
+    drift_at = draw(st.none() | st.integers(1, 400))
+    return GenConfig(
+        n_types=n_types,
+        n_events=draw(st.integers(1, 600)),
+        seed=draw(st.sampled_from(_SEEDS) | st.integers(-(2**70), 2**70)),
+        tuple_fill=draw(st.sampled_from([fill, float(fill)])),
+        embedded=patterns(),
+        drift_at=drift_at,
+        embedded_after=None if drift_at is None else patterns(),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_configs())
+def test_streams_equal_the_float_test_reference(cfg):
+    try:
+        expected = serialize_reference(generate_reference(cfg))
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as info:
+            generate(cfg)
+        assert str(info.value) == str(exc)
+        return
+    assert serialize_event_log(generate(cfg)) == expected

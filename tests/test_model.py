@@ -31,7 +31,7 @@ from streamseq import (
 )
 from streamseq import model
 from conftest import labels, queue_of, random_queue
-from oracle import contains, shrink_by_one
+from oracle import contains, serialize_reference, shrink_by_one
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -642,7 +642,7 @@ class TestEventLogProperties:
         assert q == ref and hash(q) == hash(ref)
         assert list(q) == list(ref)
         out = serialize_event_log(q)
-        assert out == serialize_event_log(ref)
+        assert out == serialize_event_log(ref) == serialize_reference(q)
         assert parse_event_log(out) == q
         assert serialize_event_log(parse_event_log(out)) == out
 
