@@ -136,10 +136,21 @@ def _width(n_types: int) -> int:
     return max(3, len(str(n_types)))
 
 
+class _Labels(dict):
+    """Type index -> label, each formatted when it is first drawn, so
+    memory grows with the types a stream holds, not with n_types."""
+
+    def __init__(self, n_types: int) -> None:
+        self.width = _width(n_types)
+
+    def __missing__(self, index: int) -> str:
+        label = self[index] = f"E{index + 1:0{self.width}d}"
+        return label
+
+
 def type_labels(n_types: int) -> list[str]:
     """The generated alphabet: E001..E194 style, zero-padded."""
-    width = _width(n_types)
-    return [f"E{i:0{width}d}" for i in range(1, n_types + 1)]
+    return list(map(_Labels(n_types).__getitem__, range(n_types)))
 
 
 def _is_type_label(label: str, n_types: int) -> bool:
@@ -153,18 +164,6 @@ def _is_type_label(label: str, n_types: int) -> bool:
         and digits.isdigit()
         and 1 <= int(digits) <= n_types
     )
-
-
-class _Labels(dict):
-    """Type index -> label, each formatted when it is first drawn, so
-    memory grows with the types a stream holds, not with n_types."""
-
-    def __init__(self, n_types: int) -> None:
-        self.width = _width(n_types)
-
-    def __missing__(self, index: int) -> str:
-        label = self[index] = f"E{index + 1:0{self.width}d}"
-        return label
 
 
 # a pattern's laydown: (offset, item) per item, offset 0 on the firing tuple
@@ -317,4 +316,4 @@ def generate(cfg: GenConfig) -> StreamQueue:
         )
     # every tuple holds at least one label, from type_labels or a checked
     # Sequence, so the queue needs no check of its rows
-    return StreamQueue._from_sets(tuple(range(1, len(sets) + 1)), tuple(sets))
+    return StreamQueue._from_columns(tuple(range(1, len(sets) + 1)), tuple(sets))

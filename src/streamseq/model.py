@@ -31,14 +31,10 @@ maintained per block.
 Everything here is immutable after construction, which is what makes the
 windows safe to share between the miner, the incremental updater and
 the sweep driver without locking.  The exception is memos that never
-change a result.  A queue builds its bitmaps or its label sets on first
-use.  A window keeps four memos: each label's bitmap cut to it, filled
-one label at a time; the path of prefixes the occurrence counter last
-matched over it, replaced when the prefix changes; each last item's
-offset planes, built once per span; and, in a window that head windows
-were cut from, each sequence's set of matching starts, which its heads
-count from.  Each memo entry is written in one statement, so a reader
-sees it whole or not at all.
+change a result: a queue builds its bitmaps or its label sets on first
+use, and a window holds the memo slots ViewWindow lists.  Each memo
+entry is written in one statement, so a reader sees it whole or not at
+all.
 """
 
 from __future__ import annotations
@@ -119,26 +115,20 @@ class StreamQueue:
 
     @classmethod
     def _from_columns(
-        cls, times: tuple[int, ...], masks: dict[str, int]
+        cls,
+        times: tuple[int, ...],
+        sets: tuple[frozenset[str], ...] | None = None,
+        masks: dict[str, int] | None = None,
     ) -> StreamQueue:
-        """A queue given as strictly increasing timestamps and the non-zero
-        bitmap of every type present, each within len(times) bits."""
-        queue = cls.__new__(cls)
-        queue.times = times
-        queue._sets = None
-        queue._masks = masks
-        return queue
-
-    @classmethod
-    def _from_sets(
-        cls, times: tuple[int, ...], sets: tuple[frozenset[str], ...]
-    ) -> StreamQueue:
-        """A queue given as strictly increasing timestamps and each tuple's
-        non-empty label set, every label one that _check_label passes."""
+        """A queue given as strictly increasing timestamps and one of two
+        columns: `sets`, each tuple's non-empty label set, every label one
+        that _check_label passes; or `masks`, the non-zero bitmap of every
+        type present, each within len(times) bits.  The other is built on
+        first use."""
         queue = cls.__new__(cls)
         queue.times = times
         queue._sets = sets
-        queue._masks = None
+        queue._masks = masks
         return queue
 
     def _label_sets(self) -> tuple[frozenset[str], ...]:
@@ -219,10 +209,6 @@ def _check_int(name: str, value: object) -> None:
         raise ParameterError(f"{name} must be an int, got {value!r}")
 
 
-# a matched prefix's last item, its ends and, once built, its end planes
-_PathNode = tuple[str, list[int], list[int] | None]
-
-
 class ViewWindow:
     """The range [start, start+size) of a queue's tuples, to count over.
 
@@ -231,28 +217,20 @@ class ViewWindow:
     and size are ints, not bools.
 
     A window holds four memos that never change a result and take no
-    part in equality or in what a window means: `_cuts`, filled once per
-    label by mask() with that label's bitmap cut to the window;
-    `_path`, the prefix the occurrence counter last matched here, as
-    (span, nodes) with one node (item, ends, end planes or None) per
-    prefix length, which the next prefix replaces from the first item
-    where the two differ; `_lasts`, which maps (span, item) to the
-    item's (span - 1).bit_length() offset planes, plane k the starts
-    whose last offset of the item inside the span has bit k set, filled
-    for items that end a sequence of two or more; and
-    `_starts`, which maps (span, sequence) to the sequence's set of
-    matching starts here, bit i for start i, filled only for a window
-    that heads were cut from.  Each memo entry is written in a single
-    statement, so a reader never sees one half-written.
+    part in equality or in what a window means.  mask() fills `_cuts`
+    with each label's bitmap cut to the window.  The occurrence counter
+    owns the other three and their layouts (see its module docstring):
+    `_path`, the prefixes it last matched here; `_lasts`, each last
+    item's offset planes; and `_starts`, each sequence's set of matching
+    starts, kept only in a window that heads were cut from.  Each memo
+    entry is written in a single statement, so a reader never sees one
+    half-written.
 
     A head window, built by _head(d), is the first d tuples of a wider
     window, its parent, and reads through the parent's memos: its cut
     of a label is the parent's cut ANDed with the low d bits, and the
-    occurrence counter answers a count over it from the parent's start
-    set, keeping the head's d - span + 1 starts.  Whether a start
-    matches depends only on the span tuples from it on, so the parent
-    and every head agree on each start they share.  A head equals the
-    plain window of its range.
+    occurrence counter counts it from the parent's start sets.  A head
+    equals the plain window of its range.
     """
 
     __slots__ = (
@@ -274,7 +252,7 @@ class ViewWindow:
         self._low = (1 << size) - 1  # the low `size` bits, which mask() keeps
         self._parent: ViewWindow | None = None
         self._cuts: dict[str, int] = {}
-        self._path: tuple[int, tuple[_PathNode, ...]] | None = None
+        self._path: tuple | None = None
         self._lasts: dict[tuple[int, str], list[int]] = {}
         self._starts: dict[tuple[int, Sequence], int] = {}
 
@@ -408,44 +386,43 @@ def parse_event_log(text: str) -> StreamQueue:
     drops the chunk's runs and new labels and sends it to the line lane
     (_line_chunk), which sets the same bits again, line by line: a
     partition at the comma, an int() where the timestamp's text changes,
-    a lookup of the label text, a bit set.  In a time-ordered log every
-    run is one tuple, so the rows are the queue's bitmaps as they stand;
-    any other log pays one relabel of the runs into sorted timestamp
-    order (_queue_of_runs).
+    a lookup of the label text, a bit set.  No run state passes between
+    chunks: each lane starts from the last run that `times` holds
+    (_last_run).  In a time-ordered log every run is one tuple, so the
+    rows are the queue's bitmaps as they stand; any other log pays one
+    relabel of the runs into sorted timestamp order (_queue_of_runs).
     """
     rows: dict[str, bytearray] = {}  # label -> row, bit r set for run r
     times: list[int] = []  # the timestamp of each run
-    state = (None, -1, 0, 0)  # the last run's timestamp, the run, its byte and bit
     done = start = 0  # the lines and the characters before the chunk
     while start < len(text):
         # just after a newline, which is always a line boundary; or the end
         end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
         chunk = text[start:end]
         start = end
-        bulk = _bulk_chunk(chunk, rows, times, *state)
-        if bulk is None:
+        records = _bulk_chunk(chunk, rows, times)
+        if records is None:
             lines = chunk.splitlines()
-            state = _line_chunk(lines, done, rows, times, *state)
-            done += len(lines)
-        else:
-            state, records = bulk
-            done += records
+            _line_chunk(lines, done, rows, times)
+            records = len(lines)
+        done += records
     return _queue_of_runs(times, rows)
 
 
+def _last_run(times: list[int]) -> tuple[int | None, int, int, int]:
+    """The last run's timestamp (None before the first run), its index
+    run, and the byte run >> 3 and bit 1 << (run & 7) it sets in a row."""
+    run = len(times) - 1
+    return (times[-1] if times else None), run, run >> 3, 1 << (run & 7)
+
+
 def _bulk_chunk(
-    chunk: str,
-    rows: dict[str, bytearray],
-    times: list[int],
-    last: int | None,
-    run: int,
-    byte: int,
-    bit: int,
-) -> tuple[tuple[int | None, int, int, int], int] | None:
-    """Parse a chunk of records in bulk, as parse_event_log says: the new
-    (last, run, byte, bit) state and the number of lines; None, with
-    `times` and `rows` as they were, for a chunk the line lane must
-    read."""
+    chunk: str, rows: dict[str, bytearray], times: list[int]
+) -> int | None:
+    """Parse a chunk of records in bulk, as parse_event_log says: the
+    number of lines; None, for a chunk the line lane must read, with
+    `times` as it was and no new label in `rows`.  A bit already set in
+    a row then is one the line lane sets again."""
     if not chunk.isascii():
         return None
     body = chunk[:-1] if chunk[-1] == "\n" else chunk
@@ -475,6 +452,7 @@ def _bulk_chunk(
             new[text] = bytearray()
         found = list(map({**rows, **new}.__getitem__, texts))
     runs = len(times)
+    last, run, byte, bit = _last_run(times)
     last_str = None  # the timestamp text of the last record
     try:
         for ts_str, row in zip(fields[::2], found):
@@ -496,22 +474,14 @@ def _bulk_chunk(
         del times[runs:]
         return None
     rows.update(new)
-    return (last, run, byte, bit), len(found)
+    return len(found)
 
 
 def _line_chunk(
-    lines: list[str],
-    done: int,
-    rows: dict[str, bytearray],
-    times: list[int],
-    last: int | None,
-    run: int,
-    byte: int,
-    bit: int,
-) -> tuple[int | None, int, int, int]:
+    lines: list[str], done: int, rows: dict[str, bytearray], times: list[int]
+) -> None:
     """Parse a chunk's `lines`, which follow `done` lines of the log, one
-    at a time, as parse_event_log says; the new (last, run, byte, bit)
-    state.
+    at a time, as parse_event_log says.
 
     int() ignores whitespace around a number, but not all that
     str.strip() removes: U+001F is one it refuses.  So a timestamp int()
@@ -521,6 +491,7 @@ def _line_chunk(
     have failed in the same way first, so the bad line is named as the
     first one equal to it; no line count is kept.
     """
+    last, run, byte, bit = _last_run(times)
     last_str = None  # the timestamp text of the last record
     for raw in lines:
         ts_str, sep, label = raw.partition(",")
@@ -563,7 +534,7 @@ def _line_chunk(
             row.extend(bytes(byte + 1))
             row[byte] |= bit
     else:
-        return last, run, byte, bit
+        return
     # the loop broke at line `raw`
     if not sep:  # and so its label text is ""
         message = f"expected 'timestamp,label', got {raw!r}"
@@ -582,7 +553,7 @@ def _queue_of_runs(times: list[int], rows: dict[str, bytearray]) -> StreamQueue:
     """
     if all(map(operator.lt, times, times[1:])):
         masks = {label: int.from_bytes(row, "little") for label, row in rows.items()}
-        return StreamQueue._from_columns(tuple(times), masks)
+        return StreamQueue._from_columns(tuple(times), masks=masks)
     order = sorted(set(times))
     rank = dict(zip(order, range(len(order))))
     ranks = list(map(rank.__getitem__, times))  # the tuple of each run
@@ -590,7 +561,7 @@ def _queue_of_runs(times: list[int], rows: dict[str, bytearray]) -> StreamQueue:
     for label, row in rows.items():
         runs = _set_bits(int.from_bytes(row, "little"))
         masks[label] = _bitmap(map(ranks.__getitem__, runs), len(order))
-    return StreamQueue._from_columns(tuple(order), masks)
+    return StreamQueue._from_columns(tuple(order), masks=masks)
 
 
 def serialize_event_log(queue: StreamQueue) -> str:

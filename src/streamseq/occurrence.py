@@ -47,6 +47,15 @@ digit width (30 bits in CPython):
     are heads of its widest one, so each sequence is matched once per
     sweep, not once per increment.
 
+The memos are three of a window's slots (ViewWindow), laid out here.
+`_path` is (span, nodes): one _PathNode (item, ends, end planes or
+None) per prefix length of the last prefix matched at that span, which
+the next prefix replaces from the first item where the two differ.
+`_lasts` maps (span, item) to the item's b offset planes, plane k the
+starts whose L has bit k set, for items that end a sequence of two or
+more.  `_starts` maps (span, sequence) to the sequence's set of
+matching starts, bit i for start i, kept only in a parent window.
+
 The trade-offs are the rare item and the memory at a huge span.  On
 20,000 tuples at span 10,000, a type that occurs twice costs about
 20 ms per item step (2-vCPU Xeon, CPython 3.11), where a walk over its
@@ -72,6 +81,9 @@ from typing import Iterable
 
 from .errors import ParameterError, UndefinedSupportError
 from .model import Sequence, ViewWindow
+
+# a matched prefix's last item, its ends and, once built, its end planes
+_PathNode = tuple[str, list[int], list[int] | None]
 
 
 @dataclass(frozen=True)
@@ -168,17 +180,12 @@ def occur(
     does not match reads as the largest offset and never matches.  The
     count is the popcount of the result.
 
-    The window keeps its matched path, keyed by span: one node per
-    prefix length, each the item, its ends and, once a candidate closes
-    there, its end planes.  It keeps each last item's offset planes too,
-    keyed by (span, item).  A candidate walks only the prefix items past
-    the head it shares with the path, and candidates arrive sorted, so a
-    run of them sharing a prefix matches it once and then closes one
-    last item each, and each item's planes serve every prefix it ends.
-    A head window (ViewWindow._head) is counted from its parent's start
-    set for seq, kept to the head's starts, which the parent matches
-    once for all its heads.  The memos never change a result, and every
-    call charges `cost` one scan, memo hit or not, so cost units stay a
+    A candidate walks only the prefix items past the head it shares
+    with the window's matched path, and each item's offset planes serve
+    every prefix it ends.  A head window (ViewWindow._head) is counted
+    from its parent's start set for seq, kept to the head's starts.
+    The memos (module docstring) never change a result, and every call
+    charges `cost` one scan, memo hit or not, so cost units stay a
     function of the (candidate, block) pairs asked for.
     """
     if cost is not None:
@@ -186,19 +193,19 @@ def occur(
     span = params.span
     parent = w._parent
     if parent is None:
-        return _match(seq, w, span, False)
+        return _match(seq, w, span).bit_count()
     if span > w.size:
         return 0
     key = (span, seq)
     found = parent._starts.get(key)
     if found is None:
-        found = parent._starts[key] = _match(seq, parent, span, True)
+        found = parent._starts[key] = _match(seq, parent, span)
     # the head's starts are the low size - span + 1 bits
     return (found & (w._low >> (span - 1))).bit_count()
 
 
-def _match(seq: Sequence, w: ViewWindow, span: int, as_set: bool) -> int:
-    """The starts of w where seq matches: their set if as_set, else their count."""
+def _match(seq: Sequence, w: ViewWindow, span: int) -> int:
+    """The set of starts of w where seq matches, bit i for start i."""
     if span > w.size:
         return 0
     y = w.mask(seq[-1])
@@ -206,13 +213,11 @@ def _match(seq: Sequence, w: ViewWindow, span: int, as_set: bool) -> int:
         return 0
     starts = (1 << (w.size - span + 1)) - 1
     if len(seq) == 1:
-        found = _cover(y, span) & starts
-    else:
-        planes = _prefix_planes(w, span, seq[:-1], starts)
-        if planes is None:
-            return 0
-        found = _last_item(w, span, seq[-1], planes)
-    return found if as_set else found.bit_count()
+        return _cover(y, span) & starts
+    planes = _prefix_planes(w, span, seq[:-1], starts)
+    if planes is None:
+        return 0
+    return _last_item(w, span, seq[-1], planes)
 
 
 def _cover(y: int, width: int) -> int:
@@ -231,11 +236,10 @@ def _prefix_planes(
     """The end planes of prefix's match over w (_end_planes), or None
     when it matches nowhere.
 
-    The window keeps its matched path: one node (item, ends, planes) per
-    prefix length, for the last prefix asked at this span.  A prefix
-    walks only its items past the head it shares with the path; planes
-    are built once, for the node a candidate closes, and the path is
-    replaced by the prefix's nodes in one statement.
+    A prefix walks only its items past the head it shares with the
+    window's matched path (module docstring); planes are built once,
+    for the node a candidate closes, and the path is replaced by the
+    prefix's nodes in one statement.
     """
     memo = w._path
     path = memo[1] if memo is not None and memo[0] == span else ()
@@ -248,7 +252,7 @@ def _prefix_planes(
         return None  # a shared head that matches nowhere
     if k == len(prefix) and path[k - 1][2] is not None:
         return path[k - 1][2]
-    nodes = list(path[:k])
+    nodes: list[_PathNode] = list(path[:k])
     for item in prefix[k:]:
         pending, ends = (0, nodes[-1][1]) if nodes else (starts, [])
         ends = _walk(pending, ends, w.mask(item), span)

@@ -79,8 +79,12 @@ class SweepPoint:
     delta_size: int
     t_full: float
     t_ius: float
-    speedup: float
     difference: Fraction
+
+    @property
+    def speedup(self) -> float:
+        """The update's speedup over a re-mine, t_full / t_ius."""
+        return speedup(self.t_full, self.t_ius)
 
 
 @dataclass(frozen=True)
@@ -220,20 +224,14 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
             t_full: float = _remine_charge(w0, dw, cfg.params.span, upd_cost)
             t_ius: float = upd_cost.window_evaluations
         else:
-            full_times = []
-            for _ in range(cfg.repetitions):
-                blocks = [window(queue, b.start, b.size) for b in (w0, dw)]
-                t0 = time.perf_counter()
-                full = mine(blocks, cfg.params)
-                full_times.append(time.perf_counter() - t0)
-            upd_times = []
-            for _ in range(cfg.repetitions):
-                upd_input = UpdateInput(queue, base, part)
-                t0 = time.perf_counter()
-                upd = ius_update(upd_input)
-                upd_times.append(time.perf_counter() - t0)
-            t_full = statistics.median(full_times)
-            t_ius = statistics.median(upd_times)
+            t_full, full = _median_time(
+                cfg.repetitions,
+                lambda: [window(queue, b.start, b.size) for b in (w0, dw)],
+                lambda blocks: mine(blocks, cfg.params),
+            )
+            t_ius, upd = _median_time(
+                cfg.repetitions, lambda: UpdateInput(queue, base, part), ius_update
+            )
             if upd.frequent != full.frequent:
                 raise ContractError(
                     f"update and re-mine disagree at delta {d}; "
@@ -249,11 +247,23 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
                 delta_size=d,
                 t_full=t_full,
                 t_ius=t_ius,
-                speedup=speedup(t_full, t_ius),
                 difference=distance(base_keys, frozenset(upd.frequent)),
             )
         )
     return points
+
+
+def _median_time(reps: int, make, call) -> tuple[float, object]:
+    """The median wall time of `reps` calls call(make()), and the last
+    call's result.  Each rep makes its argument before its timer
+    starts, so no time holds the making."""
+    times = []
+    for _ in range(reps):
+        arg = make()
+        t0 = time.perf_counter()
+        result = call(arg)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
 
 
 def _series(points: list[SweepPoint]) -> tuple[list[Fraction], list[Fraction]]:
@@ -270,10 +280,10 @@ def recommend(points: list[SweepPoint], initial_size: int) -> Recommendation:
     series is constant the sweep is degenerate: normalization would
     fabricate a geometry the data does not have, so no crossing or
     ratio is reported and the degenerate flag is set instead.  The
-    speedups are read from t_full and t_ius, not from the rounded
-    SweepPoint.speedup, and everything up to the reported floats is
-    exact, so a grid point where the normalized curves are equal is a
-    meeting, never a tiny gap of either sign.
+    speedups are read from t_full and t_ius as exact rationals, not as
+    the rounded float SweepPoint.speedup, and everything up to the
+    reported floats is exact, so a grid point where the normalized
+    curves are equal is a meeting, never a tiny gap of either sign.
     """
     if len(points) < 2:
         raise ContractError("recommend needs at least two sweep points")

@@ -320,8 +320,7 @@ def test_criterion_6_normalization_exact_and_scale_invariant():
 
     def points(scale):
         return [
-            SweepPoint(d, t_full=s * scale, t_ius=1.0, speedup=s * scale,
-                       difference=f)
+            SweepPoint(d, t_full=s * scale, t_ius=1.0, difference=f)
             for d, s, f in zip(sizes, speeds, diffs)
         ]
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -58,6 +59,20 @@ def test_gen_past_2_64_types_is_2(tmp_path, capsys, small_alphabets_only):
     assert run("gen", str(log), "--types", str(2**64 + 1), "--events", "30",
                "--seed", "1") == 2
     assert "n_types must be <= 2**64" in capsys.readouterr().err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("E001+E002", r"pattern needs LABEL\+LABEL\.\.\.@RATE: 'E001\+E002'"),
+        ("E001@often", r"bad rate in 'E001@often'"),
+    ],
+)
+def test_gen_refuses_a_bad_pattern_flag(tmp_path, capsys, spec, message):
+    log = tmp_path / "s.log"
+    assert run("gen", str(log), "--types", "6", "--events", "60", "--pattern", spec) == 2
+    assert re.search(f"argument --pattern: {message}$", capsys.readouterr().err, re.M)
     assert not log.exists()
 
 

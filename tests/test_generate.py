@@ -165,6 +165,22 @@ class TestGenConfig:
             )
 
     @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"n_types": 0}, "n_types must be >= 1, got 0"),
+            ({"n_events": 0}, "n_events must be >= 1, got 0"),
+            ({"drift_at": 0, "embedded_after": ()}, "drift_at must be >= 1, got 0"),
+            (
+                {"embedded": ((("E001",), 10.0),)},
+                r"embedded pattern \('E001',\) is not a Sequence",
+            ),
+        ],
+    )
+    def test_refusal_names_the_fault(self, given, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            GenConfig(**{"n_types": 4, "n_events": 10, "seed": 1, **given})
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             ("n_types", True),

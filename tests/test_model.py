@@ -257,6 +257,14 @@ class TestViewWindow:
         with pytest.raises(BoundsError):
             ViewWindow(q, 2, 2)
 
+    @pytest.mark.parametrize("size", [-1, 4])
+    def test_a_head_must_fit_its_window(self, size):
+        w = ViewWindow(queue_of("a", "b", "c", "a"), 1, 3)
+        with pytest.raises(
+            BoundsError, match=rf"^a head of {size} tuples does not fit ViewWindow\(1:4\)$"
+        ):
+            w._head(size)
+
     # a float used to fail deep in the counter with a bare TypeError
     @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", None])
     def test_rejects_a_start_that_is_not_an_int(self, bad):

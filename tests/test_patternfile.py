@@ -155,6 +155,11 @@ def test_empty_sections_round_trip():
     assert back.blocks == ()
 
 
+def test_blank_and_comment_lines_are_skipped():
+    text = GOLDEN.replace("span=2\n", "span=2\n\n# a comment\n  \t\n  # indented\n")
+    assert load_pattern_file(text) == load_pattern_file(GOLDEN)
+
+
 class TestLoadRejectsMalformedInput:
     def test_missing_header_key(self):
         with pytest.raises(PatternFileError):
@@ -229,6 +234,27 @@ class TestLoadRejectsMalformedInput:
         line_no = GOLDEN.count("\n") + 1
         with pytest.raises(PatternFileError, match=f"^line {line_no}: .*{message}"):
             load_pattern_file(GOLDEN + entry + entry)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("window_size=4\n", "window_size=-4\n",
+             "^line 2: bad value for window_size: '-4'$"),
+            ("L\ta\t3\n", "L\ta\t-3\n", "^line 8: bad count '-3'$"),
+            ("span=2\n", "span=2\ncolour=blue\n", "^line 6: unknown header key 'colour'$"),
+            ("format=1\n", "format=2\n", "^unsupported format '2'$"),
+            ("blocks=0:4\n", "blocks=4:0,0:8\n",
+             "^inconsistent pattern file: block 4:0 is not a range$"),
+            # floor(1/2 * 4) = 2 is the most a sequence below the
+            # frequent band may count
+            ("L\ta\t3\n", "L\ta\t2\n",
+             "^inconsistent pattern file: <a> count 2 not above 2$"),
+        ],
+    )
+    def test_refusal_names_the_fault(self, old, new, message):
+        assert old in GOLDEN
+        with pytest.raises(PatternFileError, match=message):
+            load_pattern_file(GOLDEN.replace(old, new))
 
     def test_truncated_entry_line(self):
         with pytest.raises(PatternFileError):

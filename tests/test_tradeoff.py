@@ -1,6 +1,5 @@
 import csv
 import io
-import math
 import random
 from fractions import Fraction
 
@@ -24,7 +23,6 @@ from streamseq import (
     recommend,
     recommendation_text,
     run_sweep,
-    speedup,
     sweep_csv,
     window,
 )
@@ -99,7 +97,6 @@ def _points(xs, sp, df):
             delta_size=int(x),
             t_full=s * 10.0,
             t_ius=10.0,
-            speedup=s,
             difference=Fraction(d).limit_denominator(1000),
         )
         for x, s, d in zip(xs, sp, df)
@@ -141,9 +138,8 @@ def _tied_sweeps(draw):
     return [
         SweepPoint(
             delta_size=sum(gaps[: i + 1]),
-            t_full=(t_full := draw(st.integers(1, 6))),
-            t_ius=(t_ius := draw(st.integers(1, 4))),
-            speedup=t_full / t_ius,
+            t_full=draw(st.integers(1, 6)),
+            t_ius=draw(st.integers(1, 4)),
             difference=Fraction(draw(st.integers(0, 6)), 6),
         )
         for i in range(n)
@@ -156,7 +152,7 @@ class TestRecommend:
         # floats the speedup's reads a hair above the difference's, so the
         # first crossing was missed and the ratio read 4.346
         pts = [
-            SweepPoint(d, t_full, t_ius, t_full / t_ius, diff)
+            SweepPoint(d, t_full, t_ius, diff)
             for d, t_full, t_ius, diff in zip(
                 (6, 22, 43, 46, 49, 51),
                 (27, 28, 14, 30, 6, 28),
@@ -217,24 +213,28 @@ class TestRecommend:
         with pytest.raises(ParameterError):
             recommend(pts, bad)
 
+    def test_rejects_an_initial_size_below_1(self):
+        pts = _points([10, 20], [2.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ParameterError, match="^initial_size must be >= 1, got 0$"):
+            recommend(pts, 0)
+
     def test_needs_two_points(self):
         with pytest.raises(ContractError):
             recommend(_points([100], [5.0], [0.1]), 1000)
 
     def test_crossings_invariant_under_speedup_scaling(self):
-        # normalization eats affine rescaling of the raw series
-        pts = _points([100, 200, 300, 400], [8.0, 5.0, 4.0, 2.0], [0.0, 0.3, 0.4, 0.9])
+        # normalization eats a rescaling of the speedups, here of every
+        # t_full by 7, which is exact in floats for these values; the raw
+        # speedups, 1 down to 1/8, cross the normalized differences, and
+        # scaled by 7 they would not
+        pts = _points([100, 200, 300, 400], [1.0, 0.5, 0.25, 0.125], [0.0, 0.3, 0.4, 0.9])
         base = recommend(pts, 400)
         scaled = recommend(
-            [
-                SweepPoint(p.delta_size, p.t_full, p.t_ius, p.speedup * 7, p.difference)
-                for p in pts
-            ],
+            [SweepPoint(p.delta_size, p.t_full * 7, p.t_ius, p.difference) for p in pts],
             400,
         )
-        assert len(base.crossings) == len(scaled.crossings)
-        for x, y in zip(base.crossings, scaled.crossings):
-            assert math.isclose(x, y, rel_tol=0, abs_tol=1e-9)
+        assert len(base.crossings) == 1
+        assert scaled == base
 
 
 class TestRunSweep:
@@ -354,6 +354,8 @@ class TestRunSweep:
             SweepConfig(initial_size=1, delta_sizes=(), params=_params())
         with pytest.raises(ParameterError):
             SweepConfig(initial_size=1, delta_sizes=(5, 5), params=_params())
+        with pytest.raises(ParameterError, match="^every delta size must be >= 1$"):
+            SweepConfig(initial_size=1, delta_sizes=(0, 5), params=_params())
         with pytest.raises(ParameterError):
             SweepConfig(initial_size=1, delta_sizes=(1,), params=_params(), timing="gpu")
         with pytest.raises(ParameterError):
@@ -404,7 +406,6 @@ def _reference_sweep(queue, cfg):
                 delta_size=d,
                 t_full=t_full,
                 t_ius=t_ius,
-                speedup=speedup(t_full, t_ius),
                 difference=distance(frozenset(base.frequent), frozenset(full.frequent)),
             )
         )
@@ -466,6 +467,10 @@ class TestSerialization:
         assert rows[2]["speedup_norm"] == "0.000000"
         assert rows[0]["difference_norm"] == "0.000000"
         assert rows[2]["difference_norm"] == "1.000000"
+
+    def test_csv_needs_a_point(self):
+        with pytest.raises(ParameterError, match="^no sweep points to render$"):
+            sweep_csv([])
 
     def test_recommendation_text_round_trips_the_numbers(self):
         pts = _points([100, 200, 300], [9.0, 6.0, 3.0], [0.1, 0.2, 0.7])
