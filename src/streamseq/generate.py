@@ -40,7 +40,10 @@ byte.
 Memory does not grow with n_types: a pattern label is checked by
 parsing it against the label format, and a type's label is formatted
 when it is first drawn, so no alphabet is ever built.  n_types is at
-most 2**64, the number of values one draw can take.
+most 2**64, the number of values one draw can take.  Nor do the label
+sets grow with the tuples: generate() keeps one frozenset per distinct
+label set drawn, and every tuple with that set refers to it, so memory
+grows with the distinct label sets drawn, not with tuples.
 """
 
 from __future__ import annotations
@@ -288,6 +291,7 @@ def generate(cfg: GenConfig) -> StreamQueue:
 
     pending: defaultdict[int, set[str]] = defaultdict(set)
     sets: list[frozenset[str]] = []
+    seen: dict[frozenset[str], frozenset[str]] = {}  # one object per label set
     events = 0
     i = 0
     while events < n_events:
@@ -305,6 +309,7 @@ def generate(cfg: GenConfig) -> StreamQueue:
         else:
             due.update(islice(labels, k))
             row = frozenset(due)
+        row = seen.setdefault(row, row)
         sets.append(row)
         events += len(row)
         i += 1

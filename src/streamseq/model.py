@@ -41,11 +41,13 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import BoundsError, EventLogParseError, ParameterError
 
 _LABEL_BREAKERS = re.compile(r"[,\s\ud800-\udfff]")
+_SERIALIZE_BLOCK = 4096  # tuples joined into one string by serialize_event_log
 
 
 def _check_label(label: object) -> None:
@@ -571,11 +573,23 @@ def serialize_event_log(queue: StreamQueue) -> str:
     within each tuple; ends with a newline when non-empty.  The output is
     a fixed point: parse -> serialize -> parse is the identity.  A tuple
     is written as one string, not one per record: with head "\n{time},",
-    its records are head + head.join(its sorted labels), so the joined
-    text starts with a newline, which is moved to the end.
+    its records are head + head.join(its sorted labels).  The strings of
+    _SERIALIZE_BLOCK tuples at a time are joined into one block, so no
+    string per tuple of the whole log is ever held.  The joined text
+    starts with a newline, so the first block drops it, and one last
+    join of the blocks and a closing newline is the log.
     """
-    parts = []
-    for time, labels in zip(queue.times, queue):
-        head = f"\n{time},"
-        parts.append(head + head.join(sorted(labels)))
-    return "".join(parts)[1:] + "\n" if parts else ""
+    rows = zip(queue.times, queue)
+    blocks = []
+    while block := "".join(
+        [
+            (head := f"\n{time},") + head.join(sorted(labels))
+            for time, labels in islice(rows, _SERIALIZE_BLOCK)
+        ]
+    ):
+        blocks.append(block)
+    if not blocks:
+        return ""
+    blocks[0] = blocks[0][1:]
+    blocks.append("\n")
+    return "".join(blocks)

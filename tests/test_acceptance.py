@@ -1,5 +1,5 @@
 """Shipping gate: one test per release criterion, plus a pin of the
-desk-scale sweep's cost units.
+desk-scale sweep's cost units and of what they are made of.
 
 Each test prints a single summary line with its measured numbers and
 asserts its own runtime budget.  A correct-but-slow run is a failure.
@@ -17,6 +17,7 @@ from fractions import Fraction
 from scipy.stats import spearmanr
 
 from streamseq import (
+    CostCounter,
     CountParams,
     GenConfig,
     MiningParams,
@@ -37,6 +38,7 @@ from streamseq import (
     serialize_event_log,
     window,
 )
+from streamseq import incremental, tradeoff
 from streamseq.cli import main as cli_main
 from streamseq.tradeoff import min_max_normalize
 
@@ -294,6 +296,49 @@ def test_desk_trend_sweep_cost_units_are_pinned():
     elapsed = time.monotonic() - t0
     assert elapsed < 30
     print(f"desk trend sweep: 9 (delta, t_full, t_ius) points exact: PASS ({elapsed:.1f}s)")
+
+
+def test_desk_trend_sweep_cost_units_decompose(monkeypatch):
+    # Each block of a sweep is one window, so with s = size - span + 1
+    # start positions per block, a re-mine that counts N candidates costs
+    # N * (s0 + sd) and an update that rescans the base block R_old times
+    # and the increment R_delta times costs R_old * s0 + R_delta * sd.
+    # N comes from a real re-mine, the rescans from the counting hook.
+    t0 = time.monotonic()
+    q, w0, points = _trend_sweep("desk", 1)
+    params = _trend_params()
+    rescans = []  # per update: [R_old, R_delta]
+    real_update, real_count = tradeoff.ius_update, incremental.occur_partitioned
+
+    def update(inp, cost=None):
+        rescans.append([0, 0])
+        return real_update(inp, cost)
+
+    def count(seq, blocks, count_params, cost=None):
+        rescans[-1][blocks[0].start != 0] += 1
+        return real_count(seq, blocks, count_params, cost)
+
+    monkeypatch.setattr(tradeoff, "ius_update", update)
+    monkeypatch.setattr(incremental, "occur_partitioned", count)
+    deltas = tuple(p.delta_size for p in points)
+    cfg = SweepConfig(initial_size=w0, delta_sizes=deltas, params=params)
+    assert run_sweep(q, cfg) == points
+
+    span = params.count_params.span
+    s0 = w0 - span + 1
+    for p, (r_old, r_delta) in zip(points, rescans, strict=True):
+        cost = CostCounter()
+        mine([window(q, 0, w0), window(q, w0, p.delta_size)], params, cost)
+        n = sum(cost.candidates.values())
+        sd = p.delta_size - span + 1
+        assert p.t_full == n * (s0 + sd)
+        assert p.t_ius == r_old * s0 + r_delta * sd
+    elapsed = time.monotonic() - t0
+    assert elapsed < 30
+    print(
+        f"desk trend sweep: t_full = N(s0 + sd) and t_ius = R_old s0 + "
+        f"R_delta sd on 9 rungs, (R_old, R_delta) {rescans}: PASS ({elapsed:.1f}s)"
+    )
 
 
 # --- criterion 6: normalization exactness ---

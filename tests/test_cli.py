@@ -197,6 +197,22 @@ def test_update_rejects_an_increment_overlapping_the_mined_window(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP S4: a pattern file pins where its blocks are, not what "
+    "they hold, so an update against a changed log exits 0",
+)
+def test_update_against_a_log_that_changed_under_its_pattern_file_is_3(tmp_path):
+    mined, changed = (
+        gen_log(tmp_path / f"s{seed}.log", seed=seed, types=30, events=3000, patterns=())
+        for seed in (1, 2)
+    )
+    base, out = tmp_path / "base.p", tmp_path / "x.p"
+    assert run("mine", str(mined), str(base), "--size", "1000", "--min-supp", "0.05",
+               "--min-nbd-supp", "0.02", "--span", "4") == 0
+    assert run("update", str(changed), str(base), str(out), "--size", "500") == 3
+
+
 def test_update_starts_after_the_last_mined_tuple_by_default(tmp_path):
     # the last-listed block is not always the last block of the window
     log = gen_log(tmp_path / "s.log")

@@ -241,6 +241,8 @@ class TestStreamQueue:
         assert parsed == q and hash(parsed) == hash(q)
         assert StreamQueue([(1, {"a", "b"}), (3, {"b"})]) != q
         assert StreamQueue([(1, {"a", "b"}), (2, {"a"})]) != q
+        assert q != "1,a\n1,b\n2,b\n"  # not even its own text
+        assert repr(q) == "StreamQueue(<2 tuples>)"
 
     def test_alphabet_sorted(self):
         q = queue_of("cb", "a")
@@ -277,8 +279,11 @@ class TestViewWindow:
             window(queue_of("a", "b", "c"), 0, bad)
 
     def test_end_and_ident(self):
-        w = window(queue_of("a", "b", "c", "d"), 1, 3)
+        q = queue_of("a", "b", "c", "d")
+        w = window(q, 1, 3)
         assert w.end == 4
+        assert w == window(q, 1, 3)
+        assert w != (q, 1, 3)
 
     def test_window_alphabet_is_window_local(self):
         q = queue_of("a", "z", "a")
@@ -529,6 +534,21 @@ class TestEventLog:
             again = parse_event_log(text)
             assert again == q
             assert serialize_event_log(again) == text
+
+    # serialize_event_log joins its tuples' strings in blocks
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, *(model._SERIALIZE_BLOCK + d for d in (-1, 0, 1)), 2 * model._SERIALIZE_BLOCK],
+    )
+    def test_serialize_matches_one_record_per_line_across_blocks(self, size):
+        rows = random_queue(random.Random(size), size, ["a", "b", "c", "de", "f"], 3)
+        queues = [rows, parse_event_log(serialize_reference(rows))]
+        if size:  # a generated stream holds at least one event
+            # one label per tuple, so `size` events are `size` tuples
+            queues.append(generate(GenConfig(n_types=30, n_events=size, seed=size)))
+        for q in queues:
+            assert len(q) == size
+            assert serialize_event_log(q) == serialize_reference(q)
 
 
 # whitespace that may sit around the fields of a record, and line endings
