@@ -3,6 +3,9 @@
 Five subcommands: gen writes a synthetic event log, mine turns a log
 window into a pattern file, update grows a mined window incrementally,
 diff compares two pattern files, sweep runs the update-timing analysis.
+mine, update and sweep read their log through logcache.read_queue, so
+only the first call on an unchanged log parses it; the cache beside
+the log never changes an output.
 Exit codes: 0 success, 2 usage (bad flags or parameter domains), 3 data
 (parse failures, inconsistent or incompatible inputs, windows that do
 not fit the log), 4 I/O.
@@ -19,7 +22,8 @@ from .errors import ParameterError, StreamSeqError
 from .generate import GenConfig, generate
 from .incremental import UpdateInput, ius_update
 from .mining import MiningParams, mine
-from .model import Sequence, parse_event_log, serialize_event_log, window
+from .logcache import read_queue
+from .model import Sequence, serialize_event_log, window
 from .occurrence import CostCounter, CountParams
 from .patternfile import dump_pattern_file, load_pattern_file
 from .tradeoff import (
@@ -120,7 +124,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_mine(args: argparse.Namespace) -> int:
     params = _mining_params(args)
-    queue = parse_event_log(_read_text(args.log))
+    queue = read_queue(args.log)
     blocks = []
     at = args.start
     for size in args.size:
@@ -156,7 +160,7 @@ def cmd_update(args: argparse.Namespace) -> int:
                 f"--{flag.replace('_', '-')} {have} does not match the "
                 f"pattern file's {want}"
             )
-    queue = parse_event_log(_read_text(args.log))
+    queue = read_queue(args.log)
     start = args.start
     if start is None:
         start = max((end for _, end in old.blocks), default=0)
@@ -200,7 +204,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         timing=args.timing,
         repetitions=args.reps,
     )
-    queue = parse_event_log(_read_text(args.log))
+    queue = read_queue(args.log)
     points = run_sweep(queue, cfg)
     _write_text(args.csv_out, sweep_csv(points))
     text = recommendation_text(recommend(points, cfg.initial_size))

@@ -7,7 +7,9 @@ queue of tuples: each tuple is the set of labels observed at one int
 timestamp, and tuples are kept in strictly increasing timestamp order.
 A Sequence is a non-empty tuple of labels.  A queue is held as columns:
 `times`, its timestamps, and one bitmap per label whose bit i is set
-when the label is in tuple i.  parse_event_log fills those columns
+when the label is in tuple i.  The command line keeps these columns
+beside each log it reads (logcache), so it parses a log's text only
+while that log is new or changed.  parse_event_log fills those columns
 in one pass over the text, a few operations per record: it sets the
 record's bit in its label's row, where bit r stands for the r-th run,
 a maximal stretch of consecutive records sharing one timestamp.  Its

@@ -377,6 +377,57 @@ def test_cli_path_builds_no_stream_tuple(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _cli_outputs(tmp_path, log, capsys):
+    """Every output of a mine, three chained updates and a sweep of `log`."""
+    flags = ("--min-supp", "0.1", "--min-nbd-supp", "0.03", "--span", "3", "--max-len", "3")
+    codes = [run("mine", str(log), str(tmp_path / "p0"), "--size", "300", *flags)]
+    for step in range(1, 4):
+        codes.append(run("update", str(log), str(tmp_path / f"p{step - 1}"),
+                         str(tmp_path / f"p{step}"), "--size", "100"))
+    codes.append(run("sweep", str(log), str(tmp_path / "c.csv"), str(tmp_path / "r.txt"),
+                     "--initial", "300", "--deltas", "60,120,180,240", *flags))
+    files = {name: (tmp_path / name).read_bytes()
+             for name in ("p0", "p1", "p2", "p3", "c.csv", "r.txt")}
+    return codes, capsys.readouterr(), files
+
+
+def test_warm_calls_read_the_sidecar_and_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    from streamseq import logcache
+
+    log = gen_log(tmp_path / "s.log", events=1500, seed=21)
+    cold = _cli_outputs(tmp_path, log, capsys)
+    assert cold[0] == [0] * 5
+    assert (tmp_path / "s.log.sqcache").exists()
+
+    def refuse(*args):
+        raise AssertionError("the log was parsed")
+
+    monkeypatch.setattr(logcache, "parse_event_log", refuse)
+    assert _cli_outputs(tmp_path, log, capsys) == cold
+
+
+@pytest.mark.parametrize("tail, message", [
+    (b"7000,\xff\n", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position {b}"),
+    (b"7000,E001\noops\n", "line {n}: expected 'timestamp,label', got 'oops'"),
+])
+def test_a_bad_tail_on_a_cached_log_fails_as_without_the_cache(tmp_path, capsys, tail,
+                                                               message):
+    log = gen_log(tmp_path / "s.log", events=1500, seed=21)
+    flags = ("--size", "300", "--min-supp", "0.1", "--min-nbd-supp", "0.03", "--span", "3")
+    assert run("mine", str(log), str(tmp_path / "p"), *flags) == 0
+    capsys.readouterr()
+    # the bad byte and the bad line, counted in the whole log
+    b, n = len(log.read_bytes()) + 5, len(log.read_text().splitlines()) + 2
+    with log.open("ab") as f:
+        f.write(tail)
+    errs = []
+    for _ in range(2):
+        assert run("mine", str(log), str(tmp_path / "p"), *flags) == 3
+        errs.append(capsys.readouterr().err)
+        (tmp_path / "s.log.sqcache").unlink(missing_ok=True)
+    assert errs[0] == errs[1] and message.format(b=b, n=n) in errs[0]
+
+
 def test_sweep_with_one_delta_is_2_before_reading_the_log(tmp_path, capsys):
     # recommend needs two points; refusing late would mine and write first
     csv, rec = tmp_path / "c.csv", tmp_path / "r.txt"
@@ -517,11 +568,17 @@ class TestExitCodes:
         paths[bad_arg].write_bytes(b"1,a\n\xff\xfe\n")
         out = tmp_path / "out.p"
         capsys.readouterr()
-        code = run("update", str(paths["log"]), str(paths["old"]), str(out), "--size", "100")
-        assert code == 3
-        err = capsys.readouterr().err
+        errs = []
+        for _ in range(2):  # the second read finds no sidecar either
+            code = run("update", str(paths["log"]), str(paths["old"]), str(out),
+                       "--size", "100")
+            assert code == 3
+            errs.append(capsys.readouterr().err)
+        err = errs[0]
         assert err.startswith("error:") and str(paths[bad_arg]) in err
+        assert errs[1] == err
         assert not out.exists()
+        assert not (tmp_path / "bad.sqcache").exists()
 
 
 def test_module_entry_point():

@@ -1,0 +1,269 @@
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
+import pytest
+
+from streamseq import EventLogParseError, StreamSeqError, parse_event_log
+from streamseq import logcache
+from streamseq.logcache import read_queue
+from streamseq.model import StreamQueue
+
+ROOT = Path(__file__).resolve().parents[1]
+LOG = "".join(f"{t},{label}\n" for t, label in [
+    (1, "a"), (1, "b"), (2, "a"), (4, "c"), (5, "b"), (5, "a"), (7, "c"), (9, "a"),
+])
+
+
+def sidecar(path):
+    return path.with_name(path.name + ".sqcache")
+
+
+def outcome(read):
+    """The queue `read` returns, or the line and message of its parse error."""
+    try:
+        return read()
+    except EventLogParseError as exc:
+        return exc.line_no, str(exc)
+
+
+def same_as_parse(path):
+    """read_queue gives what parse_event_log gives for the file's text."""
+    got = outcome(lambda: read_queue(str(path)))
+    want = outcome(lambda: parse_event_log(path.read_bytes().decode("utf-8")))
+    assert got == want
+    if not isinstance(want, tuple):
+        assert got.times == want.times and list(got._masks) == list(want._masks)
+    return got
+
+
+def forbid_parse(monkeypatch):
+    """Make every parse fail, so that only a sidecar can give a queue."""
+    def refuse(*args):
+        raise AssertionError("the log was parsed")
+
+    monkeypatch.setattr(logcache, "parse_event_log", refuse)
+
+
+def test_a_cold_read_writes_a_sidecar_that_a_warm_read_loads(tmp_path, monkeypatch):
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    cold = same_as_parse(log)
+    assert sidecar(log).read_bytes().startswith(logcache._MAGIC)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.log", "events.log.sqcache"]
+    forbid_parse(monkeypatch)
+    warm = read_queue(str(log))
+    assert warm == cold and warm.times == cold.times
+    assert list(warm._masks) == list(cold._masks)
+
+
+@pytest.mark.parametrize("block", [3, 7, 1 << 16])
+def test_every_same_length_one_byte_edit_is_a_miss(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(logcache, "_BLOCK", block)
+    log = tmp_path / "events.log"
+    data = LOG.encode()
+    for i in range(len(data)):
+        for byte in {b"9", b"x", b","} - {data[i:i + 1]}:
+            log.write_bytes(data)
+            read_queue(str(log))
+            log.write_bytes(data[:i] + byte + data[i + 1:])
+            same_as_parse(log)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The texts read_queue parses, in order."""
+    texts = []
+
+    def spy(text):
+        texts.append(text)
+        return parse_event_log(text)
+
+    monkeypatch.setattr(logcache, "parse_event_log", spy)
+    return texts
+
+
+@pytest.mark.parametrize("change", ["append", "cut"])
+def test_a_grown_or_cut_log_is_parsed_whole(tmp_path, parsed, change):
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    read_queue(str(log))
+    text = LOG + "3,d\n8,b\n" if change == "append" else LOG[:-4]
+    log.write_text(text)
+    same_as_parse(log)
+    assert parsed == [LOG, text]
+    rewritten = sidecar(log).read_bytes()
+    sidecar(log).unlink()
+    read_queue(str(log))
+    assert sidecar(log).read_bytes() == rewritten  # as a cold read writes it
+
+
+def resealed(data):
+    """A sidecar's bytes with its crc32 trailer made to match again."""
+    body = data[:-4]
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("damage", ["truncate", "flip", "version", "parser", "grow"])
+def test_a_damaged_sidecar_is_a_miss_and_is_replaced(tmp_path, damage):
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    read_queue(str(log))
+    good = sidecar(log).read_bytes()
+    magic = len(logcache._MAGIC)
+    if damage == "truncate":
+        cuts = [bytes(good[:n]) for n in range(magic, len(good))]
+    elif damage == "flip":
+        cuts = [
+            good[:i] + bytes([good[i] ^ 1 << bit]) + good[i + 1:]
+            for i in range(magic, len(good)) for bit in (0, 7)
+        ]
+    elif damage in ("version", "parser"):
+        at = magic + (damage == "parser") * 4
+        field = int.from_bytes(good[at:at + 4], "little") ^ 1
+        cuts = [resealed(good[:at] + field.to_bytes(4, "little") + good[at + 4:])]
+    else:
+        cuts = [good + b"\0"]
+    for cut in cuts:
+        sidecar(log).write_bytes(cut)
+        same_as_parse(log)
+        assert sidecar(log).read_bytes() == good
+
+
+def test_a_sidecar_holding_a_label_the_parser_refuses_is_a_miss(tmp_path):
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    read_queue(str(log))
+    good = sidecar(log).read_bytes()
+    queue = parse_event_log(LOG)
+    masks = dict(queue._type_masks())
+    masks["c d"] = masks.pop("c")
+    forged = StreamQueue._from_columns(queue.times, masks=masks)
+    logcache._store(str(sidecar(log)), 0o644, LOG, len(LOG), forged)
+    assert sidecar(log).read_bytes() != good
+    assert "c d" not in same_as_parse(log).alphabet()
+    assert sidecar(log).read_bytes() == good
+
+
+@pytest.mark.parametrize("log_mode", [0o600, 0o640, 0o644])
+def test_a_sidecar_grants_no_permission_its_log_lacks(tmp_path, log_mode):
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    log.chmod(log_mode)
+    old = os.umask(0o022)
+    try:
+        read_queue(str(log))
+        assert sidecar(log).stat().st_mode & 0o777 == log_mode
+        # one written before the log was made private is replaced
+        log.chmod(0o600)
+        same_as_parse(log)
+        assert sidecar(log).stat().st_mode & 0o777 == 0o600
+    finally:
+        os.umask(old)
+
+
+@pytest.mark.parametrize("foreign", [b"", b"not a sidecar\n", b"streamseq queue cach"])
+def test_a_foreign_file_at_the_sidecar_path_is_left_untouched(tmp_path, foreign):
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    sidecar(log).write_bytes(foreign)
+    for _ in range(2):
+        same_as_parse(log)
+        assert sidecar(log).read_bytes() == foreign
+
+
+def test_a_directory_at_the_sidecar_path_is_passed_over(tmp_path):
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    sidecar(log).mkdir()
+    for _ in range(2):
+        same_as_parse(log)
+    assert sidecar(log).is_dir() and not any(sidecar(log).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.log", "events.log.sqcache"]
+
+
+def test_a_failed_write_leaves_no_file_behind(tmp_path, monkeypatch):
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+
+    def refuse(src, dst):
+        raise PermissionError(dst)
+
+    monkeypatch.setattr(logcache.os, "replace", refuse)
+    same_as_parse(log)
+    assert [p.name for p in tmp_path.iterdir()] == ["events.log"]
+
+
+@pytest.mark.parametrize("text", [
+    "1,a\n2,b\n3,",                       # a bad last line
+    "1,a\n2,b\nx,c\n",                    # a bad timestamp
+    "1,a\n" + f"{1 << 63},b\n",           # a timestamp past int64
+    "1,a\n" + f"{-(1 << 63) - 1},b\n",
+])
+def test_a_log_that_fails_to_parse_or_overflows_int64_writes_no_sidecar(tmp_path, text):
+    log = tmp_path / "events.log"
+    log.write_text(text)
+    for _ in range(2):
+        same_as_parse(log)
+    assert not sidecar(log).exists()
+
+
+def test_int64_bounds_are_cached(tmp_path, monkeypatch):
+    log = tmp_path / "events.log"
+    log.write_text(f"{-(1 << 63)},a\n{(1 << 63) - 1},b\n")
+    cold = same_as_parse(log)
+    forbid_parse(monkeypatch)
+    assert read_queue(str(log)).times == cold.times == (-(1 << 63), (1 << 63) - 1)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# only a comment\n", "1,a\r\n2,b\r3,c\n"])
+def test_odd_logs_read_warm_as_they_parse(tmp_path, monkeypatch, text):
+    log = tmp_path / "events.log"
+    log.write_bytes(text.encode())
+    cold = same_as_parse(log)
+    # the log as read before the cache, with newlines translated
+    assert cold == parse_event_log(log.read_text(encoding="utf-8"))
+    forbid_parse(monkeypatch)
+    assert read_queue(str(log)) == cold
+
+
+def test_a_tail_that_is_not_utf8_fails_as_the_whole_log_does(tmp_path):
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    read_queue(str(log))
+    with log.open("ab") as f:
+        f.write(b"10,\xff\n")
+    with pytest.raises(StreamSeqError) as info:
+        read_queue(str(log))
+    message = str(info.value)
+    assert f"in position {len(LOG) + 3}" in message
+    sidecar(log).unlink()
+    with pytest.raises(StreamSeqError) as info:
+        read_queue(str(log))
+    assert str(info.value) == message
+    assert not sidecar(log).exists()
+
+
+def test_the_cli_path_never_imports_hashlib(tmp_path):
+    script = (
+        "import sys\n"
+        "from streamseq.cli import main\n"
+        "log = sys.argv[1]\n"
+        "assert main(['gen', log, '--types', '8', '--events', '400', '--seed', '3']) == 0\n"
+        "for out in ('cold.p', 'warm.p'):\n"
+        "    assert main(['mine', log, out, '--size', '100', '--min-supp', '0.1',\n"
+        "                 '--min-nbd-supp', '0.05', '--span', '3']) == 0\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "s.log")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "s.log.sqcache").exists()
+    assert (tmp_path / "cold.p").read_bytes() == (tmp_path / "warm.p").read_bytes()
