@@ -26,13 +26,14 @@ The sidecar holds, in order, every integer little-endian:
 
 A sidecar never changes an output.  One that is missing, stale,
 truncated or corrupt, of another version or parser, holding a label the
-parser refuses, or readable by someone who cannot read its log is a
-miss; any failure to read or write one is passed over.  A log that
-fails to parse writes no sidecar, and neither does one with a
-timestamp outside int64.  A file at the sidecar path that does not
-start with the magic line is never replaced.  Reads and writes stream
-in blocks: neither the whole sidecar nor a second copy of the log is
-ever held.
+parser refuses, readable by someone who cannot read its log, or owned
+by neither the log's owner nor the reader is a miss; any failure to
+read or write one is passed over.  A log that fails to parse writes no
+sidecar, and neither does one with a timestamp outside int64.  A file
+at the sidecar path that does not start with the magic line, or that
+another user owns, is never replaced.  Reads and writes stream in
+blocks: neither the whole sidecar nor a second copy of the log is ever
+held.
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ def read_queue(path: str) -> StreamQueue:
         info = os.fstat(log.fileno())
         mode = stat.S_IMODE(info.st_mode) & 0o666
         cache, ours = (
-            _open_sidecar(side, mode) if stat.S_ISREG(info.st_mode) else (None, False)
+            _open_sidecar(side, mode, info.st_uid)
+            if stat.S_ISREG(info.st_mode)
+            else (None, False)
         )
         if cache is not None:
             with cache:
@@ -128,24 +131,24 @@ def read_queue(path: str) -> StreamQueue:
         raise StreamSeqError(f"{path}: not UTF-8 text: {exc}") from None
     n = len(data)
     del data  # the text is the log; strict UTF-8 round-trips
-    # parsed as text mode reads it, each "\r\n" and lone "\r" a "\n", so
-    # that a "\r\n" log keeps the parser's bulk lane
-    queue = parse_event_log(
-        text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-    )
+    queue = parse_event_log(text)
     if ours:
         _store(side, mode, text, n, queue)
     return queue
 
 
-def _open_sidecar(side: str, mode: int) -> tuple[BinaryIO | None, bool]:
+def _open_sidecar(side: str, mode: int, owner: int) -> tuple[BinaryIO | None, bool]:
     """The sidecar open at its start, or None; and whether a new sidecar
     may replace what is at its path: nothing, or a file that starts with
-    the magic line.  A sidecar that grants a permission beyond `mode`,
-    its log's, is not opened but replaced."""
+    the magic line.  A file owned by neither `owner`, its log's owner,
+    nor this process's user is left alone, as anyone who can write to
+    the directory could have put it there.  A sidecar that grants a
+    permission beyond `mode`, its log's, is not opened but replaced."""
     try:
         info = os.stat(side)
-        if not stat.S_ISREG(info.st_mode):
+        if not stat.S_ISREG(info.st_mode) or (
+            info.st_uid != owner and info.st_uid != os.geteuid()
+        ):
             return None, False
         cache = open(side, "rb")
     except FileNotFoundError:

@@ -13,11 +13,10 @@ while that log is new or changed.  parse_event_log fills those columns
 in one pass over the text, a few operations per record: it sets the
 record's bit in its label's row, where bit r stands for the r-th run,
 a maximal stretch of consecutive records sharing one timestamp.  Its
-one label table maps each label to its row.  It reads the text in
-chunks cut after a newline, each in one of two lanes: a chunk of
-plain ASCII "timestamp,label" lines ending in "\n" is read in bulk;
-any other chunk is read line by line.  In a time-ordered log each run
-is one tuple and the rows are the bitmaps.  Any other log, with a
+one label table maps each label to its row.  It reads the text line by
+line, split into lines a chunk at a time, each chunk cut after a
+newline, with the run state carried from chunk to chunk.  In a
+time-ordered log each run is one tuple and the rows are the bitmaps.  Any other log, with a
 record out of order or a timestamp that comes back later, pays one
 relabel of the runs into sorted timestamp order, which also merges
 runs of one timestamp.  Iterating or indexing a queue yields each
@@ -360,9 +359,6 @@ class Sequence(tuple):
 # a chunk of log text is cut just after the first newline at or past
 # this many characters from its start
 _CHUNK = 1 << 16
-# the ASCII characters str.splitlines() breaks a line at, and the comma
-_SEPARATORS = b",\n\r\v\f\x1c\x1d\x1e"
-_NOT_SEPARATORS = bytes(b for b in range(256) if b not in _SEPARATORS)
 
 
 def parse_event_log(text: str) -> StreamQueue:
@@ -379,113 +375,12 @@ def parse_event_log(text: str) -> StreamQueue:
     One pass over the text sets one bit per record, in its label's row
     in `rows`, the one label table.  A record's bit is its run: a
     maximal stretch of consecutive records that share one timestamp.
-    The text is read in chunks of about _CHUNK characters, each cut just
-    after a newline, and each chunk takes one of two lanes.  The bulk
-    lane (_bulk_chunk) takes a chunk of ASCII text in which every line
-    holds exactly one comma and ends in a plain newline.  It splits the
-    chunk once, looks every label text up at once, calls int() only
-    where a timestamp's text differs from the record before and sets
-    each record's bit.  A bad label, or a timestamp int() refuses as
-    written (a comment line, padding such as U+001F, a bad timestamp),
-    drops the chunk's runs and new labels and sends it to the line lane
-    (_line_chunk), which sets the same bits again, line by line: a
-    partition at the comma, an int() where the timestamp's text changes,
-    a lookup of the label text, a bit set.  No run state passes between
-    chunks: each lane starts from the last run that `times` holds
-    (_last_run).  In a time-ordered log every run is one tuple, so the
-    rows are the queue's bitmaps as they stand; any other log pays one
-    relabel of the runs into sorted timestamp order (_queue_of_runs).
-    """
-    rows: dict[str, bytearray] = {}  # label -> row, bit r set for run r
-    times: list[int] = []  # the timestamp of each run
-    done = start = 0  # the lines and the characters before the chunk
-    while start < len(text):
-        # just after a newline, which is always a line boundary; or the end
-        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
-        chunk = text[start:end]
-        start = end
-        records = _bulk_chunk(chunk, rows, times)
-        if records is None:
-            lines = chunk.splitlines()
-            _line_chunk(lines, done, rows, times)
-            records = len(lines)
-        done += records
-    return _queue_of_runs(times, rows)
-
-
-def _last_run(times: list[int]) -> tuple[int | None, int, int, int]:
-    """The last run's timestamp (None before the first run), its index
-    run, and the byte run >> 3 and bit 1 << (run & 7) it sets in a row."""
-    run = len(times) - 1
-    return (times[-1] if times else None), run, run >> 3, 1 << (run & 7)
-
-
-def _bulk_chunk(
-    chunk: str, rows: dict[str, bytearray], times: list[int]
-) -> int | None:
-    """Parse a chunk of records in bulk, as parse_event_log says: the
-    number of lines; None, for a chunk the line lane must read, with
-    `times` as it was and no new label in `rows`.  A bit already set in
-    a row then is one the line lane sets again."""
-    if not chunk.isascii():
-        return None
-    body = chunk[:-1] if chunk[-1] == "\n" else chunk
-    # every line holds one comma and ends in "\n", not in another line
-    # boundary; counting commas and lines cannot prove this
-    seps = body.encode("ascii").translate(None, _NOT_SEPARATORS)
-    if seps != b",\n" * (len(seps) >> 1) + b",":
-        return None
-    fields = body.replace("\n", ",").split(",")
-    texts = fields[1::2]
-    new: dict[str, bytearray] = {}
-    try:
-        found = list(map(rows.__getitem__, texts))
-    except KeyError:
-        # each label text without its trailing padding, as the line lane reads it
-        texts = list(map(str.rstrip, texts))
-        # new labels, in order of first appearance; they are committed
-        # only once the chunk has parsed here, so that the label of a line
-        # the line lane skips, such as "# 1,E999", never gets a row
-        for text in dict.fromkeys(texts):
-            if text in rows:
-                continue
-            try:
-                _check_label(text)
-            except ParameterError:
-                return None  # a bad label, which the line lane names
-            new[text] = bytearray()
-        found = list(map({**rows, **new}.__getitem__, texts))
-    runs = len(times)
-    last, run, byte, bit = _last_run(times)
-    last_str = None  # the timestamp text of the last record
-    try:
-        for ts_str, row in zip(fields[::2], found):
-            if ts_str != last_str:
-                last_str = ts_str
-                ts = int(ts_str, 10)
-                if ts != last:
-                    last = ts
-                    times.append(ts)
-                    run += 1
-                    byte = run >> 3
-                    bit = 1 << (run & 7)
-            try:
-                row[byte] |= bit
-            except IndexError:
-                row.extend(bytes(byte + 1))
-                row[byte] |= bit
-    except ValueError:
-        del times[runs:]
-        return None
-    rows.update(new)
-    return len(found)
-
-
-def _line_chunk(
-    lines: list[str], done: int, rows: dict[str, bytearray], times: list[int]
-) -> None:
-    """Parse a chunk's `lines`, which follow `done` lines of the log, one
-    at a time, as parse_event_log says.
+    The text is split into lines in chunks of about _CHUNK characters,
+    each cut just after a newline, so that the lines of the whole log
+    are never held at once.  Each line costs a partition at the comma,
+    an int() only where the timestamp's text differs from the record
+    before, a lookup of the label text and a bit set; the run state
+    carries from one chunk to the next.
 
     int() ignores whitespace around a number, but not all that
     str.strip() removes: U+001F is one it refuses.  So a timestamp int()
@@ -493,56 +388,70 @@ def _line_chunk(
     or a comment, and a label text missing from `rows` is looked up
     again without its trailing padding.  An equal earlier line would
     have failed in the same way first, so the bad line is named as the
-    first one equal to it; no line count is kept.
+    first one in its chunk equal to it, and lines are counted a chunk at
+    a time.  In a time-ordered log every run is one tuple, so the rows
+    are the queue's bitmaps as they stand; any other log pays one
+    relabel of the runs into sorted timestamp order (_queue_of_runs).
     """
-    last, run, byte, bit = _last_run(times)
-    last_str = None  # the timestamp text of the last record
-    for raw in lines:
-        ts_str, sep, label = raw.partition(",")
-        if ts_str != last_str:
-            try:
-                ts = int(ts_str, 10)
-            except ValueError:
-                line = raw.strip()
-                if not line or line[0] == "#":
-                    continue
+    rows: dict[str, bytearray] = {}  # label -> row, bit r set for run r
+    times: list[int] = []  # the timestamp of each run
+    last = last_str = None  # the last run's timestamp, the last record's text
+    run = -1  # the last run, which sets bit `bit` of byte `byte` in a row
+    byte = bit = 0
+    done = start = 0  # the lines and the characters before the chunk
+    while start < len(text):
+        # just after a newline, which is always a line boundary; or the end
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        start = end
+        for raw in lines:
+            ts_str, sep, label = raw.partition(",")
+            if ts_str != last_str:
                 try:
-                    ts = int(ts_str.strip(), 10)
+                    ts = int(ts_str, 10)
                 except ValueError:
-                    message = f"bad timestamp {ts_str.strip()!r}"
-                    break
-            last_str = ts_str
-            if ts != last:
-                last = ts
-                times.append(ts)
-                run += 1
-                byte = run >> 3
-                bit = 1 << (run & 7)
-        try:
-            row = rows[label]
-        except KeyError:
-            label = label.rstrip()
-            row = rows.get(label)
-            if row is None:
-                try:
-                    _check_label(label)
-                except ParameterError as exc:
-                    message = str(exc)
-                    break
-                row = rows[label] = bytearray(byte + 1)
-        try:
-            row[byte] |= bit
-        except IndexError:
-            # a row ends at its label's last run so far and at least
-            # doubles when it grows, so it stays within twice its bitmap
-            row.extend(bytes(byte + 1))
-            row[byte] |= bit
-    else:
-        return
-    # the loop broke at line `raw`
-    if not sep:  # and so its label text is ""
-        message = f"expected 'timestamp,label', got {raw!r}"
-    raise EventLogParseError(done + lines.index(raw) + 1, message)
+                    line = raw.strip()
+                    if not line or line[0] == "#":
+                        continue
+                    try:
+                        ts = int(ts_str.strip(), 10)
+                    except ValueError:
+                        message = f"bad timestamp {ts_str.strip()!r}"
+                        break
+                last_str = ts_str
+                if ts != last:
+                    last = ts
+                    times.append(ts)
+                    run += 1
+                    byte = run >> 3
+                    bit = 1 << (run & 7)
+            try:
+                row = rows[label]
+            except KeyError:
+                label = label.rstrip()
+                row = rows.get(label)
+                if row is None:
+                    try:
+                        _check_label(label)
+                    except ParameterError as exc:
+                        message = str(exc)
+                        break
+                    row = rows[label] = bytearray(byte + 1)
+            try:
+                row[byte] |= bit
+            except IndexError:
+                # a row ends at its label's last run so far and at least
+                # doubles when it grows, so it stays within twice its bitmap
+                row.extend(bytes(byte + 1))
+                row[byte] |= bit
+        else:
+            done += len(lines)
+            continue
+        # the loop broke at line `raw`
+        if not sep:  # and so its label text is ""
+            message = f"expected 'timestamp,label', got {raw!r}"
+        raise EventLogParseError(done + lines.index(raw) + 1, message)
+    return _queue_of_runs(times, rows)
 
 
 def _queue_of_runs(times: list[int], rows: dict[str, bytearray]) -> StreamQueue:

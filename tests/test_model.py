@@ -430,8 +430,8 @@ class TestEventLog:
         assert serialize_event_log(q) == serialize_event_log(ref)
 
     # A chunk that gives the parser every label below, so that a chunk
-    # after it can take the bulk lane; _parse_after_head puts the text it
-    # is given in that next chunk.
+    # after it reads on from the run state and labels carried over;
+    # _parse_after_head puts the text it is given in that next chunk.
     _HEAD = "1,a\n1,b\n1,E001\n1,E002\n1,E023\n"
 
     def _parse_after_head(self, tail):
@@ -466,7 +466,7 @@ class TestEventLog:
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_a_timestamp_text_that_comes_back_is_read_again(self, eol):
-        # each lane skips int() only for the text of the record just before
+        # the parser skips int() only for the text of the record just before
         q = self._parse_after_head(eol.join(["2,a", "3,b", "2,b", "3,a", ""]))
         assert q.times == (1, 2, 3) and q[1] == q[2] == {"a", "b"}
 
@@ -476,15 +476,15 @@ class TestEventLog:
         assert info.value.line_no == 8
 
     def test_padding_in_a_bulk_chunk_still_parses(self):
-        # int() refuses the U+001F, so the bulk lane undoes its runs and
-        # the line lane reads the chunk again
+        # int() refuses the U+001F as written, so the timestamp is read
+        # again stripped
         q = self._parse_after_head("2,a\n3,b\n\x1f4,a\n5,b\n")
         assert q.times == (1, 2, 3, 4, 5)
         assert list(q)[1:] == [{"a"}, {"b"}, {"a"}, {"b"}]
 
     def test_a_comment_in_the_first_chunk_gives_its_label_no_row(self):
-        # the bulk lane meets E999 as new label text before int() refuses
-        # "# 1" and the line lane skips the line
+        # int() refuses "# 1", so the line is skipped before its label
+        # text E999 is looked up
         text = "1,E001\n# 1,E999\n2,E002\n"
         _parses_as_the_two_pass_parse(text)
         q = parse_event_log(text)
@@ -511,7 +511,7 @@ class TestEventLog:
         "text", ["1,a \n2,a\n3,b\n", "1,a\n2,a \n3,b\n", "1,a \n2,a \n3,b\n"]
     )
     def test_a_label_written_bare_after_padded_keeps_its_row(self, text, chunk):
-        # both lanes strip the padding after a label, so padded and bare
+        # the parser strips the padding after a label, so padded and bare
         # text share the label's one row, in chunks of one line or of two
         with _chunk_size(chunk):
             _parses_as_the_two_pass_parse(text)
@@ -566,8 +566,8 @@ def _written_log(draw, clean=False):
     """A random queue and a messy log of it: records shuffled and repeated,
     blank and comment lines between them, whitespace around the fields.
     A clean log has ASCII labels, bare fields, "\n" line ends and a blank
-    or comment line before one record in ten, so that the parser's bulk
-    lane takes most of its chunks."""
+    or comment line before one record in ten, so that nearly every line
+    is a bare record, as in a log serialize_event_log writes."""
     pool = draw(st.lists(_ascii_labels if clean else labels,
                          min_size=1, max_size=6, unique=True))
     times = sorted(draw(st.sets(st.integers(-10**12, 10**12), max_size=25)))
