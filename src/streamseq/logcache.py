@@ -17,23 +17,37 @@ The sidecar holds, in order, every integer little-endian:
     version (4), parser (4)     the format, and zlib.crc32 of model.py,
                                 so that an edit to the parser retires
                                 every sidecar written before it
-    n (8)                       then n bytes, the exact copy of the log
-    k (8)                       then the k timestamps, 8 bytes each, signed
-    labels (8)                  then per label, in the queue's order, its
-                                UTF-8 length (4) and text, and its
-                                bitmap's length (8) and int.to_bytes
-    crc32 (4)                   zlib.crc32 of everything before it
+    n (8), table (8),           the sizes of the copy, the label table
+    k (8), area (8)             and the bitmap area in bytes, and the
+                                number of timestamps
+    copy (n)                    the exact copy of the log
+    label table (table)         per label, in the queue's order, its
+                                UTF-8 length (4) and text and its
+                                bitmap's length (8)
+    timestamps (8 k)            int64, signed
+    bitmap area (area)          each label's canonical bitmap row, in
+                                the table's order
+    crc32 (4)                   zlib.crc32 of every field but the copy
+
+The copy is compared with the log byte for byte, so the trailer needs
+to cover only the fields around it.  A warm read does I/O and checks
+only: it reads each column in one call and holds it once, as a label
+table, an array of timestamps and one bytes object whose slices are the
+queue's bitmap rows, and it decodes nothing the call does not ask for
+(see StreamQueue).
 
 A sidecar never changes an output.  One that is missing, stale,
 truncated or corrupt, of another version or parser, holding a label the
 parser refuses, readable by someone who cannot read its log, or owned
 by neither the log's owner nor the reader is a miss; any failure to
-read or write one is passed over.  A log that fails to parse writes no
-sidecar, and neither does one with a timestamp outside int64.  A file
-at the sidecar path that does not start with the magic line, or that
-another user owns, is never replaced.  Reads and writes stream in
-blocks: neither the whole sidecar nor a second copy of the log is ever
-held.
+read or write one is passed over.  Only the log's owner writes a
+sidecar: one another user wrote would be foreign to the owner, whose
+every read would then parse the log.  A log that fails to parse writes
+no sidecar, and neither does one with a timestamp outside int64.  A
+file at the sidecar path that does not start with the magic line, or
+that another user owns, is never replaced.  The copy is read and
+written in blocks: neither the whole sidecar nor a second copy of the
+log is ever held.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ from .errors import StreamSeqError
 from .model import StreamQueue, _check_label, parse_event_log
 
 _MAGIC = b"streamseq queue cache\n"
-_VERSION = 2
+_VERSION = 3
 _SUFFIX = ".sqcache"
 _BLOCK = 1 << 16  # bytes, or characters, streamed at a time
 _TIMES = _BLOCK >> 3  # timestamps streamed at a time
@@ -75,16 +89,46 @@ class _Reader:
         self.left = os.fstat(f.fileno()).st_size - 4
         self.crc = 0
 
-    def take(self, n: int) -> bytes:
-        data = self.f.read(n) if n <= self.left else b""
-        if len(data) != n:
+    def _skip(self, n: int) -> None:
+        if n > self.left:
             raise ValueError("the sidecar is cut short")
         self.left -= n
+
+    def take(self, n: int) -> bytes:
+        self._skip(n)
+        data = self.f.read(n)
+        if len(data) != n:
+            raise ValueError("the sidecar is cut short")
         self.crc = zlib.crc32(data, self.crc)
         return data
 
+    def int64s(self, k: int) -> array:
+        """The next k signed int64s, read in one call."""
+        self._skip(k << 3)
+        values = array("q", [0]) * k
+        if self.f.readinto(values) != k << 3:
+            raise ValueError("the sidecar is cut short")
+        self.crc = zlib.crc32(values, self.crc)
+        if sys.byteorder == "big":
+            values.byteswap()
+        return values
+
     def int(self, width: int) -> int:
         return int.from_bytes(self.take(width), "little")
+
+    def same(self, log: BinaryIO, n: int) -> bool:
+        """Whether the next n bytes, which the crc32 leaves out, are the
+        log's next n bytes; compared a block at a time."""
+        self._skip(n)
+        mine, theirs = bytearray(min(_BLOCK, n)), bytearray(min(_BLOCK, n))
+        for at in range(n, 0, -_BLOCK):
+            if at < len(mine):  # the last block is short
+                del mine[at:], theirs[at:]
+            if self.f.readinto(mine) != len(mine) or log.readinto(theirs) != len(theirs):
+                return False
+            if mine != theirs:
+                return False
+        return True
 
     def check(self) -> bool:
         """Whether the trailer follows and matches."""
@@ -132,7 +176,7 @@ def read_queue(path: str) -> StreamQueue:
     n = len(data)
     del data  # the text is the log; strict UTF-8 round-trips
     queue = parse_event_log(text)
-    if ours:
+    if ours and info.st_uid == os.geteuid():  # only the log's owner writes one
         _store(side, mode, text, n, queue)
     return queue
 
@@ -173,29 +217,30 @@ def _load(cache: BinaryIO, log: BinaryIO) -> StreamQueue | None:
         r = _Reader(cache)
         if r.take(len(_MAGIC)) != _MAGIC or r.int(4) != _VERSION or r.int(4) != _parser():
             return None
-        n = r.int(8)
-        if n != os.fstat(log.fileno()).st_size:
+        n, table_size, k, area_size = r.int(8), r.int(8), r.int(8), r.int(8)
+        if n != os.fstat(log.fileno()).st_size or not r.same(log, n):
             return None
-        for at in range(0, n, _BLOCK):
-            block = r.take(min(_BLOCK, n - at))
-            if log.read(len(block)) != block:
-                return None
-        times = array("q")
-        k = r.int(8)
-        for at in range(0, k, _TIMES):
-            times.frombytes(r.take(min(_TIMES, k - at) << 3))
-        if sys.byteorder == "big":
-            times.byteswap()
-        masks = {}
-        for _ in range(r.int(8)):
-            label = r.take(r.int(4)).decode("utf-8")
-            _check_label(label)  # a ParameterError is a ValueError
-            masks[label] = int.from_bytes(r.take(r.int(8)), "little")
+        table = r.take(table_size)
+        times = r.int64s(k)
+        area = memoryview(r.take(area_size))
         if not r.check():
+            return None
+        bitmaps = {}
+        at = end = 0
+        while at < table_size:
+            size = int.from_bytes(table[at:at + 4], "little")
+            label = table[at + 4:at + 4 + size].decode("utf-8")
+            _check_label(label)  # a ParameterError is a ValueError
+            at += 4 + size
+            length = int.from_bytes(table[at:at + 8], "little")
+            at += 8
+            bitmaps[label] = area[end:end + length]
+            end += length
+        if at != table_size or end != area_size:
             return None
     except (OSError, ValueError):
         return None
-    return StreamQueue._from_columns(tuple(times), masks=masks)
+    return StreamQueue._from_columns(times, bitmaps=bitmaps)
 
 
 def _store(side: str, mode: int, text: str, n: int, queue: StreamQueue) -> None:
@@ -204,6 +249,11 @@ def _store(side: str, mode: int, text: str, n: int, queue: StreamQueue) -> None:
     times = queue.times
     if times and not (-_INT64 <= times[0] and times[-1] < _INT64):
         return
+    rows = queue._type_bitmaps()
+    table = b"".join(
+        len(data).to_bytes(4, "little") + data + len(row).to_bytes(8, "little")
+        for data, row in zip(map(str.encode, rows), rows.values())
+    )
     tmp = f"{side}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
@@ -217,23 +267,17 @@ def _store(side: str, mode: int, text: str, n: int, queue: StreamQueue) -> None:
             w.put(_MAGIC)
             w.int(_VERSION, 4)
             w.int(parser, 4)
-            w.int(n, 8)
+            for size in (n, len(table), len(times), sum(map(len, rows.values()))):
+                w.int(size, 8)
             for at in range(0, len(text), _BLOCK):
-                w.put(text[at:at + _BLOCK].encode("utf-8"))
-            w.int(len(times), 8)
+                f.write(text[at:at + _BLOCK].encode("utf-8"))  # not in the crc32
+            w.put(table)
             for at in range(0, len(times), _TIMES):
                 block = array("q", times[at:at + _TIMES])
                 if sys.byteorder == "big":
                     block.byteswap()
-                w.put(block.tobytes())
-            masks = queue._type_masks()
-            w.int(len(masks), 8)
-            for label, m in masks.items():
-                data = label.encode("utf-8")
-                w.int(len(data), 4)
-                w.put(data)
-                row = m.to_bytes((m.bit_length() + 7) >> 3, "little")
-                w.int(len(row), 8)
+                w.put(block)
+            for row in rows.values():
                 w.put(row)
             f.write(w.crc.to_bytes(4, "little"))
         os.replace(tmp, side)

@@ -7,41 +7,45 @@ queue of tuples: each tuple is the set of labels observed at one int
 timestamp, and tuples are kept in strictly increasing timestamp order.
 A Sequence is a non-empty tuple of labels.  A queue is held as columns:
 `times`, its timestamps, and one bitmap per label whose bit i is set
-when the label is in tuple i.  The command line keeps these columns
-beside each log it reads (logcache), so it parses a log's text only
-while that log is new or changed.  parse_event_log fills those columns
-in one pass over the text, a few operations per record: it sets the
-record's bit in its label's row, where bit r stands for the r-th run,
-a maximal stretch of consecutive records sharing one timestamp.  Its
-one label table maps each label to its row.  It reads the text line by
-line, split into lines a chunk at a time, each chunk cut after a
-newline, with the run state carried from chunk to chunk.  In a
-time-ordered log each run is one tuple and the rows are the bitmaps.  Any other log, with a
-record out of order or a timestamp that comes back later, pays one
-relabel of the runs into sorted timestamp order, which also merges
-runs of one timestamp.  Iterating or indexing a queue yields each
-tuple's label set, a frozenset, which a parsed queue builds only when
-something asks for it (serialize_event_log, or the tests and their
-brute-force oracle).  A queue built from (time, labels) rows keeps its
-label sets and derives its bitmaps on first use.  Mining never copies
-stream data; it works on ViewWindow objects, each the (queue, start,
-size) range of tuples to count over.  A window mined in pieces is a
-list of such ranges, one per block, so that counts can be
-maintained per block.
+when the label is in tuple i.  A bitmap is kept as bytes, a canonical
+little-endian row with no trailing zero byte, and decoded to an int
+only a window at a time: a window cuts the bytes that cover its range.
+The command line keeps these columns beside each log it reads
+(logcache), so it parses a log's text only while that log is new or
+changed, and a queue read from there builds its `times` tuple only when
+something asks for it.  parse_event_log fills those columns in one pass
+over the text, a few operations per record: it sets the record's bit in
+its label's row, where bit r stands for the r-th run, a maximal stretch
+of consecutive records sharing one timestamp.  Its one label table maps
+each label to its row.  It reads the text line by line, split into
+lines a chunk at a time, each chunk cut after a newline, with the run
+state carried from chunk to chunk.  In a time-ordered log each run is
+one tuple and the rows are the bitmaps.  Any other log, with a record
+out of order or a timestamp that comes back later, pays one relabel of
+the runs into sorted timestamp order, which also merges runs of one
+timestamp.  Iterating or indexing a queue yields each tuple's label
+set, a frozenset, which a parsed queue builds only when something asks
+for it (serialize_event_log, or the tests and their brute-force
+oracle).  A queue built from (time, labels) rows keeps its label sets
+and derives its bitmaps on first use.  Mining never copies stream data;
+it works on ViewWindow objects, each the (queue, start, size) range of
+tuples to count over.  A window mined in pieces is a list of such
+ranges, one per block, so that counts can be maintained per block.
 
 Everything here is immutable after construction, which is what makes the
 windows safe to share between the miner, the incremental updater and
 the sweep driver without locking.  The exception is memos that never
-change a result: a queue builds its bitmaps or its label sets on first
-use, and a window holds the memo slots ViewWindow lists.  Each memo
-entry is written in one statement, so a reader sees it whole or not at
-all.
+change a result: a queue builds its bitmaps, its label sets or its
+`times` tuple on first use, and a window holds the memo slots
+ViewWindow lists.  Each memo entry is written in one statement, so a
+reader sees it whole or not at all.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from array import array
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -49,6 +53,7 @@ from .errors import BoundsError, EventLogParseError, ParameterError
 
 _LABEL_BREAKERS = re.compile(r"[,\s\ud800-\udfff]")
 _SERIALIZE_BLOCK = 4096  # tuples joined into one string by serialize_event_log
+_Row = bytes | bytearray | memoryview  # a bitmap's canonical bytes
 
 
 def _check_label(label: object) -> None:
@@ -76,19 +81,23 @@ class StreamQueue:
 
     A tuple is the non-empty set of labels observed at one int timestamp.
     The queue is its columns: `times`, the timestamps, and one bitmap per
-    event type, a Python int whose bit i is set when the type is in tuple
-    i.  The bitmaps are shared by every window over the queue; the
-    occurrence counter and alphabet() read them through mask().
-    Iterating or indexing the queue yields each tuple's label set, a
-    frozenset[str], so StreamQueue(zip(q.times, q)) == q.  A queue built
-    from (time, labels) rows keeps its label sets and builds its bitmaps
-    in one pass on first use; a parsed queue is given its bitmaps and
-    builds its label sets on first use.  Length, masks, windows,
-    equality and hashing never need the label sets.  Building from rows
-    checks each distinct label once.
+    event type whose bit i is set when the type is in tuple i.  Each
+    bitmap is held as a bytes-like row, little-endian and canonical: no
+    trailing zero byte, so equal bitmaps are equal rows.  A window cuts
+    its range straight from the row; mask() decodes the whole row to an
+    int.  Iterating or indexing the queue yields each tuple's label set,
+    a frozenset[str], so StreamQueue(zip(q.times, q)) == q.  A queue
+    built from (time, labels) rows keeps its label sets and builds its
+    bitmaps in one pass on first use; a parsed queue is given its
+    bitmaps and builds its label sets on first use.  A queue read from a
+    sidecar holds its timestamps as an array and builds the `times`
+    tuple on first use.  Length, masks, windows, equality and hashing
+    never need the label sets, and equality and hashing do not depend on
+    the type of a row.  Building from rows checks each distinct label
+    once.
     """
 
-    __slots__ = ("times", "_sets", "_masks")
+    __slots__ = ("_times", "_sets", "_bitmaps")
 
     def __init__(self, rows: Iterable[tuple[int, Iterable[str]]]) -> None:
         times: list[int] = []
@@ -112,41 +121,50 @@ class StreamQueue:
             sets.append(labels)
         for label in set().union(*sets):
             _check_label(label)
-        self.times = tuple(times)
+        self._times: tuple[int, ...] | array = tuple(times)
         self._sets: tuple[frozenset[str], ...] | None = tuple(sets)
-        self._masks: dict[str, int] | None = None
+        self._bitmaps: dict[str, _Row] | None = None
 
     @classmethod
     def _from_columns(
         cls,
-        times: tuple[int, ...],
+        times: tuple[int, ...] | array,
         sets: tuple[frozenset[str], ...] | None = None,
-        masks: dict[str, int] | None = None,
+        bitmaps: dict[str, _Row] | None = None,
     ) -> StreamQueue:
-        """A queue given as strictly increasing timestamps and one of two
-        columns: `sets`, each tuple's non-empty label set, every label one
-        that _check_label passes; or `masks`, the non-zero bitmap of every
-        type present, each within len(times) bits.  The other is built on
-        first use."""
+        """A queue given as strictly increasing timestamps, a tuple or an
+        array('q'), and one of two columns: `sets`, each tuple's non-empty
+        label set, every label one that _check_label passes; or `bitmaps`,
+        the canonical row of every type present, each within len(times)
+        bits.  The other is built on first use."""
         queue = cls.__new__(cls)
-        queue.times = times
+        queue._times = times
         queue._sets = sets
-        queue._masks = masks
+        queue._bitmaps = bitmaps
         return queue
+
+    @property
+    def times(self) -> tuple[int, ...]:
+        """The timestamps, in order; a queue given them as an array builds
+        this tuple on first use."""
+        times = self._times
+        if type(times) is not tuple:
+            times = self._times = tuple(times)
+        return times
 
     def _label_sets(self) -> tuple[frozenset[str], ...]:
         """Each tuple's labels in time order; a parsed queue builds them on
         first use."""
         if self._sets is None:
-            rows: list[list[str]] = [[] for _ in self.times]
-            for label, m in self._masks.items():
-                for i in _set_bits(m):
+            rows: list[list[str]] = [[] for _ in range(len(self._times))]
+            for label, row in self._bitmaps.items():
+                for i in _set_bits(int.from_bytes(row, "little")):
                     rows[i].append(label)
             self._sets = tuple(map(frozenset, rows))
         return self._sets
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self._times)
 
     def __getitem__(
         self, i: int | slice
@@ -160,41 +178,48 @@ class StreamQueue:
         if isinstance(other, StreamQueue):
             return (
                 self.times == other.times
-                and self._type_masks() == other._type_masks()
+                and self._type_bitmaps() == other._type_bitmaps()
             )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.times, frozenset(self._type_masks().items())))
+        rows = self._type_bitmaps().items()
+        return hash((self.times, frozenset((label, bytes(row)) for label, row in rows)))
 
     def __repr__(self) -> str:
-        return f"StreamQueue(<{len(self.times)} tuples>)"
+        return f"StreamQueue(<{len(self)} tuples>)"
 
-    def _type_masks(self) -> dict[str, int]:
-        if self._masks is None:
+    def __reduce__(self) -> tuple:
+        # a row may be a memoryview, which does not pickle; as bytes it
+        # is the same bitmap
+        rows = self._bitmaps and {label: bytes(row) for label, row in self._bitmaps.items()}
+        return StreamQueue._from_columns, (self.times, self._sets, rows)
+
+    def _type_bitmaps(self) -> dict[str, _Row]:
+        if self._bitmaps is None:
             columns: dict[str, list[int]] = {}
             for i, labels in enumerate(self._sets):
                 for label in labels:
                     columns.setdefault(label, []).append(i)
-            n = len(self.times)
-            self._masks = {label: _bitmap(col, n) for label, col in columns.items()}
-        return self._masks
+            self._bitmaps = {label: _bitmap(col) for label, col in columns.items()}
+        return self._bitmaps
 
     def mask(self, item: str) -> int:
         """Bitmap of the tuples holding `item`: bit i is set for tuple i."""
-        return self._type_masks().get(item, 0)
+        return int.from_bytes(self._type_bitmaps().get(item, b""), "little")
 
     def alphabet(self) -> list[str]:
         """All labels present, sorted."""
-        return sorted(self._type_masks())
+        return sorted(self._type_bitmaps())
 
 
-def _bitmap(indices: Iterable[int], n: int) -> int:
-    """The n-bit int with bit i set for every i in `indices`."""
-    row = bytearray((n + 7) >> 3)
+def _bitmap(indices: list[int]) -> bytearray:
+    """The canonical row with bit i set for every i in the non-empty
+    `indices`."""
+    row = bytearray((max(indices) >> 3) + 1)
     for i in indices:
         row[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(row, "little")
+    return row
 
 
 def _set_bits(m: int) -> Iterator[int]:
@@ -289,16 +314,20 @@ class ViewWindow:
     def mask(self, item: str) -> int:
         """The queue's bitmap of `item` cut to this window: bit i is tuple i.
 
-        Each label is cut once per window, a head's from its parent's
-        cut; later calls reuse the cut.
+        Each label is cut once per window; later calls reuse the cut.  A
+        head's cut is its parent's, ANDed with its low bits.  Any other
+        window decodes only the bytes of the queue's row that cover its
+        range, so a cut costs the window's size, not the queue's.
         """
         cut = self._cuts.get(item)
         if cut is None:
-            whole = (
-                self.queue.mask(item) >> self.start
-                if self._parent is None
-                else self._parent.mask(item)
-            )
+            if self._parent is None:
+                row = self.queue._type_bitmaps().get(item, b"")
+                s = self.start
+                whole = int.from_bytes(row[s >> 3:(s + self.size + 7) >> 3], "little")
+                whole >>= s & 7
+            else:
+                whole = self._parent.mask(item)
             cut = self._cuts[item] = whole & self._low
         return cut
 
@@ -465,16 +494,18 @@ def _queue_of_runs(times: list[int], rows: dict[str, bytearray]) -> StreamQueue:
     a timestamp.
     """
     if all(map(operator.lt, times, times[1:])):
-        masks = {label: int.from_bytes(row, "little") for label, row in rows.items()}
-        return StreamQueue._from_columns(tuple(times), masks=masks)
+        for row in rows.values():
+            # a row may have grown past its last set byte
+            del row[len(row.rstrip(b"\0")):]
+        return StreamQueue._from_columns(tuple(times), bitmaps=rows)
     order = sorted(set(times))
     rank = dict(zip(order, range(len(order))))
     ranks = list(map(rank.__getitem__, times))  # the tuple of each run
-    masks = {}
+    bitmaps = {}
     for label, row in rows.items():
         runs = _set_bits(int.from_bytes(row, "little"))
-        masks[label] = _bitmap(map(ranks.__getitem__, runs), len(order))
-    return StreamQueue._from_columns(tuple(order), masks=masks)
+        bitmaps[label] = _bitmap(list(map(ranks.__getitem__, runs)))
+    return StreamQueue._from_columns(tuple(order), bitmaps=bitmaps)
 
 
 def serialize_event_log(queue: StreamQueue) -> str:

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -37,7 +39,7 @@ def same_as_parse(path):
     want = outcome(lambda: parse_event_log(path.read_bytes().decode("utf-8")))
     assert got == want
     if not isinstance(want, tuple):
-        assert got.times == want.times and list(got._masks) == list(want._masks)
+        assert got.times == want.times and list(got._bitmaps) == list(want._bitmaps)
     return got
 
 
@@ -49,6 +51,31 @@ def forbid_parse(monkeypatch):
     monkeypatch.setattr(logcache, "parse_event_log", refuse)
 
 
+def crc_of(data, n):
+    """The crc32 of a sidecar's bytes without their trailer and without
+    the n-byte copy of the log, which it does not cover."""
+    copy = len(logcache._MAGIC) + 40
+    return zlib.crc32(data[:copy] + data[copy + n:-4]).to_bytes(4, "little")
+
+
+def test_the_sidecar_layout_is_pinned(tmp_path):
+    # a change to the layout must come with a new _VERSION, and a new pin
+    log = tmp_path / "events.log"
+    log.write_text("-7,\xe9\n-7,a\n" + LOG + "10,\xe9\n11,b\n12,a\n", encoding="utf-8")
+    read_queue(str(log))
+    data = bytearray(sidecar(log).read_bytes())
+    copy, n = len(logcache._MAGIC) + 40, log.stat().st_size
+    assert data[copy:copy + n] == log.read_bytes()
+    assert data[-4:] == crc_of(data, n)
+    # the parser's crc32, which any edit to model.py moves, and so the trailer
+    at = len(logcache._MAGIC) + 4
+    data[at:at + 4] = data[-4:] = bytes(4)
+    assert logcache._VERSION == 3
+    assert hashlib.sha256(data).hexdigest() == (
+        "ed4e25e139b252220d2d68ebdfb9fb14560cdc1356b74113f87328c4d05ecb05"
+    )
+
+
 def test_a_cold_read_writes_a_sidecar_that_a_warm_read_loads(tmp_path, monkeypatch):
     log = tmp_path / "events.log"
     log.write_text(LOG)
@@ -57,8 +84,12 @@ def test_a_cold_read_writes_a_sidecar_that_a_warm_read_loads(tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["events.log", "events.log.sqcache"]
     forbid_parse(monkeypatch)
     warm = read_queue(str(log))
-    assert warm == cold and warm.times == cold.times
-    assert list(warm._masks) == list(cold._masks)
+    assert len(warm) == len(cold) == 6
+    assert warm == cold and hash(warm) == hash(cold)
+    assert warm.times == cold.times and type(warm.times) is tuple
+    assert list(warm) == list(cold)
+    assert list(warm._bitmaps) == list(cold._bitmaps)
+    assert pickle.loads(pickle.dumps(read_queue(str(log)))) == cold
 
 
 @pytest.mark.parametrize("block", [3, 7, 1 << 16])
@@ -102,10 +133,9 @@ def test_a_grown_or_cut_log_is_parsed_whole(tmp_path, parsed, change):
     assert sidecar(log).read_bytes() == rewritten  # as a cold read writes it
 
 
-def resealed(data):
+def resealed(data, n):
     """A sidecar's bytes with its crc32 trailer made to match again."""
-    body = data[:-4]
-    return body + zlib.crc32(body).to_bytes(4, "little")
+    return data[:-4] + crc_of(data, n)
 
 
 @pytest.mark.parametrize("damage", ["truncate", "flip", "version", "parser", "grow"])
@@ -125,7 +155,7 @@ def test_a_damaged_sidecar_is_a_miss_and_is_replaced(tmp_path, damage):
     elif damage in ("version", "parser"):
         at = magic + (damage == "parser") * 4
         field = int.from_bytes(good[at:at + 4], "little") ^ 1
-        cuts = [resealed(good[:at] + field.to_bytes(4, "little") + good[at + 4:])]
+        cuts = [resealed(good[:at] + field.to_bytes(4, "little") + good[at + 4:], len(LOG))]
     else:
         cuts = [good + b"\0"]
     for cut in cuts:
@@ -140,9 +170,9 @@ def test_a_sidecar_holding_a_label_the_parser_refuses_is_a_miss(tmp_path):
     read_queue(str(log))
     good = sidecar(log).read_bytes()
     queue = parse_event_log(LOG)
-    masks = dict(queue._type_masks())
-    masks["c d"] = masks.pop("c")
-    forged = StreamQueue._from_columns(queue.times, masks=masks)
+    bitmaps = dict(queue._type_bitmaps())
+    bitmaps["c d"] = bitmaps.pop("c")
+    forged = StreamQueue._from_columns(queue.times, bitmaps=bitmaps)
     logcache._store(str(sidecar(log)), 0o644, LOG, len(LOG), forged)
     assert sidecar(log).read_bytes() != good
     assert "c d" not in same_as_parse(log).alphabet()
@@ -189,9 +219,10 @@ def test_a_sidecar_another_user_owns_is_never_trusted_or_replaced(tmp_path, monk
     log = tmp_path / "events.log"
     log.write_text(LOG)
     queue = parse_event_log(LOG)
-    masks = dict(queue._type_masks())
-    masks["a"] = (1 << len(queue)) - 1  # "a" in every tuple
-    forged = StreamQueue._from_columns(queue.times, masks=masks)
+    bitmaps = dict(queue._type_bitmaps())
+    every = (1 << len(queue)) - 1  # "a" in every tuple
+    bitmaps["a"] = every.to_bytes((len(queue) + 7) >> 3, "little")
+    forged = StreamQueue._from_columns(queue.times, bitmaps=bitmaps)
     logcache._store(str(sidecar(log)), 0o644, LOG, len(LOG), forged)
     planted = sidecar(log).read_bytes()
     uid = os.geteuid() + 12345
@@ -200,6 +231,24 @@ def test_a_sidecar_another_user_owns_is_never_trusted_or_replaced(tmp_path, monk
         assert same_as_parse(log) == queue
         assert sidecar(log).read_bytes() == planted
         assert os.stat(sidecar(log)).st_uid == uid
+
+
+def test_a_reader_who_does_not_own_the_log_writes_no_sidecar(tmp_path, monkeypatch):
+    # a sidecar another user wrote would be foreign to the log's owner,
+    # whose reads would then parse the log every time
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    other = os.geteuid() + 12345
+    monkeypatch.setattr(os, "geteuid", lambda: other)
+    same_as_parse(log)
+    assert not sidecar(log).exists()
+    monkeypatch.undo()
+    read_queue(str(log))  # the owner's read writes one
+    written = sidecar(log).read_bytes()
+    monkeypatch.setattr(os, "geteuid", lambda: other)
+    forbid_parse(monkeypatch)
+    assert read_queue(str(log)) == parse_event_log(LOG)  # which the other user loads
+    assert sidecar(log).read_bytes() == written
 
 
 @pytest.mark.parametrize("foreign", [b"", b"not a sidecar\n", b"streamseq queue cach"])
@@ -278,12 +327,18 @@ def test_odd_logs_read_warm_as_they_parse(tmp_path, monkeypatch, text):
     assert outcome(lambda: read_queue(str(log))) == cold
 
 
-def test_a_cold_read_peak_memory_stays_in_budget(tmp_path):
+@pytest.fixture(scope="module")
+def trend_text():
+    """The seed-1 trend log's text: 48,879 tuples, 194 labels."""
+    return serialize_event_log(generate(_trend_config(1, 100_000, drift_at=20_000)))
+
+
+def test_a_cold_read_peak_memory_stays_in_budget(tmp_path, trend_text):
     # the seed-1 trend log: its cold read, parse and sidecar write,
-    # peaked at 6.1 MiB traced; a parse that split the whole text into
+    # peaked at 4.9 MiB traced; a parse that split the whole text into
     # lines at once would take the parse alone past 11 MiB
     log = tmp_path / "events.log"
-    log.write_text(serialize_event_log(generate(_trend_config(1, 100_000, drift_at=20_000))))
+    log.write_text(trend_text)
     tracemalloc.start()
     try:
         read_queue(str(log))
@@ -292,6 +347,25 @@ def test_a_cold_read_peak_memory_stays_in_budget(tmp_path):
         tracemalloc.stop()
     assert sidecar(log).exists()
     assert peak <= 8 * 2**20
+
+
+def test_a_warm_read_peak_memory_stays_in_budget(tmp_path, monkeypatch, trend_text):
+    # the seed-1 trend log: a warm read holds its timestamps (0.37 MiB)
+    # and its bitmap area (1.13 MiB) once each and peaked at 1.6 MiB
+    # traced; one that also copied each row out of the area read 2.7 MiB,
+    # and one that built a tuple of the timestamps and an int per bitmap
+    # read 3.5 MiB
+    log = tmp_path / "events.log"
+    log.write_text(trend_text)
+    read_queue(str(log))
+    forbid_parse(monkeypatch)
+    tracemalloc.start()
+    try:
+        read_queue(str(log))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
 
 
 def test_a_tail_that_is_not_utf8_fails_as_the_whole_log_does(tmp_path):

@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from streamseq import (
     window,
 )
 from streamseq import model
+from streamseq.logcache import read_queue
 from conftest import labels, queue_of, random_queue
 from oracle import contains, serialize_reference, shrink_by_one
 
@@ -249,6 +251,45 @@ class TestStreamQueue:
         assert q.alphabet() == ["a", "b", "c"]
 
 
+@st.composite
+def _cut_case(draw):
+    """Rows of a random queue, a label pool that may hold labels no tuple
+    has, and a range of it: unaligned starts, empty ranges and ranges
+    that end at the queue's end included."""
+    pool = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
+    times = sorted(draw(st.sets(st.integers(-10**12, 10**12), max_size=40)))
+    rows = [(t, draw(st.frozensets(st.sampled_from(pool), min_size=1))) for t in times]
+    start = draw(st.integers(0, len(rows)))
+    size = draw(st.just(len(rows) - start) | st.integers(0, len(rows) - start))
+    return pool, rows, start, size
+
+
+def _warm_read(rows):
+    """The queue of `rows` as a second read_queue of its log loads it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.path.join(tmp, "events.log")
+        with open(log, "w", encoding="utf-8") as f:
+            f.write(serialize_event_log(StreamQueue(rows)))
+        read_queue(log)
+        queue = read_queue(log)
+    assert all(isinstance(row, memoryview) for row in queue._bitmaps.values())
+    return queue
+
+
+# one queue, built four ways; label-major records come back to earlier
+# timestamps, which takes the parse through its relabel of the runs
+_BUILDS = {
+    "rows": StreamQueue,
+    "in-order parse": lambda rows: parse_event_log(serialize_event_log(StreamQueue(rows))),
+    "out-of-order parse": lambda rows: parse_event_log("".join(
+        f"{t},{label}\n"
+        for label in sorted(set().union(*(got for _, got in rows)))
+        for t, got in rows if label in got
+    )),
+    "warm read": _warm_read,
+}
+
+
 class TestViewWindow:
     def test_bounds_enforced(self):
         q = queue_of("a", "b", "c")
@@ -296,6 +337,18 @@ class TestViewWindow:
             start = rng.randint(0, 90)
             w = window(q, start, rng.randint(0, 90 - start))
             assert w.alphabet() == sorted({label for t in q[w.start : w.end] for label in t})
+
+    @pytest.mark.parametrize("build", sorted(_BUILDS))
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(case=_cut_case())
+    def test_a_cut_is_the_bitmap_of_the_label_sets(self, build, case):
+        pool, rows, start, size = case
+        w = window(_BUILDS[build](rows), start, size)
+        for label in [*pool, "absent"]:
+            want = sum(
+                1 << i for i, (_, got) in enumerate(rows[start:start + size]) if label in got
+            )
+            assert w.mask(label) == want
 
 
 class TestSequence:
