@@ -6,6 +6,8 @@ diff compares two pattern files, sweep runs the update-timing analysis.
 mine, update and sweep read their log through logcache.read_queue, so
 only the first call on an unchanged log parses it; the cache beside
 the log never changes an output.
+A call builds only its own command's parser; help or unknown input
+builds all five.
 Exit codes: 0 success, 2 usage (bad flags or parameter domains), 3 data
 (parse failures, inconsistent or incompatible inputs, windows that do
 not fit the log), 4 I/O.
@@ -213,15 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="streamseq",
-        description="Sequential pattern mining over event streams, with "
-        "incremental updates and update-timing analysis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="write a synthetic event log")
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("out", help="event-log path to write")
     p.add_argument("--types", type=int, required=True, help="alphabet size")
     p.add_argument("--events", type=int, required=True, help="events to emit")
@@ -235,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tuple index where --pattern-after takes over")
     p.add_argument("--pattern-after", action="append", type=_pattern_flag,
                    metavar="L+L...@RATE", help="pattern list after the drift point")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("mine", help="mine a log window into a pattern file")
+
+def _mine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("log", help="event-log path")
     p.add_argument("out", help="pattern-file path to write")
     p.add_argument("--start", type=_count_flag, default=0,
@@ -246,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window size in tuples; a comma list mines "
                    "contiguous blocks (e.g. 20000,2000)")
     _add_param_flags(p)
-    p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("update", help="grow a mined window incrementally")
+
+def _update_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("log", help="event-log path")
     p.add_argument("old", help="pattern file of the window mined so far")
     p.add_argument("out", help="pattern-file path to write")
@@ -257,16 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_count_flag, required=True,
                    help="increment size in tuples")
     _add_param_flags(p, required=False)
-    p.set_defaults(func=cmd_update)
 
-    p = sub.add_parser("diff", help="distance between two pattern files")
+
+def _diff_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("a", help="pattern file")
     p.add_argument("b", help="pattern file")
     p.add_argument("--include-border", action="store_true",
                    help="compare frequent plus border instead of frequent only")
-    p.set_defaults(func=cmd_diff)
 
-    p = sub.add_parser("sweep", help="update-timing sweep and recommendation")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("log", help="event-log path")
     p.add_argument("csv_out", help="curve CSV path to write")
     p.add_argument("rec_out", help="recommendation key-value path to write")
@@ -277,14 +271,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", choices=(COST_UNITS, WALL_CLOCK), default=COST_UNITS)
     p.add_argument("--reps", type=int, default=3,
                    help="wall-clock repetitions per measurement (median kept)")
-    p.set_defaults(func=cmd_sweep)
 
+
+# each command's function, one-line help and arguments, in help order
+_COMMANDS = {
+    "gen": (cmd_gen, "write a synthetic event log", _gen_args),
+    "mine": (cmd_mine, "mine a log window into a pattern file", _mine_args),
+    "update": (cmd_update, "grow a mined window incrementally", _update_args),
+    "diff": (cmd_diff, "distance between two pattern files", _diff_args),
+    "sweep": (cmd_sweep, "update-timing sweep and recommendation", _sweep_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every command's subparser, or only
+    `command`'s when it is given.
+
+    An argv that starts with a command name gives each later token to
+    that command's subparser, so the one-command parser parses it, and
+    fails on it, exactly as the full one does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="streamseq",
+        description="Sequential pattern mining over event streams, with "
+        "incremental updates and update-timing analysis.",
+    )
+    # the usage line of an "unrecognized arguments" error comes from this
+    # parser, so a one-command parser names all five commands there too;
+    # the full parser keeps no metavar, which would also replace
+    # "command" in its own errors
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS),
+    )
+    for name in _COMMANDS if command is None else (command,):
+        func, help_text, add_args = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help, an option first or an unknown name builds every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

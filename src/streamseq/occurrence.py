@@ -31,7 +31,7 @@ digit width (30 bits in CPython):
     the last offset inside the span where the item sits, and the
     candidate matches where E < L.  Both are kept bit-sliced, as b
     planes each, and compared plane by plane.  The end planes cost
-    O(len(ends) * b * W / word) once per prefix node, the item's
+    O(len(ends) * W / word) once per prefix node, the item's
     offset planes O(span * W / word) once per (span, item) and window.
   * A window keeps its matched path: one node per prefix length, for
     the last prefix asked.  A candidate walks only the prefix items past
@@ -75,7 +75,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, cycle
 from operator import or_
 from typing import Iterable
 
@@ -271,17 +270,21 @@ def _prefix_planes(
 def _end_planes(ends: list[int], span: int) -> list[int]:
     """The complemented planes of the end offsets E that `ends` holds.
 
-    ends[e] is the set of starts whose match ends at offset e < span.
-    Plane k, for k below (span - 1).bit_length(), is the OR of the
-    ends[e] with bit k of e set, XORed with the OR of all of them: it
-    holds the matched starts whose E has bit k clear.  So a start the
-    prefix does not match reads as the largest offset.
+    ends[e] is the set of starts whose match ends at offset e < span,
+    one offset per start.  Plane k, for k below (span - 1).bit_length(),
+    holds the matched starts whose E has bit k clear, so a start the
+    prefix does not match reads as the largest offset.  Pairwise
+    reduction builds them in about 2 * len(ends) ORs: plane k is the OR
+    of the even-indexed sets of level k, level 0 being ends, and level
+    k + 1 ORs level k's adjacent pairs, so its set j holds the starts
+    with E >> (k + 1) == j.
     """
-    matched = reduce(or_, ends, 0)
-    return [
-        reduce(or_, compress(ends, cycle((0,) * h + (1,) * h)), 0) ^ matched
-        for h in (1 << k for k in range((span - 1).bit_length()))
-    ]
+    planes = []
+    for _ in range((span - 1).bit_length()):
+        even, odd = ends[::2], ends[1::2]
+        planes.append(reduce(or_, even, 0))
+        ends = [*map(or_, even, odd), *even[len(odd):]]
+    return planes
 
 
 def _last_item(w: ViewWindow, span: int, item: str, planes: list[int]) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import re
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from streamseq import StreamQueue, parse_event_log
+from streamseq import cli
 from streamseq.cli import main
 from streamseq.patternfile import load_pattern_file
 
@@ -579,6 +581,79 @@ class TestExitCodes:
         assert errs[1] == err
         assert not out.exists()
         assert not (tmp_path / "bad.sqcache").exists()
+
+
+def _main_outputs(capsys, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _command_names(parser):
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+_MINE_FLAGS = ("--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3")
+# per command: help, missing arguments, a bad value, an extra argument
+_LEAN_ARGVS = [
+    argv
+    for command, bad, extra in [
+        ("gen", ("out", "--types", "x", "--events", "9", "--seed", "1"),
+         ("out", "more", "--types", "3", "--events", "9", "--seed", "1")),
+        ("mine", ("l", "o", "--size", "10,", *_MINE_FLAGS),
+         ("l", "o", "more", "--size", "10", *_MINE_FLAGS)),
+        ("update", ("l", "p", "o", "--size", "-3"), ("l", "p", "o", "more", "--size", "9")),
+        ("diff", ("a", "b", "--include-border=1"), ("a", "b", "more")),
+        ("sweep", ("l", "c", "r", "--initial", "9", "--deltas", "5,9",
+                   "--timing", "bogus", *_MINE_FLAGS),
+         ("l", "c", "r", "more", "--initial", "9", "--deltas", "5,9", *_MINE_FLAGS)),
+    ]
+    for argv in [(command, "-h"), (command,), (command, *bad), (command, *extra)]
+]
+_FALLBACK_ARGVS = [(), ("-h",), ("no-such-command",), ("upd",), ("-x", "update"),
+                   ("--", "update")]
+
+
+@pytest.mark.parametrize("argv", _LEAN_ARGVS + _FALLBACK_ARGVS, ids=" ".join)
+def test_a_call_parses_as_the_full_parser_does(monkeypatch, capsys, argv):
+    """main builds only argv[0]'s subparser when argv[0] is a command,
+    and every parse and parse error reads as with all five built, down
+    to the usage line of an unrecognized argument's error."""
+    lean = _main_outputs(capsys, argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert lean == _main_outputs(capsys, argv)
+    assert lean[0] == (0 if "-h" in argv else 2)
+
+
+def test_a_call_builds_only_its_own_command(monkeypatch, capsys):
+    assert _command_names(cli.build_parser("update")) == ["update"]
+    assert _command_names(cli.build_parser()) == list(cli._COMMANDS)
+    built = []
+    full_parser = cli.build_parser
+
+    def spy(command=None):
+        parser = full_parser(command)
+        built.append(_command_names(parser))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for argv in ("update", "-h"), ("diff", "a"), ("upd", "-h"), ("-h", "update"):
+        main(list(argv))
+    capsys.readouterr()
+    five = list(cli._COMMANDS)
+    assert built == [["update"], ["diff"], five, five]
+
+
+@pytest.mark.parametrize("argv", [("update", "--help"), ("no-such-command",)])
+def test_the_module_entry_point_parses_as_main_does(monkeypatch, capsys, argv):
+    """python -m streamseq takes its argv from sys.argv[1:]."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamseq", *argv], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == _main_outputs(capsys, argv)
 
 
 def test_module_entry_point():

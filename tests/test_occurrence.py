@@ -2,6 +2,7 @@ import pickle
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import compress, cycle
 from operator import or_
 
 import pytest
@@ -193,6 +194,16 @@ def _direct_end_planes(ends, span):
     )
 
 
+def _masked_end_planes(ends, span):
+    """The complemented end planes as the OR of all ends XORed, per
+    plane, with the OR of the ends whose offset has bit k set."""
+    matched = reduce(or_, ends, 0)
+    return [
+        reduce(or_, compress(ends, cycle((0,) * h + (1,) * h)), 0) ^ matched
+        for h in (1 << k for k in range((span - 1).bit_length()))
+    ]
+
+
 def _direct_last_offsets(win, span, item):
     """The planes of L(i), the last offset d in (0, span) with item in
     tuple i + d, or 0, for every tuple i of win."""
@@ -242,6 +253,18 @@ def _check_last_offsets(win, closed):
 
 
 class TestOccurProperties:
+    @_PROPERTY
+    @given(st.integers(1, 300), st.data())
+    def test_the_end_planes_are_the_masked_ors(self, span, data):
+        """_end_planes, by pairwise reduction, gives the planes the OR
+        of all ends XORed with each bit's OR gives, for every ends list
+        a match leaves: one offset per start, below the span, with any
+        length up to the span and any sets empty."""
+        offsets = data.draw(st.lists(st.integers(-1, span - 1), max_size=80), label="offsets")
+        n = data.draw(st.integers(max(offsets, default=-1) + 1, span), label="n")
+        ends = [sum(1 << i for i, o in enumerate(offsets) if o == e) for e in range(n)]
+        assert _end_planes(ends, span) == _masked_end_planes(ends, span)
+
     @_PROPERTY
     @given(
         st.lists(st.booleans(), max_size=50),
