@@ -244,26 +244,31 @@ class ViewWindow:
     mask(), and its tuples are the queue's, queue[start:end].  start
     and size are ints, not bools.
 
-    A window holds four memos that never change a result and take no
-    part in equality or in what a window means.  mask() fills `_cuts`
-    with each label's bitmap cut to the window.  The occurrence counter
-    owns the other three and their layouts (see its module docstring):
-    `_path`, the prefixes it last matched here; `_lasts`, each last
-    item's offset planes; and `_starts`, each sequence's set of matching
-    starts, kept only in a window that heads were cut from.  Each memo
-    entry is written in a single statement, so a reader never sees one
+    A window holds six memos that never change a result and take no
+    part in equality or in what a window means.  The window owns two:
+    mask() fills `_cuts` with each label's bitmap cut to the window, and
+    _first_tuples() fills `_firsts` with each present label's first
+    tuple index, which only a window that heads were cut from is asked
+    for.  The occurrence counter owns the other four and their layouts
+    (see its module docstring): `_path`, the prefixes it last matched
+    here; `_lasts`, each last item's offset planes; `_starts`, each
+    sequence's set of matching starts, kept only in a window that heads
+    were cut from; and `_start_masks`, a head's starts per span, kept
+    only in a head.  Each memo entry, and the whole of `_firsts`, is
+    written in a single statement, so a reader never sees one
     half-written.
 
     A head window, built by _head(d), is the first d tuples of a wider
     window, its parent, and reads through the parent's memos: its cut
-    of a label is the parent's cut ANDed with the low d bits, and the
-    occurrence counter counts it from the parent's start sets.  A head
-    equals the plain window of its range.
+    of a label is the parent's cut ANDed with the low d bits, its
+    alphabet the labels whose first tuple in the parent is below d, and
+    the occurrence counter counts it from the parent's start sets.  A
+    head equals the plain window of its range.
     """
 
     __slots__ = (
         "queue", "start", "size", "_low", "_parent",
-        "_cuts", "_path", "_lasts", "_starts",
+        "_cuts", "_firsts", "_path", "_lasts", "_starts", "_start_masks",
     )
 
     def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
@@ -280,9 +285,11 @@ class ViewWindow:
         self._low = (1 << size) - 1  # the low `size` bits, which mask() keeps
         self._parent: ViewWindow | None = None
         self._cuts: dict[str, int] = {}
+        self._firsts: dict[str, int] | None = None
         self._path: tuple | None = None
         self._lasts: dict[tuple[int, str], list[int]] = {}
         self._starts: dict[tuple[int, Sequence], int] = {}
+        self._start_masks: dict[int, int] = {}
 
     def _head(self, size: int) -> ViewWindow:
         """The window of this one's first `size` tuples, as a head of it."""
@@ -332,8 +339,21 @@ class ViewWindow:
         return cut
 
     def alphabet(self) -> list[str]:
-        """Labels present in this window, sorted."""
-        return [label for label in self.queue.alphabet() if self.mask(label)]
+        """Labels present in this window, sorted.
+
+        A head cuts no label for this: a label is in it when the label's
+        first tuple in its parent (_first_tuples) lies below its size.
+        """
+        if self._parent is None:
+            return [label for label in self.queue.alphabet() if self.mask(label)]
+        return [label for label, i in self._parent._first_tuples().items() if i < self.size]
+
+    def _first_tuples(self) -> dict[str, int]:
+        """Each label present here, sorted, to the index of its first tuple."""
+        if self._firsts is None:
+            cuts = ((label, self.mask(label)) for label in self.queue.alphabet())
+            self._firsts = {label: (c & -c).bit_length() - 1 for label, c in cuts if c}
+        return self._firsts
 
 
 def window(queue: StreamQueue, start: int, size: int) -> ViewWindow:

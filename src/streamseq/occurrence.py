@@ -10,7 +10,8 @@ support() divides the count by the window size, as an exact fraction.
 Counting over a partitioned window is additive by definition: an
 occurrence belongs to exactly one block and never straddles a boundary.
 That definition is what lets stored per-block counts be reused verbatim
-when a window grows.
+when a window grows.  occur_partitioned() is the one counting loop, and
+occur() a one-block call of it.
 
 occur() is bit-parallel in the manner of SPAM's vertical bitmaps (Ayres
 et al., KDD 2002): each event type has one bitmap per queue, a Python
@@ -43,11 +44,11 @@ digit width (30 bits in CPython):
     of a wider parent, matches exactly the parent's matching starts
     below d - span + 1.  The parent keeps each sequence's start set, as
     the last item's comparison (or a single item's cover) gives it, and
-    every head counts it with one AND and one popcount.  A sweep's increments
-    are heads of its widest one, so each sequence is matched once per
-    sweep, not once per increment.
+    every head counts it with one AND, with the head's start mask, and
+    one popcount.  A sweep's increments are heads of its widest one, so
+    each sequence is matched once per sweep, not once per increment.
 
-The memos are three of a window's slots (ViewWindow), laid out here.
+The memos are four of a window's slots (ViewWindow), laid out here.
 `_path` is (span, nodes): one _PathNode (item, ends, end planes or
 None) per prefix length of the last prefix matched at that span, which
 the next prefix replaces from the first item where the two differ.
@@ -55,6 +56,8 @@ the next prefix replaces from the first item where the two differ.
 starts whose L has bit k set, for items that end a sequence of two or
 more.  `_starts` maps (span, sequence) to the sequence's set of
 matching starts, bit i for start i, kept only in a parent window.
+`_start_masks` maps a span to a head window's start mask, its low
+size - span + 1 bits, kept only in a head.
 
 The trade-offs are the rare item and the memory at a huge span.  On
 20,000 tuples at span 10,000, a type that occurs twice costs about
@@ -66,7 +69,8 @@ counting memos hold (last items) * b + (path) ints of W bits, the path
 being each node's ends, at most span of them, and its b planes.  On
 the benchmark's seed-1 deep stream (20,000 tuples, span 32, max_len 5)
 one mine's traced peak is 1.6 MiB; on 4,000 of its tuples at span 256
-and max_len 2 it is 7.3 MiB.  The tests hold occur() to an independent
+and max_len 2 it is 7.3 MiB.  A cost-unit sweep of the seed-1 trend
+stream (w0 20,000, increments 2,000..18,000, span 4) peaks at 2.3 MiB.  The tests hold occur() to an independent
 brute-force counter in their oracle, tests/oracle.py.
 """
 
@@ -122,11 +126,18 @@ class CostCounter:
 def _walk(pending: int, ends: list[int], y: int, span: int) -> list[int]:
     """Match one more prefix item, with window bitmap y, after the items so far.
 
-    ends[d] is the set of starts whose prefix match ends at offset d, and
-    `pending` the starts already waiting for the item at offset 0 (every
-    legal start, for the empty prefix).  Returns the new ends, without
-    trailing empty sets.  A start still waiting once the span is used up
-    drops out: its prefix matches but the item does not follow.
+    A prefix is matched greedily, each item at the earliest tuple after
+    the previous one.  ends[d] is the set of starts whose match so far
+    ends at offset d < span, and `pending` the starts already waiting
+    for the item at offset 0 (every legal start, for the empty prefix).
+    The walk moves d upward: at offset d, pending & (y >> d) are the
+    starts that find the item there and become the new ends[d]; the
+    rest keep waiting, and the old ends[d] join them, since the next
+    item must sit strictly later.  A start still waiting once the span
+    is used up drops out: its prefix matches but the item does not
+    follow.  The walk stops once nothing waits past the last ends entry,
+    so it costs O(min(span, gap) * W / word) (module docstring).
+    Returns the new ends, without trailing empty sets.
     """
     hits: list[int] = []
     n_ends = len(ends)
@@ -151,63 +162,61 @@ def occur(
 ) -> int:
     """Count start positions of w whose span-wide sub-window contains seq.
 
-    Works on sets of start positions held as int bitmaps, bit i for start
-    i.  A single item Y occurs at start i when Y's bitmap has a bit in
-    [i, i+span), so its count is one popcount of the OR of Y shifted by
-    0..span-1, which doubling shifts build in about log2(span) steps.
-
-    A longer seq is its prefix seq[:-1] matched greedily (each item at
-    the earliest tuple after the previous one), then closed by its last
-    item.  After a prefix is matched, ends[d] is the set of starts whose
-    match ends at offset d < span, and _walk matches the next prefix
-    item Y by walking d upward with the set `pending` of starts still
-    waiting for Y: at offset d, pending & (Y >> d) are the starts that
-    find Y there and become the new ends[d]; the rest keep waiting, and
-    the old ends[d] join them, since the next item must sit strictly
-    later.  The empty prefix has every legal start pending at offset 0.
-    A match that would end at offset span or later is dropped.  The
-    walk for one item stops once nothing waits past the last ends entry,
-    so it costs O(min(span, gap) * W / word) as the module docstring
-    says.  The last item needs no new ends, only whether it follows:
-    start i, whose prefix match ends at offset E(i), matches when Y sits
-    at an offset in (E(i), span), that is when E(i) < L(i), L(i) being
-    the last offset d < span with Y at i + d, or 0.  Both offsets are
-    kept as b = (span - 1).bit_length() bit planes, int k holding bit k
-    of every start's offset, and _last_item compares them low plane to
-    high with four big-int operations a plane.  The end planes are
-    stored complemented within the matched starts, so a start the prefix
-    does not match reads as the largest offset and never matches.  The
-    count is the popcount of the result.
-
-    A candidate walks only the prefix items past the head it shares
-    with the window's matched path, and each item's offset planes serve
-    every prefix it ends.  A head window (ViewWindow._head) is counted
-    from its parent's start set for seq, kept to the head's starts.
-    The memos (module docstring) never change a result, and every call
-    charges `cost` one scan, memo hit or not, so cost units stay a
-    function of the (candidate, block) pairs asked for.
+    A one-block call of occur_partitioned, the one counting loop.
     """
-    if cost is not None:
-        cost.charge(w.size, params.span)
+    return occur_partitioned(seq, (w,), params, cost)
+
+
+def occur_partitioned(
+    seq: Sequence,
+    blocks: Iterable[ViewWindow],
+    params: CountParams,
+    cost: CostCounter | None = None,
+) -> int:
+    """Sum of per-block occurrence counts; one charge per block scanned.
+
+    This is the one counting loop.  Every block charges `cost` one scan,
+    memo hit or not, so cost units stay a function of the (candidate,
+    block) pairs asked for.  A block narrower than the span has no
+    starts and counts 0.  A root window counts the popcount of its start
+    set for seq (_match).  A head window (ViewWindow._head) counts its
+    parent's start set for seq, matched once and kept in the parent's
+    `_starts`, ANDed with the head's start mask, its low size - span + 1
+    bits, which the head builds once per span: one AND and one popcount.
+    The memos (module docstring) never change a result.
+    """
     span = params.span
-    parent = w._parent
-    if parent is None:
-        return _match(seq, w, span).bit_count()
-    if span > w.size:
-        return 0
-    key = (span, seq)
-    found = parent._starts.get(key)
-    if found is None:
-        found = parent._starts[key] = _match(seq, parent, span)
-    # the head's starts are the low size - span + 1 bits
-    return (found & (w._low >> (span - 1))).bit_count()
+    total = 0
+    for w in blocks:
+        if cost is not None:
+            cost.charge(w.size, span)
+        if span > w.size:
+            continue
+        parent = w._parent
+        if parent is None:
+            total += _match(seq, w, span).bit_count()
+            continue
+        found = parent._starts.get((span, seq))
+        if found is None:
+            found = parent._starts[span, seq] = _match(seq, parent, span)
+        starts = w._start_masks.get(span)
+        if starts is None:
+            starts = w._start_masks[span] = w._low >> (span - 1)
+        total += (found & starts).bit_count()
+    return total
 
 
 def _match(seq: Sequence, w: ViewWindow, span: int) -> int:
-    """The set of starts of w where seq matches, bit i for start i."""
-    if span > w.size:
-        return 0
-    y = w.mask(seq[-1])
+    """The set of starts of w where seq matches, bit i for start i; w
+    is at least span wide.
+
+    A single item Y occurs at start i when Y's bitmap has a bit in
+    [i, i+span), so its starts are the OR of Y shifted by 0..span-1
+    (_cover), cut to the legal starts.  A longer seq is its prefix
+    seq[:-1] matched greedily (_walk, along the window's matched path:
+    _prefix_planes), then closed by its last item (_last_item).
+    """
+    y = w._cuts.get(seq[-1]) or w.mask(seq[-1])
     if not y:
         return 0
     starts = (1 << (w.size - span + 1)) - 1
@@ -236,9 +245,10 @@ def _prefix_planes(
     when it matches nowhere.
 
     A prefix walks only its items past the head it shares with the
-    window's matched path (module docstring); planes are built once,
-    for the node a candidate closes, and the path is replaced by the
-    prefix's nodes in one statement.
+    window's matched path (module docstring), so the candidates of a
+    level, which arrive sorted, match each prefix node once; planes are
+    built once, for the node a candidate closes, and the path is
+    replaced by the prefix's nodes in one statement.
     """
     memo = w._path
     path = memo[1] if memo is not None and memo[0] == span else ()
@@ -291,12 +301,18 @@ def _last_item(w: ViewWindow, span: int, item: str, planes: list[int]) -> int:
     """The starts whose prefix match, with complemented end planes
     `planes`, is followed by `item` within the span.
 
-    Start i matches when its prefix ends at an offset E below L, the
-    last offset of the item after i (_last_offsets).  The planes are
-    compared one bit at a time, low to high: a bit where L is 1 and E
-    is 0 makes E < L so far, one where L is 0 and E is 1 makes it
-    false, and equal bits keep the verdict of the bits below.  Each
-    plane costs four big-int operations.
+    The last item needs no new ends, only whether it follows: start i,
+    whose prefix match ends at offset E(i), matches when the item sits
+    at an offset in (E(i), span), that is when E(i) < L(i), L(i) being
+    the last offset d < span with the item at i + d, or 0
+    (_last_offsets).  Both offsets are kept as b = (span - 1).bit_length()
+    bit planes, plane k holding bit k of every start's offset.  The end
+    planes are complemented within the matched starts (_end_planes), so
+    a start the prefix does not match reads as the largest offset and
+    never matches.  The planes are compared one bit at a time, low to
+    high: a bit where L is 1 and E is 0 makes E < L so far, one where L
+    is 0 and E is 1 makes it false, and equal bits keep the verdict of
+    the bits below.  Each plane costs four big-int operations.
     """
     found = 0
     for last, not_end in zip(_last_offsets(w, span, item), planes):
@@ -336,13 +352,3 @@ def support(seq: Sequence, w: ViewWindow, params: CountParams) -> Fraction:
     if w.size == 0:
         raise UndefinedSupportError("support over an empty window is undefined")
     return Fraction(occur(seq, w, params), w.size)
-
-
-def occur_partitioned(
-    seq: Sequence,
-    blocks: Iterable[ViewWindow],
-    params: CountParams,
-    cost: CostCounter | None = None,
-) -> int:
-    """Sum of per-block occurrence counts; one charge per block scanned."""
-    return sum(occur(seq, b, params, cost) for b in blocks)

@@ -156,9 +156,10 @@ def find_intersections(xs, a, b) -> list[Fraction]:
 
 
 def _remine_charge(
-    w0: ViewWindow, dw: ViewWindow, span: int, upd_cost: CostCounter
+    w0: ViewWindow, labels0: set[str], dw: ViewWindow, span: int, upd_cost: CostCounter
 ) -> int:
-    """The cost units mine([w0, dw]) charges, given the update's counter.
+    """The cost units mine([w0, dw]) charges, given w0's alphabet and the
+    update's counter.
 
     The re-mine counts every single in either window and then, per
     level m, gen_candidates(F_m) for its frequent level F_m, stopping at
@@ -170,7 +171,7 @@ def _remine_charge(
     length 2 on.  Only its singles differ, being the ones either side
     stored.
     """
-    n = len({*w0.alphabet(), *dw.alphabet()})
+    n = len(labels0.union(dw.alphabet()))
     n += sum(c for m, c in upd_cost.candidates.items() if m >= 2)
     return n * sum(max(0, w.size - span + 1) for w in (w0, dw))
 
@@ -194,7 +195,9 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     The increments are nested prefixes of the widest one, [initial_size,
     initial_size + max delta), so each is built as a head window of it:
     a sequence is matched once over the widest increment, and each
-    increment counts it by masking that one start set to its own starts.
+    increment counts it by masking that one start set to its own starts
+    and lists its alphabet from the widest one's first tuples.  The base
+    window's alphabet, which every re-mine charge reads, is taken once.
     In cost units the update rescans the base window and the increment's
     head window.  Cost units charge each scan all the same, so they do
     not depend on this reuse.  A wall-clock rep builds fresh windows and
@@ -209,6 +212,7 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
     w0 = window(queue, 0, cfg.initial_size)
     base = mine([w0], cfg.params)
     base_keys = frozenset(base.frequent)
+    labels0 = set(w0.alphabet())
     wide = window(queue, cfg.initial_size, cfg.delta_sizes[-1])
 
     points: list[SweepPoint] = []
@@ -221,7 +225,7 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
             # the same ranges, over the windows the base and increment mines used
             upd_input.old_blocks, upd_input.delta_blocks = [w0], [dw]
             upd = ius_update(upd_input, cost=upd_cost)
-            t_full: float = _remine_charge(w0, dw, cfg.params.span, upd_cost)
+            t_full: float = _remine_charge(w0, labels0, dw, cfg.params.span, upd_cost)
             t_ius: float = upd_cost.window_evaluations
         else:
             t_full, full = _median_time(

@@ -423,6 +423,37 @@ class TestOccurProperties:
             got = mine([win], mp)
             assert (got.frequent, got.border) == (want.frequent, want.border)
 
+    # each example counts every head with the oracle, so fewer of them
+    @settings(_PROPERTY, max_examples=50)
+    @given(
+        _long_windows(),
+        st.lists(_sequences, min_size=1, max_size=3),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_a_head_reads_its_alphabet_and_starts_off_its_parent(
+        self, w, seqs, span, span2, data
+    ):
+        """Every head of a window, taken in random order before any count
+        and again while counting at two spans, has the alphabet of the
+        plain window of its range without cutting a label, and counts as
+        the oracle does at both spans."""
+        q = w.queue
+        wide = window(q, w.start, w.size)
+        order = data.draw(st.permutations(range(w.size + 1)), label="order")
+        for d in order:
+            head = wide._head(d)
+            assert head.alphabet() == window(q, w.start, d).alphabet()
+            assert not head._cuts
+        order = data.draw(st.permutations(order), label="order")
+        for d in order:
+            head, plain = wide._head(d), window(q, w.start, d)
+            for p in (CountParams(span), CountParams(span2)):
+                for s in seqs:
+                    assert occur(s, head, p) == occur_bruteforce(s, plain, p)
+            assert head.alphabet() == plain.alphabet()
+            assert not head._cuts
 
     def test_a_wide_span_keeps_eight_planes_per_last_item(self):
         # at span 256 each last item keeps (256 - 1).bit_length() = 8

@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from streamseq import (
     SweepConfig,
     SweepPoint,
     UpdateInput,
+    ViewWindow,
     distance,
+    generate,
     ius_update,
     mine,
     recommend,
@@ -29,6 +32,7 @@ from streamseq import (
 from streamseq import tradeoff
 from streamseq.tradeoff import find_intersections, min_max_normalize
 from conftest import random_queue
+from test_acceptance import _trend_config, _trend_params
 
 
 def _params(span=2, supp=Fraction(1, 5), nbd=Fraction(1, 10), max_len=3):
@@ -269,14 +273,17 @@ class TestRunSweep:
             assert p.t_full >= 0 and p.t_ius > 0
 
     def test_wall_clock_reps_start_from_empty_memos(self, monkeypatch):
-        # a window that an earlier count used would time memo hits
+        # a window that an earlier count used would time memo hits; every
+        # slot but the window's range and its parent is a memo
         seen = []
         real_mine, real_update = tradeoff.mine, tradeoff.ius_update
+        memos = [
+            slot for slot in ViewWindow.__slots__
+            if slot not in ("queue", "start", "size", "_low", "_parent")
+        ]
 
         def used(windows):
-            return any(
-                w._cuts or w._path or w._lasts or w._starts for w in windows
-            )
+            return any(getattr(w, slot) for w in windows for slot in memos)
 
         def mine(blocks, params, cost=None):
             blocks = list(blocks)
@@ -339,6 +346,21 @@ class TestRunSweep:
         )
         with pytest.raises(ContractError, match="disagree"):
             run_sweep(q, cfg)
+
+    def test_a_trend_sweep_peak_memory_stays_in_budget(self):
+        # the seed-1 trend sweep in cost units peaked at 2.26 MiB traced;
+        # when each head cut every label to itself to list its alphabet
+        # it read 3.11 MiB
+        q = generate(_trend_config(1, 100_000, drift_at=20_000))
+        q.alphabet()  # builds the bitmap column, which a read log comes with
+        cfg = SweepConfig(20_000, tuple(range(2_000, 18_001, 2_000)), _trend_params())
+        tracemalloc.start()
+        try:
+            run_sweep(q, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 2**20
 
     def test_queue_too_short_rejected(self):
         rng = random.Random(63)
