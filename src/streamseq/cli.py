@@ -20,7 +20,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParameterError, StreamSeqError
+from .distance import distance, pattern_keys
+from .errors import IncompatiblePatternSetsError, ParameterError, StreamSeqError
 from .generate import GenConfig, generate
 from .incremental import UpdateInput, ius_update
 from .mining import MiningParams, mine
@@ -174,9 +175,6 @@ def cmd_update(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    from .distance import distance, pattern_keys
-    from .errors import IncompatiblePatternSetsError
-
     a = load_pattern_file(_read_text(args.a))
     b = load_pattern_file(_read_text(args.b))
     if a.params != b.params:

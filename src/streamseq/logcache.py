@@ -13,12 +13,14 @@ into place with os.replace, so no reader sees one half-written.
 
 The sidecar holds, in order, every integer little-endian:
 
-    _MAGIC                      the magic line
-    version (4), parser (4)     the format, and zlib.crc32 of model.py,
+    header (62)                 _HEADER, one struct.Struct for reading
+                                and writing:
+      _MAGIC                    the magic line
+      version (4), parser (4)   the format, and zlib.crc32 of model.py,
                                 so that an edit to the parser retires
                                 every sidecar written before it
-    n (8), table (8),           the sizes of the copy, the label table
-    k (8), area (8)             and the bitmap area in bytes, and the
+      n (8), table (8),         the sizes of the copy, the label table
+      k (8), area (8)           and the bitmap area in bytes, and the
                                 number of timestamps
     copy (n)                    the exact copy of the log
     label table (table)         per label, in the queue's order, its
@@ -29,11 +31,15 @@ The sidecar holds, in order, every integer little-endian:
                                 the table's order
     crc32 (4)                   zlib.crc32 of every field but the copy
 
-The copy is compared with the log byte for byte, so the trailer needs
-to cover only the fields around it.  A warm read does I/O and checks
-only: it reads each column in one call and holds it once, as a label
-table, an array of timestamps and one bytes object whose slices are the
-queue's bitmap rows, and it decodes nothing the call does not ask for
+A read unpacks the header and makes one size check: 62 + n + table +
+8 k + area + 4 must be the sidecar's size, as n must be the log's.  So
+nothing a size claims is allocated before the file is known to hold
+it, and a sidecar cut short or grown is a miss.  The copy is compared
+with the log byte for byte (_same), so the trailer needs to cover only
+the fields around it.  A warm read does I/O and checks only: it reads
+each column in one call and holds it once, as a label table, an array
+of timestamps and one bytes object whose slices are the queue's bitmap
+rows, and it decodes nothing the call does not ask for
 (see StreamQueue).
 
 A sidecar never changes an output.  One that is missing, stale,
@@ -55,10 +61,12 @@ from __future__ import annotations
 import functools
 import os
 import stat
+import struct
 import sys
 import zlib
 from array import array
 from contextlib import suppress
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO
 
@@ -68,6 +76,8 @@ from .model import StreamQueue, _check_label, parse_event_log
 
 _MAGIC = b"streamseq queue cache\n"
 _VERSION = 3
+# magic, version, parser; then n, table, k and area, as the module says
+_HEADER = struct.Struct(f"<{len(_MAGIC)}sII4Q")
 _SUFFIX = ".sqcache"
 _BLOCK = 1 << 16  # bytes, or characters, streamed at a time
 _TIMES = _BLOCK >> 3  # timestamps streamed at a time
@@ -78,76 +88,6 @@ _INT64 = 1 << 63
 def _parser() -> int:
     """zlib.crc32 of the parser's module file."""
     return zlib.crc32(Path(model.__file__).read_bytes())
-
-
-class _Reader:
-    """A sidecar's fields, each read only if it fits before the trailer,
-    with the crc32 of the bytes read so far."""
-
-    def __init__(self, f: BinaryIO) -> None:
-        self.f = f
-        self.left = os.fstat(f.fileno()).st_size - 4
-        self.crc = 0
-
-    def _skip(self, n: int) -> None:
-        if n > self.left:
-            raise ValueError("the sidecar is cut short")
-        self.left -= n
-
-    def take(self, n: int) -> bytes:
-        self._skip(n)
-        data = self.f.read(n)
-        if len(data) != n:
-            raise ValueError("the sidecar is cut short")
-        self.crc = zlib.crc32(data, self.crc)
-        return data
-
-    def int64s(self, k: int) -> array:
-        """The next k signed int64s, read in one call."""
-        self._skip(k << 3)
-        values = array("q", [0]) * k
-        if self.f.readinto(values) != k << 3:
-            raise ValueError("the sidecar is cut short")
-        self.crc = zlib.crc32(values, self.crc)
-        if sys.byteorder == "big":
-            values.byteswap()
-        return values
-
-    def int(self, width: int) -> int:
-        return int.from_bytes(self.take(width), "little")
-
-    def same(self, log: BinaryIO, n: int) -> bool:
-        """Whether the next n bytes, which the crc32 leaves out, are the
-        log's next n bytes; compared a block at a time."""
-        self._skip(n)
-        mine, theirs = bytearray(min(_BLOCK, n)), bytearray(min(_BLOCK, n))
-        for at in range(n, 0, -_BLOCK):
-            if at < len(mine):  # the last block is short
-                del mine[at:], theirs[at:]
-            if self.f.readinto(mine) != len(mine) or log.readinto(theirs) != len(theirs):
-                return False
-            if mine != theirs:
-                return False
-        return True
-
-    def check(self) -> bool:
-        """Whether the trailer follows and matches."""
-        return not self.left and self.f.read() == self.crc.to_bytes(4, "little")
-
-
-class _Writer:
-    """Writes a sidecar's fields, with the crc32 of the bytes written so far."""
-
-    def __init__(self, f: BinaryIO) -> None:
-        self.f = f
-        self.crc = 0
-
-    def put(self, data: bytes) -> None:
-        self.crc = zlib.crc32(data, self.crc)
-        self.f.write(data)
-
-    def int(self, value: int, width: int) -> None:
-        self.put(value.to_bytes(width, "little"))
 
 
 def read_queue(path: str) -> StreamQueue:
@@ -210,21 +150,47 @@ def _open_sidecar(side: str, mode: int, owner: int) -> tuple[BinaryIO | None, bo
     return cache, True
 
 
+def _same(cache: BinaryIO, log: BinaryIO, n: int) -> bool:
+    """Whether the cache's next n bytes, which the crc32 leaves out, are
+    the log's next n bytes; compared a block at a time."""
+    mine, theirs = bytearray(min(_BLOCK, n)), bytearray(min(_BLOCK, n))
+    for at in range(n, 0, -_BLOCK):
+        if at < len(mine):  # the last block is short
+            del mine[at:], theirs[at:]
+        if cache.readinto(mine) != len(mine) or log.readinto(theirs) != len(theirs):
+            return False
+        if mine != theirs:
+            return False
+    return True
+
+
 def _load(cache: BinaryIO, log: BinaryIO) -> StreamQueue | None:
     """The log's queue when the sidecar is whole, of this format and
     parser, and holds an exact copy of the log; else None."""
     try:
-        r = _Reader(cache)
-        if r.take(len(_MAGIC)) != _MAGIC or r.int(4) != _VERSION or r.int(4) != _parser():
+        head = cache.read(_HEADER.size)
+        magic, version, parser, n, table_size, k, area_size = _HEADER.unpack(head)
+        rest = table_size + 8 * k + area_size + 4  # the bytes after the copy
+        if (
+            (magic, version, parser) != (_MAGIC, _VERSION, _parser())
+            or n != os.fstat(log.fileno()).st_size
+            or _HEADER.size + n + rest != os.fstat(cache.fileno()).st_size
+            or not _same(cache, log, n)
+        ):
             return None
-        n, table_size, k, area_size = r.int(8), r.int(8), r.int(8), r.int(8)
-        if n != os.fstat(log.fileno()).st_size or not r.same(log, n):
+        table = cache.read(table_size)
+        times = array("q", [0]) * k
+        got = cache.readinto(times)
+        tail = cache.read(area_size + 4)  # the area and the trailer
+        # no read gives more than it asks for, so any short one shows here
+        if len(table) + got + len(tail) != rest:
             return None
-        table = r.take(table_size)
-        times = r.int64s(k)
-        area = memoryview(r.take(area_size))
-        if not r.check():
+        area = memoryview(tail)[:-4]
+        crc = zlib.crc32(area, zlib.crc32(times, zlib.crc32(table, zlib.crc32(head))))
+        if crc.to_bytes(4, "little") != tail[-4:]:
             return None
+        if sys.byteorder == "big":
+            times.byteswap()
         bitmaps = {}
         at = end = 0
         while at < table_size:
@@ -238,7 +204,7 @@ def _load(cache: BinaryIO, log: BinaryIO) -> StreamQueue | None:
             end += length
         if at != table_size or end != area_size:
             return None
-    except (OSError, ValueError):
+    except (OSError, ValueError, struct.error):
         return None
     return StreamQueue._from_columns(times, bitmaps=bitmaps)
 
@@ -257,29 +223,25 @@ def _store(side: str, mode: int, text: str, n: int, queue: StreamQueue) -> None:
     tmp = f"{side}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        parser = _parser()
+        head = _HEADER.pack(
+            _MAGIC, _VERSION, _parser(), n, len(table), len(times),
+            sum(map(len, rows.values())),
+        )
         f = os.fdopen(os.open(tmp, flags, mode), "wb")
     except OSError:
         return
+    stamps = (times[at:at + _TIMES] for at in range(0, len(times), _TIMES))
+    parts = chain((table,), (struct.pack(f"<{len(s)}q", *s) for s in stamps), rows.values())
     try:
         with f:
-            w = _Writer(f)
-            w.put(_MAGIC)
-            w.int(_VERSION, 4)
-            w.int(parser, 4)
-            for size in (n, len(table), len(times), sum(map(len, rows.values()))):
-                w.int(size, 8)
+            f.write(head)
             for at in range(0, len(text), _BLOCK):
                 f.write(text[at:at + _BLOCK].encode("utf-8"))  # not in the crc32
-            w.put(table)
-            for at in range(0, len(times), _TIMES):
-                block = array("q", times[at:at + _TIMES])
-                if sys.byteorder == "big":
-                    block.byteswap()
-                w.put(block)
-            for row in rows.values():
-                w.put(row)
-            f.write(w.crc.to_bytes(4, "little"))
+            crc = zlib.crc32(head)
+            for part in parts:
+                crc = zlib.crc32(part, crc)
+                f.write(part)
+            f.write(crc.to_bytes(4, "little"))
         os.replace(tmp, side)
     except (OSError, ValueError):
         pass  # the queue is read; the sidecar only saves a later parse

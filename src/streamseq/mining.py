@@ -45,11 +45,12 @@ def as_fraction(value: ThresholdLike) -> Fraction:
 
     Floats are read through their shortest decimal repr, so 0.45 means
     exactly 9/20 rather than the nearest binary float; strings accept
-    both "9/20" and "0.45".
+    both "9/20" and "0.45".  A bool is refused, as every other numeric
+    parameter refuses one.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     try:
         if isinstance(value, float):

@@ -70,8 +70,10 @@ being each node's ends, at most span of them, and its b planes.  On
 the benchmark's seed-1 deep stream (20,000 tuples, span 32, max_len 5)
 one mine's traced peak is 1.6 MiB; on 4,000 of its tuples at span 256
 and max_len 2 it is 7.3 MiB.  A cost-unit sweep of the seed-1 trend
-stream (w0 20,000, increments 2,000..18,000, span 4) peaks at 2.3 MiB.  The tests hold occur() to an independent
-brute-force counter in their oracle, tests/oracle.py.
+stream (w0 20,000, increments 2,000..18,000, span 4) peaks at 2.3 MiB.
+
+The tests hold occur() to an independent brute-force counter in their
+oracle, tests/oracle.py.
 """
 
 from __future__ import annotations

@@ -164,6 +164,29 @@ def test_a_damaged_sidecar_is_a_miss_and_is_replaced(tmp_path, damage):
         assert sidecar(log).read_bytes() == good
 
 
+def test_a_resealed_sidecar_whose_sizes_lie_allocates_nothing(tmp_path, parsed):
+    # each of n, table, k and area in turn claims 2**40 bytes or timestamps
+    # under a matching crc32; a reader that allocated a claimed size before
+    # checking it against the file's would need terabytes
+    log = tmp_path / "events.log"
+    log.write_text(LOG)
+    read_queue(str(log))
+    good = sidecar(log).read_bytes()
+    for field in range(4):
+        at = len(logcache._MAGIC) + 8 + 8 * field
+        lie = good[:at] + (2**40).to_bytes(8, "little") + good[at + 8:]
+        sidecar(log).write_bytes(resealed(lie, len(LOG)))
+        tracemalloc.start()
+        try:
+            same_as_parse(log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert len(parsed) == 2 + field  # a miss
+        assert sidecar(log).read_bytes() == good
+
+
 def test_a_sidecar_holding_a_label_the_parser_refuses_is_a_miss(tmp_path):
     log = tmp_path / "events.log"
     log.write_text(LOG)

@@ -44,6 +44,16 @@ class TestAsFraction:
         with pytest.raises(ParameterError):
             as_fraction(None)
 
+    # True == 1, so a bool would otherwise pass as min_supp 1
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_rejects_a_bool(self, bad):
+        with pytest.raises(ParameterError, match="cannot read threshold"):
+            as_fraction(bad)
+        with pytest.raises(ParameterError, match="cannot read threshold"):
+            MiningParams(bad, Fraction(1, 4), SPAN2)
+        with pytest.raises(ParameterError, match="cannot read threshold"):
+            MiningParams(Fraction(1, 2), bad, SPAN2)
+
 
 class TestMiningParams:
     def test_threshold_band_enforced(self):
