@@ -68,23 +68,28 @@ def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:
 
     Returns the PatternSet of the composed window; it matches
     mine(old_blocks + delta_blocks, old.params) exactly, counts included.
+    A candidate's count is one call of `count`, which asks each side's
+    stored_count and rescans that side's blocks, inp.old_blocks or
+    inp.delta_blocks, only where it has none.
     Only rescans are charged to `cost`; stored-count lookups are free.
     The search's per-level candidate counts are added to `cost` too.
     """
     old, dlt = inp.old, inp.delta
+    old_blocks, delta_blocks = inp.old_blocks, inp.delta_blocks
+    old_count, delta_count = old.stored_count, dlt.stored_count
     cp = old.params.count_params
 
-    def side(ps: PatternSet, blocks: list[ViewWindow], seq: Sequence) -> int:
-        c = ps.stored_count(seq)
-        return occur_partitioned(seq, blocks, cp, cost) if c is None else c
+    def count(seq: Sequence) -> int:
+        c = old_count(seq)
+        if c is None:
+            c = occur_partitioned(seq, old_blocks, cp, cost)
+        d = delta_count(seq)
+        if d is None:
+            d = occur_partitioned(seq, delta_blocks, cp, cost)
+        return c + d
 
-    return _levelwise(
-        {s for ps in (old, dlt) for s in (*ps.frequent, *ps.border) if len(s) == 1},
-        lambda seq: side(old, inp.old_blocks, seq) + side(dlt, inp.delta_blocks, seq),
-        old.params,
-        old.blocks + dlt.blocks,
-        cost,
-    )
+    singles = {s for ps in (old, dlt) for s in (*ps.frequent, *ps.border) if len(s) == 1}
+    return _levelwise(sorted(singles), count, old.params, old.blocks + dlt.blocks, cost)
 
 
 def speedup(t_full: float, t_ius: float) -> float:

@@ -23,8 +23,9 @@ occurrence module for why that sum is the definition of the composed
 count rather than an approximation of it.  The sum counts a tuple twice
 when two blocks share it, so a PatternSet records its blocks as
 (start, end) queue ranges and refuses ranges that overlap; the window
-size is derived from them.  The incremental update runs the same search
-and differs only in where its counts come from.
+size is derived from them.  The ranges name one queue, so mine()
+refuses blocks that view different queues.  The incremental update runs
+the same search and differs only in where its counts come from.
 """
 
 from __future__ import annotations
@@ -200,11 +201,14 @@ def gen_candidates(level: Iterable[Sequence]) -> list[Sequence]:
     Sequences s and t of common length m-1 join when s minus its first
     item equals t minus its last item, giving s extended by t's last
     item.  For m-1 = 1 the join degenerates to all ordered pairs,
-    including a type with itself.  A candidate survives only when every
-    one of its one-shorter subsequences is in the input level; dropping
-    its first item gives t and dropping its last gives s, so only the
-    inner drops need a lookup.  The inputs are joined in sorted order,
-    so the output comes out sorted and duplicate-free.
+    including a type with itself, so a level of singles is joined as
+    the ordered product of its labels, which has no inner subsequence
+    to check.  A longer candidate survives only when every one of its
+    one-shorter subsequences is in the input level; dropping its first
+    item gives t and dropping its last gives s, so only the inner drops
+    need a lookup, made in a plain loop that stops at the first miss.
+    The inputs are joined in sorted order, so the output comes out
+    sorted and duplicate-free.
 
     An input that is not a Sequence is made one, which checks its
     labels; the join and the pruning then work on plain tuples, whose
@@ -216,6 +220,10 @@ def gen_candidates(level: Iterable[Sequence]) -> list[Sequence]:
     lengths = {len(s) for s in seqs}
     if len(lengths) != 1:
         raise ContractError(f"mixed sequence lengths in candidate join: {lengths}")
+    wrap = Sequence._unchecked
+    if len(seqs[0]) == 1:
+        labels = [s[0] for s in seqs]
+        return [wrap((a, b)) for a in labels for b in labels]
 
     lasts: dict[tuple[str, ...], list[str]] = {}
     for t in seqs:
@@ -226,13 +234,16 @@ def gen_candidates(level: Iterable[Sequence]) -> list[Sequence]:
     for s in seqs:
         for last in lasts.get(s[1:], ()):
             cand = s + (last,)
-            if all(cand[:i] + cand[i + 1 :] in have for i in inner):
-                out.append(Sequence._unchecked(cand))
+            for i in inner:
+                if cand[:i] + cand[i + 1 :] not in have:
+                    break
+            else:
+                out.append(wrap(cand))
     return out
 
 
 def _levelwise(
-    singles: Iterable[Sequence],
+    singles: list[Sequence],
     count: Callable[[Sequence], int],
     params: MiningParams,
     blocks: tuple[tuple[int, int], ...],
@@ -240,20 +251,22 @@ def _levelwise(
 ) -> PatternSet:
     """The level-wise search shared by mine() and the incremental update.
 
-    Level 1 counts `singles`; level m counts gen_candidates(frequent
-    level m-1).  Each candidate is counted once, by `count`, and filed
-    as frequent or border against the thresholds for the total size of
-    `blocks`.  The search stops at the first empty frequent level or
-    past max_len.  Candidates are visited in Sequence order, so any cost
-    `count` charges is reproducible run to run.  Given a counter, the
-    search adds each level's number of candidates to `cost.candidates`.
+    Level 1 counts `singles`, which the caller gives in Sequence order;
+    level m counts gen_candidates(frequent level m-1), looked up as this
+    module's attribute once per level.  Each candidate is counted once,
+    by `count`, and filed as frequent or border against the thresholds
+    for the total size of `blocks`.  The search stops at the first empty
+    frequent level or past max_len.  Candidates are visited in Sequence
+    order, so any cost `count` charges is reproducible run to run.
+    Given a counter, the search adds each level's number of candidates
+    to `cost.candidates`.
     """
     result = PatternSet(params=params, blocks=blocks, frequent={}, border={})
     result.validate()  # refuses overlapping blocks before any counting
     thr_l = params.supp_threshold(result.window_size)
     thr_n = params.nbd_threshold(result.window_size)
 
-    candidates = sorted(singles)
+    candidates = singles
     m = 1
     while candidates:
         if cost is not None:
@@ -280,18 +293,28 @@ def mine(
 ) -> PatternSet:
     """Mine the frequent and border families of a partitioned window.
 
-    blocks are the pieces of the covering window, in order; a single
-    block is the common case.  Blocks that share a tuple raise
-    ContractError, since the sum would count that tuple twice; gaps
-    between blocks are allowed.  An empty window yields an empty
-    PatternSet.  Iteration order of candidates is the Sequence total
-    order at every level, so results (and any attached CostCounter) are
-    reproducible run to run.
+    blocks are the pieces of the covering window, in order, all of one
+    queue; a single block is the common case.  Blocks of different
+    queues raise ContractError, since their counts would be summed and
+    their ranges name neither queue.  Blocks that share a tuple raise
+    ContractError too, since the sum would count that tuple twice; gaps
+    between blocks are allowed.  Both are refused before anything is
+    counted.  An empty window yields an empty PatternSet.  Level 1
+    counts the singles of the blocks' labels, in Sequence order: one
+    block's sorted alphabet, or the sorted union of several.  Iteration
+    order of candidates is the Sequence total order at every level, so
+    results (and any attached CostCounter) are reproducible run to run.
     """
     blocks = list(blocks)
+    if any(b.queue is not blocks[0].queue for b in blocks):
+        raise ContractError("blocks of one window must all view the same queue")
+    if len(blocks) == 1:
+        labels = blocks[0].alphabet()
+    else:
+        labels = sorted({label for b in blocks for label in b.alphabet()})
     cp = params.count_params
     return _levelwise(
-        {Sequence._unchecked((label,)) for b in blocks for label in b.alphabet()},
+        [Sequence._unchecked((label,)) for label in labels],
         lambda seq: occur_partitioned(seq, blocks, cp, cost),
         params,
         tuple((b.start, b.end) for b in blocks),

@@ -216,15 +216,17 @@ def _match(seq: Sequence, w: ViewWindow, span: int) -> int:
     [i, i+span), so its starts are the OR of Y shifted by 0..span-1
     (_cover), cut to the legal starts.  A longer seq is its prefix
     seq[:-1] matched greedily (_walk, along the window's matched path:
-    _prefix_planes), then closed by its last item (_last_item).
+    _prefix_planes), then closed by its last item (_last_item).  The
+    legal starts, the low size - span + 1 bits, are built only where
+    they are read: for a single, and for a walk from the root of the
+    path, whose first item every legal start waits for.
     """
     y = w._cuts.get(seq[-1]) or w.mask(seq[-1])
     if not y:
         return 0
-    starts = (1 << (w.size - span + 1)) - 1
     if len(seq) == 1:
-        return _cover(y, span) & starts
-    planes = _prefix_planes(w, span, seq[:-1], starts)
+        return _cover(y, span) & ((1 << (w.size - span + 1)) - 1)
+    planes = _prefix_planes(w, span, seq[:-1])
     if planes is None:
         return 0
     return _last_item(w, span, seq[-1], planes)
@@ -240,9 +242,7 @@ def _cover(y: int, width: int) -> int:
     return cover
 
 
-def _prefix_planes(
-    w: ViewWindow, span: int, prefix: tuple[str, ...], starts: int
-) -> list[int] | None:
+def _prefix_planes(w: ViewWindow, span: int, prefix: tuple[str, ...]) -> list[int] | None:
     """The end planes of prefix's match over w (_end_planes), or None
     when it matches nowhere.
 
@@ -250,7 +250,8 @@ def _prefix_planes(
     window's matched path (module docstring), so the candidates of a
     level, which arrive sorted, match each prefix node once; planes are
     built once, for the node a candidate closes, and the path is
-    replaced by the prefix's nodes in one statement.
+    replaced by the prefix's nodes in one statement.  A walk from the
+    root starts with every legal start of w pending.
     """
     memo = w._path
     path = memo[1] if memo is not None and memo[0] == span else ()
@@ -265,7 +266,7 @@ def _prefix_planes(
         return path[k - 1][2]
     nodes: list[_PathNode] = list(path[:k])
     for item in prefix[k:]:
-        pending, ends = (0, nodes[-1][1]) if nodes else (starts, [])
+        pending, ends = (0, nodes[-1][1]) if nodes else ((1 << (w.size - span + 1)) - 1, [])
         ends = _walk(pending, ends, w.mask(item), span)
         nodes.append((item, ends, None))
         if not ends:

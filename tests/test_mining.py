@@ -221,6 +221,16 @@ class TestMine:
         assert gap.window_size == 4
         assert gap.blocks == ((0, 2), (0, 0), (4, 6))
 
+    def test_blocks_of_different_queues_rejected(self):
+        # summed, the counts would make <c> frequent although q1 holds no c
+        q1 = queue_of(*"ababa")
+        q2 = queue_of(*"ababacccca")
+        params = MiningParams(Fraction(1, 4), Fraction(1, 8), SPAN2)
+        cost = CostCounter()
+        with pytest.raises(ContractError, match="same queue"):
+            mine([window(q1, 0, 5), window(q2, 5, 5)], params, cost=cost)
+        assert cost.scans == 0  # refused before any counting
+
     def test_max_len_caps_exploration(self):
         q = queue_of("a", "a", "a", "a")
         params = MiningParams(Fraction(1, 4), Fraction(1, 8), SPAN2, max_len=1)
