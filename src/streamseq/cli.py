@@ -26,8 +26,8 @@ from .generate import GenConfig, generate
 from .incremental import UpdateInput, ius_update
 from .mining import MiningParams, mine
 from .logcache import read_queue
-from .model import Sequence, serialize_event_log, window
-from .occurrence import CostCounter, CountParams
+from .model import Sequence, serialize_event_log
+from .occurrence import CostCounter, CountParams, window
 from .patternfile import dump_pattern_file, load_pattern_file
 from .tradeoff import (
     COST_UNITS,

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 from .errors import IncompatiblePatternSetsError, ParameterError
 from .mining import PatternSet, _levelwise
-from .model import Sequence, StreamQueue, ViewWindow, window
-from .occurrence import CostCounter, occur_partitioned
+from .model import Sequence, StreamQueue
+from .occurrence import CostCounter, ViewWindow, occur_partitioned, window
 
 
 @dataclass

@@ -18,7 +18,10 @@ The sidecar holds, in order, every integer little-endian:
       _MAGIC                    the magic line
       version (4), parser (4)   the format, and zlib.crc32 of model.py,
                                 so that an edit to the parser retires
-                                every sidecar written before it
+                                every sidecar written before it;
+                                model.py holds only the stream model
+                                and the log format, so a change to
+                                counting alone retires none
       n (8), table (8),         the sizes of the copy, the label table
       k (8), area (8)           and the bitmap area in bytes, and the
                                 number of timestamps

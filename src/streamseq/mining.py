@@ -35,8 +35,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence as PySequence, Union
 
 from .errors import ContractError, ParameterError
-from .model import Sequence, ViewWindow
-from .occurrence import CostCounter, CountParams, occur_partitioned
+from .model import Sequence
+from .occurrence import CostCounter, CountParams, ViewWindow, occur_partitioned
 
 ThresholdLike = Union[Fraction, int, str, float]
 

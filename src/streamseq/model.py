@@ -27,18 +27,20 @@ timestamp.  Iterating or indexing a queue yields each tuple's label
 set, a frozenset, which a parsed queue builds only when something asks
 for it (serialize_event_log, or the tests and their brute-force
 oracle).  A queue built from (time, labels) rows keeps its label sets
-and derives its bitmaps on first use.  Mining never copies stream data;
-it works on ViewWindow objects, each the (queue, start, size) range of
-tuples to count over.  A window mined in pieces is a list of such
-ranges, one per block, so that counts can be maintained per block.
+and derives its bitmaps on first use.
 
-Everything here is immutable after construction, which is what makes the
-windows safe to share between the miner, the incremental updater and
-the sweep driver without locking.  The exception is memos that never
-change a result: a queue builds its bitmaps, its label sets or its
-`times` tuple on first use, and a window holds the memo slots
-ViewWindow lists.  Each memo entry is written in one statement, so a
-reader sees it whole or not at all.
+This module holds the stream model and the log format, and nothing of
+counting: the windows that counting reads a queue through, and their
+memos, live with the counter (occurrence.ViewWindow).  So the log cache,
+which keys every sidecar on this file (logcache), survives a change to
+counting.
+
+Everything here is immutable after construction, which is what makes a
+queue safe to share between the miner, the incremental updater and the
+sweep driver without locking.  The exception is memos that never change
+a result: a queue builds its bitmaps, its label sets or its `times`
+tuple on first use, each in one statement, so a reader sees it whole or
+not at all.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from array import array
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .errors import BoundsError, EventLogParseError, ParameterError
+from .errors import EventLogParseError, ParameterError
 
 _LABEL_BREAKERS = re.compile(r"[,\s\ud800-\udfff]")
 _SERIALIZE_BLOCK = 4096  # tuples joined into one string by serialize_event_log
@@ -235,130 +237,6 @@ def _check_int(name: str, value: object) -> None:
     """Raise ParameterError unless `value` is an int and not a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParameterError(f"{name} must be an int, got {value!r}")
-
-
-class ViewWindow:
-    """The range [start, start+size) of a queue's tuples, to count over.
-
-    A window copies nothing: the occurrence counter reads it through
-    mask(), and its tuples are the queue's, queue[start:end].  start
-    and size are ints, not bools.
-
-    A window holds six memos that never change a result and take no
-    part in equality or in what a window means.  The window owns two:
-    mask() fills `_cuts` with each label's bitmap cut to the window, and
-    _first_tuples() fills `_firsts` with each present label's first
-    tuple index, which only a window that heads were cut from is asked
-    for.  The occurrence counter owns the other four and their layouts
-    (see its module docstring): `_path`, the prefixes it last matched
-    here; `_lasts`, each last item's offset planes; `_starts`, each
-    sequence's set of matching starts, kept only in a window that heads
-    were cut from; and `_start_masks`, a head's starts per span, kept
-    only in a head.  Each memo entry, and the whole of `_firsts`, is
-    written in a single statement, so a reader never sees one
-    half-written.
-
-    A head window, built by _head(d), is the first d tuples of a wider
-    window, its parent, and reads through the parent's memos: its cut
-    of a label is the parent's cut ANDed with the low d bits, its
-    alphabet the labels whose first tuple in the parent is below d, and
-    the occurrence counter counts it from the parent's start sets.  A
-    head equals the plain window of its range.
-    """
-
-    __slots__ = (
-        "queue", "start", "size", "_low", "_parent",
-        "_cuts", "_firsts", "_path", "_lasts", "_starts", "_start_masks",
-    )
-
-    def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
-        _check_int("window start", start)
-        _check_int("window size", size)
-        if start < 0 or size < 0 or start + size > len(queue):
-            raise BoundsError(
-                f"window [{start}, {start + size}) does not fit a queue of "
-                f"{len(queue)} tuples"
-            )
-        self.queue = queue
-        self.start = start
-        self.size = size
-        self._low = (1 << size) - 1  # the low `size` bits, which mask() keeps
-        self._parent: ViewWindow | None = None
-        self._cuts: dict[str, int] = {}
-        self._firsts: dict[str, int] | None = None
-        self._path: tuple | None = None
-        self._lasts: dict[tuple[int, str], list[int]] = {}
-        self._starts: dict[tuple[int, Sequence], int] = {}
-        self._start_masks: dict[int, int] = {}
-
-    def _head(self, size: int) -> ViewWindow:
-        """The window of this one's first `size` tuples, as a head of it."""
-        if not 0 <= size <= self.size:
-            raise BoundsError(f"a head of {size} tuples does not fit {self!r}")
-        head = ViewWindow(self.queue, self.start, size)
-        head._parent = self
-        return head
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ViewWindow):
-            return (
-                self.queue is other.queue
-                and self.start == other.start
-                and self.size == other.size
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ViewWindow({self.start}:{self.end})"
-
-    @property
-    def end(self) -> int:
-        return self.start + self.size
-
-    def mask(self, item: str) -> int:
-        """The queue's bitmap of `item` cut to this window: bit i is tuple i.
-
-        Each label is cut once per window; later calls reuse the cut.  A
-        head's cut is its parent's, ANDed with its low bits.  Any other
-        window decodes only the bytes of the queue's row that cover its
-        range, so a cut costs the window's size, not the queue's.
-        """
-        cut = self._cuts.get(item)
-        if cut is None:
-            if self._parent is None:
-                row = self.queue._type_bitmaps().get(item, b"")
-                s = self.start
-                whole = int.from_bytes(row[s >> 3:(s + self.size + 7) >> 3], "little")
-                whole >>= s & 7
-            else:
-                whole = self._parent.mask(item)
-            cut = self._cuts[item] = whole & self._low
-        return cut
-
-    def alphabet(self) -> list[str]:
-        """Labels present in this window, sorted.
-
-        A head cuts no label for this: a label is in it when the label's
-        first tuple in its parent (_first_tuples) lies below its size.
-        """
-        if self._parent is None:
-            return [label for label in self.queue.alphabet() if self.mask(label)]
-        return [label for label, i in self._parent._first_tuples().items() if i < self.size]
-
-    def _first_tuples(self) -> dict[str, int]:
-        """Each label present here, sorted, to the index of its first tuple."""
-        if self._firsts is None:
-            cuts = ((label, self.mask(label)) for label in self.queue.alphabet())
-            self._firsts = {label: (c & -c).bit_length() - 1 for label, c in cuts if c}
-        return self._firsts
-
-
-def window(queue: StreamQueue, start: int, size: int) -> ViewWindow:
-    """View the `size` tuples of `queue` beginning at index `start`."""
-    return ViewWindow(queue, start, size)
 
 
 class Sequence(tuple):

@@ -6,6 +6,9 @@ width-`span` sub-window [i, i+span).  Two items never share a tuple.
 occur() counts how many of the |w| - span + 1 start positions admit such
 a match; a window shorter than the span has no start positions at all.
 support() divides the count by the window size, as an exact fraction.
+A window (ViewWindow) is a range of a queue's tuples that copies none of
+them.  It lives here, with the counter, because it is where the counter
+keeps its memos; its docstring lays out every one of them.
 
 Counting over a partitioned window is additive by definition: an
 occurrence belongs to exactly one block and never straddles a boundary.
@@ -47,17 +50,7 @@ digit width (30 bits in CPython):
     every head counts it with one AND, with the head's start mask, and
     one popcount.  A sweep's increments are heads of its widest one, so
     each sequence is matched once per sweep, not once per increment.
-
-The memos are four of a window's slots (ViewWindow), laid out here.
-`_path` is (span, nodes): one _PathNode (item, ends, end planes or
-None) per prefix length of the last prefix matched at that span, which
-the next prefix replaces from the first item where the two differ.
-`_lasts` maps (span, item) to the item's b offset planes, plane k the
-starts whose L has bit k set, for items that end a sequence of two or
-more.  `_starts` maps (span, sequence) to the sequence's set of
-matching starts, bit i for start i, kept only in a parent window.
-`_start_masks` maps a span to a head window's start mask, its low
-size - span + 1 bits, kept only in a head.
+    Any other read of a head, such as a cut of a label, is its own.
 
 The trade-offs are the rare item and the memory at a huge span.  On
 20,000 tuples at span 10,000, a type that occurs twice costs about
@@ -84,11 +77,145 @@ from functools import reduce
 from operator import or_
 from typing import Iterable
 
-from .errors import ParameterError, UndefinedSupportError
-from .model import Sequence, ViewWindow
+from .errors import BoundsError, ParameterError, UndefinedSupportError
+from .model import Sequence, StreamQueue, _check_int
 
 # a matched prefix's last item, its ends and, once built, its end planes
 _PathNode = tuple[str, list[int], list[int] | None]
+
+
+class ViewWindow:
+    """The range [start, start+size) of a queue's tuples, to count over.
+
+    A window copies nothing: the counter reads it through mask(), and
+    its tuples are the queue's, queue[start:end].  start and size are
+    ints, not bools.  A window mined in pieces is a list of windows, one
+    per block, so that counts can be kept per block.
+
+    A head window, built by _head(d), is the first d tuples of a wider
+    window, its parent.  A head equals the plain window of its range and
+    cuts a label from the queue's row as any window does.  Two reads go
+    through the parent: a head's alphabet is the labels whose first
+    tuple in the parent lies below d, and occur_partitioned counts a
+    head from the parent's start sets.
+
+    A window holds six memos.  They never change a result and take no
+    part in equality or in what a window means.  Here b is the bit
+    length of span - 1, and L the last offset within the span, past a
+    start, where an item sits (module docstring):
+
+      _cuts         label -> the queue's row of it cut to the window;
+                    filled by mask()
+      _firsts       each present label, sorted, -> the index of its
+                    first tuple; asked only of a parent (_first_tuples)
+      _path         (span, nodes): one _PathNode (item, ends, end
+                    planes or None) per prefix length of the last
+                    prefix matched at that span, which the next prefix
+                    replaces from the first item where the two differ
+                    (_prefix_planes)
+      _lasts        (span, item) -> the item's b L planes, plane k the
+                    starts whose L has bit k set, for an item that ends
+                    a sequence of two or more (_last_offsets)
+      _starts       (span, sequence) -> the sequence's set of matching
+                    starts, bit i for start i; kept only in a parent
+      _start_masks  span -> a head's legal starts, its low
+                    size - span + 1 bits; kept only in a head
+
+    Each memo entry, and the whole of `_firsts`, is written in a single
+    statement, so a reader never sees one half-written.  So windows, as
+    their queues, are safe to share between the miner, the incremental
+    updater and the sweep driver without locking.
+    """
+
+    __slots__ = (
+        "queue", "start", "size", "_low", "_parent",
+        "_cuts", "_firsts", "_path", "_lasts", "_starts", "_start_masks",
+    )
+
+    def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
+        _check_int("window start", start)
+        _check_int("window size", size)
+        if start < 0 or size < 0 or start + size > len(queue):
+            raise BoundsError(
+                f"window [{start}, {start + size}) does not fit a queue of "
+                f"{len(queue)} tuples"
+            )
+        self.queue = queue
+        self.start = start
+        self.size = size
+        self._low = (1 << size) - 1  # the low `size` bits, which mask() keeps
+        self._parent: ViewWindow | None = None
+        self._cuts: dict[str, int] = {}
+        self._firsts: dict[str, int] | None = None
+        self._path: tuple[int, tuple[_PathNode, ...]] | None = None
+        self._lasts: dict[tuple[int, str], list[int]] = {}
+        self._starts: dict[tuple[int, Sequence], int] = {}
+        self._start_masks: dict[int, int] = {}
+
+    def _head(self, size: int) -> ViewWindow:
+        """The window of this one's first `size` tuples, as a head of it."""
+        if not 0 <= size <= self.size:
+            raise BoundsError(f"a head of {size} tuples does not fit {self!r}")
+        head = ViewWindow(self.queue, self.start, size)
+        head._parent = self
+        return head
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ViewWindow):
+            return (
+                self.queue is other.queue
+                and self.start == other.start
+                and self.size == other.size
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ViewWindow({self.start}:{self.end})"
+
+    @property
+    def end(self) -> int:
+        return self.start + self.size
+
+    def mask(self, item: str) -> int:
+        """The queue's bitmap of `item` cut to this window: bit i is tuple i.
+
+        Each label is cut once per window; later calls reuse the cut.  A
+        cut decodes only the bytes of the queue's row that cover the
+        window's range, so it costs the window's size, not the queue's.
+        """
+        cut = self._cuts.get(item)
+        if cut is None:
+            row = self.queue._type_bitmaps().get(item, b"")
+            s = self.start
+            whole = int.from_bytes(row[s >> 3:(s + self.size + 7) >> 3], "little")
+            whole >>= s & 7
+            cut = self._cuts[item] = whole & self._low
+        return cut
+
+    def alphabet(self) -> list[str]:
+        """Labels present in this window, sorted.
+
+        A head cuts no label for this: a label is in it when the label's
+        first tuple in its parent (_first_tuples) lies below its size.
+        """
+        if self._parent is None:
+            return [label for label in self.queue.alphabet() if self.mask(label)]
+        return [label for label, i in self._parent._first_tuples().items() if i < self.size]
+
+    def _first_tuples(self) -> dict[str, int]:
+        """Each label present here, sorted, to the index of its first tuple."""
+        if self._firsts is None:
+            cuts = ((label, self.mask(label)) for label in self.queue.alphabet())
+            self._firsts = {label: (c & -c).bit_length() - 1 for label, c in cuts if c}
+        return self._firsts
+
+
+def window(queue: StreamQueue, start: int, size: int) -> ViewWindow:
+    """View the `size` tuples of `queue` beginning at index `start`."""
+    return ViewWindow(queue, start, size)
 
 
 @dataclass(frozen=True)
@@ -185,7 +312,7 @@ def occur_partitioned(
     parent's start set for seq, matched once and kept in the parent's
     `_starts`, ANDed with the head's start mask, its low size - span + 1
     bits, which the head builds once per span: one AND and one popcount.
-    The memos (module docstring) never change a result.
+    The memos (ViewWindow) never change a result.
     """
     span = params.span
     total = 0

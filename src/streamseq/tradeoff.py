@@ -30,8 +30,8 @@ from .distance import distance
 from .errors import BoundsError, ContractError, ParameterError
 from .incremental import UpdateInput, ius_update, speedup
 from .mining import MiningParams, mine
-from .model import StreamQueue, ViewWindow, _check_int, window
-from .occurrence import CostCounter
+from .model import StreamQueue, _check_int
+from .occurrence import CostCounter, ViewWindow, window
 
 COST_UNITS = "cost_units"
 WALL_CLOCK = "wall_clock"
@@ -164,16 +164,19 @@ def _remine_charge(
     The re-mine counts every single in either window and then, per
     level m, gen_candidates(F_m) for its frequent level F_m, stopping at
     the first empty level or once m + 1 would pass max_len.  It charges
-    each candidate once per block, max(0, size - span + 1) per block, as
-    CostCounter.charge does.  upd_cost is the counter of the update of
-    those two windows, whose frequent family is the re-mine's: its
-    search joined the same levels and tallied the same candidates from
-    length 2 on.  Only its singles differ, being the ones either side
-    stored.
+    each candidate once per block, as CostCounter.charge does, so one
+    charge of each block, times the candidates, is the re-mine's.
+    upd_cost is the counter of the update of those two windows, whose
+    frequent family is the re-mine's: its search joined the same levels
+    and tallied the same candidates from length 2 on.  Only its singles
+    differ, being the ones either side stored.
     """
     n = len(labels0.union(dw.alphabet()))
     n += sum(c for m, c in upd_cost.candidates.items() if m >= 2)
-    return n * sum(max(0, w.size - span + 1) for w in (w0, dw))
+    per_candidate = CostCounter()
+    for w in (w0, dw):
+        per_candidate.charge(w.size, span)
+    return n * per_candidate.window_evaluations
 
 
 def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:

@@ -1,9 +1,18 @@
 """The package's public surface: `__all__` is sorted, unique and importable,
 and a queue reads the way the benchmark reads it."""
 
+import ast
 import importlib.util
+from pathlib import Path
 
 import streamseq
+
+# each module imports only modules before it; the package and its
+# __main__ sit on top of them all
+LAYERS = [
+    "errors", "model", "logcache", "occurrence", "mining", "incremental",
+    "distance", "tradeoff", "generate", "patternfile", "cli",
+]
 
 
 def test_all_is_sorted_and_unique():
@@ -43,3 +52,16 @@ def test_a_queue_counts_one_event_per_distinct_record():
     records = {line for line in text.splitlines() if line and line[0] != "#"}
     queue = streamseq.parse_event_log(text)
     assert sum(len(t) for t in queue) == len(records) == 4
+
+
+def test_modules_import_in_dependency_order():
+    package = Path(streamseq.__file__).parent
+    files = sorted(package.glob("*.py"))
+    assert {f.stem for f in files} == {*LAYERS, "__init__", "__main__"}
+    for f in files:
+        below = LAYERS[:LAYERS.index(f.stem)] if f.stem in LAYERS else LAYERS
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                for name in names:
+                    assert name in below, f"{f.name} imports {name}"

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import pickle
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import streamseq
 from streamseq import EventLogParseError, StreamSeqError, parse_event_log
 from streamseq import generate, logcache, serialize_event_log
 from streamseq.logcache import read_queue
@@ -74,6 +76,17 @@ def test_the_sidecar_layout_is_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == (
         "ed4e25e139b252220d2d68ebdfb9fb14560cdc1356b74113f87328c4d05ecb05"
     )
+
+
+def test_the_parser_key_covers_no_counting_code():
+    # windows and their memos live with the counter, so a change to
+    # counting keeps every sidecar: the key is the parser's file alone
+    assert streamseq.ViewWindow.__module__ == "streamseq.occurrence"
+    for name in ("ViewWindow", "window"):
+        assert not hasattr(streamseq.model, name)
+    source = inspect.getsourcefile(parse_event_log)
+    assert inspect.getsourcefile(StreamQueue) == source
+    assert logcache._parser() == zlib.crc32(Path(source).read_bytes())
 
 
 def test_a_cold_read_writes_a_sidecar_that_a_warm_read_loads(tmp_path, monkeypatch):
