@@ -155,34 +155,36 @@ class PatternSet:
             if s1 < e0:
                 raise ContractError(f"blocks {s0}:{e0} and {s1}:{e1} overlap")
         p = self.params
+        span, max_len, frequent = p.span, p.max_len, self.frequent
         thr_l = p.supp_threshold(self.window_size)
         thr_n = p.nbd_threshold(self.window_size)
-        starts = sum(max(0, end - start - p.span + 1) for start, end in self.blocks)
-        overlap = self.frequent.keys() & self.border.keys()
+        starts = sum(max(0, end - start - span + 1) for start, end in self.blocks)
+        overlap = frequent.keys() & self.border.keys()
         if overlap:
             raise ContractError(f"sections overlap: {sorted(overlap)[:3]}")
-        for seq, c in self.frequent.items():
+        for seq, c in frequent.items():
             if not c > thr_l:
                 raise ContractError(f"{seq!r} count {c} not above {thr_l}")
         for seq, c in self.border.items():
             if not thr_n < c <= thr_l:
                 raise ContractError(f"{seq!r} count {c} outside ({thr_n}, {thr_l}]")
-        for family in (self.frequent, self.border):
+        for family in (frequent, self.border):
             for seq, c in family.items():
+                n = len(seq)
                 if c > starts:
                     raise ContractError(
                         f"{seq!r} count {c} is above the {starts} start positions "
                         f"of the blocks"
                     )
-                if p.max_len is not None and len(seq) > p.max_len:
-                    raise ContractError(f"{seq!r} longer than max_len={p.max_len}")
-                if len(seq) > p.span:
+                if max_len is not None and n > max_len:
+                    raise ContractError(f"{seq!r} longer than max_len={max_len}")
+                if n > span:
                     raise ContractError(
-                        f"{seq!r} longer than span={p.span}, so it occurs nowhere"
+                        f"{seq!r} longer than span={span}, so it occurs nowhere"
                     )
-                for i in range(len(seq) if len(seq) > 1 else 0):
+                for i in range(n if n > 1 else 0):
                     sub = seq[:i] + seq[i + 1 :]
-                    sub_count = self.frequent.get(sub)
+                    sub_count = frequent.get(sub)
                     if sub_count is None:
                         raise ContractError(
                             f"{seq!r} kept but subsequence "

@@ -38,10 +38,14 @@ digit width (30 bits in CPython):
     O(len(ends) * W / word) once per prefix node, the item's
     offset planes O(span * W / word) once per (span, item) and window.
   * A window keeps its matched path: one node per prefix length, for
-    the last prefix asked.  A candidate walks only the prefix items past
-    the head it shares with the path, so its cost is the item steps of
-    the new items plus its last item.  The candidates of a mining level
-    arrive sorted, so each prefix node is matched once per block.
+    the last prefix asked, and the items those nodes spell.  A
+    candidate whose prefix is those items reads the last node's end
+    planes after one tuple compare.  Any other walks only the prefix
+    items past the head it shares with the path, so its cost is the
+    item steps of the new items plus its last item.  An item step
+    after a prefix of k items skips the offsets up to k - 1, where no
+    start waits yet.  The candidates of a mining level arrive sorted,
+    so each prefix node is matched once per block.
   * Nested windows read one start set.  Whether start i matches depends
     only on the tuples [i, i+span), so a head window, the first d tuples
     of a wider parent, matches exactly the parent's matching starts
@@ -108,11 +112,14 @@ class ViewWindow:
                     filled by mask()
       _firsts       each present label, sorted, -> the index of its
                     first tuple; asked only of a parent (_first_tuples)
-      _path         (span, nodes): one _PathNode (item, ends, end
-                    planes or None) per prefix length of the last
-                    prefix matched at that span, which the next prefix
-                    replaces from the first item where the two differ
-                    (_prefix_planes)
+      _path         (span, prefix, nodes): one _PathNode (item,
+                    ends, end planes or None) per prefix length of the
+                    last prefix matched at that span, up to its first
+                    node that matches nowhere, and `prefix`, the items
+                    of those nodes, which _match compares a
+                    candidate's prefix with; the next prefix replaces
+                    the nodes from the first item where the two
+                    differ (_prefix_planes)
       _lasts        (span, item) -> the item's b L planes, plane k the
                     starts whose L has bit k set, for an item that ends
                     a sequence of two or more (_last_offsets)
@@ -147,7 +154,7 @@ class ViewWindow:
         self._parent: ViewWindow | None = None
         self._cuts: dict[str, int] = {}
         self._firsts: dict[str, int] | None = None
-        self._path: tuple[int, tuple[_PathNode, ...]] | None = None
+        self._path: tuple[int, tuple[str, ...], tuple[_PathNode, ...]] | None = None
         self._lasts: dict[tuple[int, str], list[int]] = {}
         self._starts: dict[tuple[int, Sequence], int] = {}
         self._start_masks: dict[int, int] = {}
@@ -264,20 +271,31 @@ def _walk(pending: int, ends: list[int], y: int, span: int) -> list[int]:
     rest keep waiting, and the old ends[d] join them, since the next
     item must sit strictly later.  A start still waiting once the span
     is used up drops out: its prefix matches but the item does not
-    follow.  The walk stops once nothing waits past the last ends entry,
-    so it costs O(min(span, gap) * W / word) (module docstring).
-    Returns the new ends, without trailing empty sets.
+    follow.  An offset where nothing waits costs no shift and no AND:
+    the old ends[d] only start waiting there.  A prefix of k items ends
+    at offset k - 1 or later, so its next walk skips every offset up to
+    k - 1, and a walk from the root, with no ends, skips none.  One loop
+    runs over the ends, and a second drains what still waits past them;
+    it stops once nothing waits, so the walk costs
+    O(min(span, gap) * W / word) (module docstring).  Returns the new
+    ends, without trailing empty sets.
     """
-    hits: list[int] = []
-    n_ends = len(ends)
-    for d in range(span):
-        if d >= n_ends and not pending:
-            break
+    hits = [0] * span
+    d = 0
+    for e in ends:
+        if pending:
+            hit = pending & (y >> d)
+            hits[d] = hit
+            pending = pending ^ hit | e
+        else:
+            pending = e
+        d += 1
+    while pending and d < span:
         hit = pending & (y >> d)
-        hits.append(hit)
+        hits[d] = hit
         pending ^= hit
-        if d < n_ends:
-            pending |= ends[d]
+        d += 1
+    del hits[d:]
     while hits and not hits[-1]:
         hits.pop()
     return hits
@@ -343,7 +361,8 @@ def _match(seq: Sequence, w: ViewWindow, span: int) -> int:
     [i, i+span), so its starts are the OR of Y shifted by 0..span-1
     (_cover), cut to the legal starts.  A longer seq is its prefix
     seq[:-1] matched greedily (_walk, along the window's matched path:
-    _prefix_planes), then closed by its last item (_last_item).  The
+    _prefix_planes; a prefix equal to the one the path spells reads its
+    last node), then closed by its last item (_last_item).  The
     legal starts, the low size - span + 1 bits, are built only where
     they are read: for a single, and for a walk from the root of the
     path, whose first item every legal start waits for.
@@ -353,7 +372,12 @@ def _match(seq: Sequence, w: ViewWindow, span: int) -> int:
         return 0
     if len(seq) == 1:
         return _cover(y, span) & ((1 << (w.size - span + 1)) - 1)
-    planes = _prefix_planes(w, span, seq[:-1])
+    prefix = seq[:-1]
+    memo = w._path
+    if memo is not None and memo[1] == prefix and memo[0] == span:
+        planes = memo[2][-1][2]  # the prefix closed last, or None where it fails
+    else:
+        planes = _prefix_planes(w, span, prefix)
     if planes is None:
         return 0
     return _last_item(w, span, seq[-1], planes)
@@ -381,10 +405,10 @@ def _prefix_planes(w: ViewWindow, span: int, prefix: tuple[str, ...]) -> list[in
     root starts with every legal start of w pending.
     """
     memo = w._path
-    path = memo[1] if memo is not None and memo[0] == span else ()
+    items, path = memo[1:] if memo is not None and memo[0] == span else ((), ())
     k = 0
-    for node, item in zip(path, prefix):
-        if node[0] != item:
+    for a, b in zip(items, prefix):
+        if a != b:
             break
         k += 1
     if k and not path[k - 1][1]:
@@ -403,7 +427,7 @@ def _prefix_planes(w: ViewWindow, span: int, prefix: tuple[str, ...]) -> list[in
     if ends:
         planes = _end_planes(ends, span)
         nodes[-1] = (item, ends, planes)
-    w._path = (span, tuple(nodes))
+    w._path = (span, tuple(node[0] for node in nodes), tuple(nodes))
     return planes
 
 
@@ -442,11 +466,15 @@ def _last_item(w: ViewWindow, span: int, item: str, planes: list[int]) -> int:
     never matches.  The planes are compared one bit at a time, low to
     high: a bit where L is 1 and E is 0 makes E < L so far, one where L
     is 0 and E is 1 makes it false, and equal bits keep the verdict of
-    the bits below.  Each plane costs four big-int operations.
+    the bits below.  Each plane costs four big-int operations, or one
+    AND while no start has been found yet.
     """
+    lasts = w._lasts.get((span, item))
+    if lasts is None:
+        lasts = _last_offsets(w, span, item)
     found = 0
-    for last, not_end in zip(_last_offsets(w, span, item), planes):
-        found = (last & not_end) | (found & (not_end ^ last))
+    for last, not_end in zip(lasts, planes):
+        found = (last & not_end) | (found & (not_end ^ last)) if found else last & not_end
     return found
 
 
@@ -457,23 +485,21 @@ def _last_offsets(w: ViewWindow, span: int, item: str) -> list[int]:
     or 0 when there is none, and plane k holds the starts with bit k of
     L set, for k below (span - 1).bit_length().  They are built from
     y >> d, d from span - 1 down to 1, each adding the starts that no
-    larger d reached, and kept per (span, item).
+    larger d reached, and kept per (span, item), where _last_item
+    looks them up.
     """
-    key = (span, item)
-    planes = w._lasts.get(key)
-    if planes is None:
-        y = w.mask(item)
-        planes = [0] * (span - 1).bit_length()
-        seen = 0
-        for d in range(span - 1, 0, -1):
-            now = seen | y >> d
-            fresh = now ^ seen
-            if fresh:
-                for b in range(d.bit_length()):
-                    if d >> b & 1:
-                        planes[b] |= fresh
-            seen = now
-        w._lasts[key] = planes
+    y = w.mask(item)
+    planes = [0] * (span - 1).bit_length()
+    seen = 0
+    for d in range(span - 1, 0, -1):
+        now = seen | y >> d
+        fresh = now ^ seen
+        if fresh:
+            for b in range(d.bit_length()):
+                if d >> b & 1:
+                    planes[b] |= fresh
+        seen = now
+    w._lasts[span, item] = planes
     return planes
 
 

@@ -93,23 +93,23 @@ def _parse_header_value(key: str, value: str, line_no: int):
 
 
 def load_pattern_file(text: str) -> PatternSet:
-    """Parse pattern-file text into a validated PatternSet."""
+    """Parse pattern-file text into a validated PatternSet.
+
+    An entry line is recognised by its tag, L or NBD, and at least
+    three tab-separated fields before any test for a blank or comment
+    line; such a line is neither, so an entry takes no strip.  Any
+    other line with a tab is a malformed entry, and a line without one
+    a header line.
+    """
     header: dict = {}
     frequent: dict[Sequence, int] = {}
     border: dict[Sequence, int] = {}
     checked: set[str] = set()  # label texts _check_label passed
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if "\t" in line:
-            fields = line.split("\t")
-            if len(fields) < 3:
-                raise PatternFileError(
-                    f"line {line_no}: entry needs tag, labels and count"
-                )
-            tag, *labels, count_str = fields
-            if tag not in ("L", "NBD"):
-                raise PatternFileError(f"line {line_no}: unknown section {tag!r}")
+        fields = line.split("\t")
+        tag = fields[0]
+        if tag in ("L", "NBD") and len(fields) > 2:
+            count_str = fields[-1]
             try:
                 count = int(count_str, 10)
                 if count < 0:
@@ -118,17 +118,27 @@ def load_pattern_file(text: str) -> PatternSet:
                 raise PatternFileError(
                     f"line {line_no}: bad count {count_str!r}"
                 ) from None
-            for label in labels:
-                if label not in checked:
-                    try:
-                        _check_label(label)
-                    except ParameterError as exc:
-                        raise PatternFileError(f"line {line_no}: {exc}") from None
-                    checked.add(label)
+            labels = fields[1:-1]
+            if not checked.issuperset(labels):
+                for label in labels:
+                    if label not in checked:
+                        try:
+                            _check_label(label)
+                        except ParameterError as exc:
+                            raise PatternFileError(f"line {line_no}: {exc}") from None
+                        checked.add(label)
             seq = Sequence._unchecked(tuple(labels))
             if seq in frequent or seq in border:
                 raise PatternFileError(f"line {line_no}: duplicate entry {seq!r}")
             (frequent if tag == "L" else border)[seq] = count
+        elif not line.strip() or line.lstrip().startswith("#"):
+            continue
+        elif len(fields) > 1:
+            if len(fields) < 3:
+                raise PatternFileError(
+                    f"line {line_no}: entry needs tag, labels and count"
+                )
+            raise PatternFileError(f"line {line_no}: unknown section {tag!r}")
         else:
             key, sep, value = line.partition("=")
             if not sep:

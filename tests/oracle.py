@@ -5,7 +5,9 @@ brute_force_frequent() mines by exhaustive embedding enumeration, and
 shrink_by_one() lists a sequence's one-shorter subsequences.  None of
 them shares code with the bit-parallel counter in the occurrence module
 or with the level-wise miner, so agreement with them is evidence, not
-tautology.  ScalarSplitMix64 is the splitmix64 recurrence one draw at a
+tautology.  walk_reference() is the greedy prefix step that visits
+every offset, idle or not, which the package's skipping walk must
+match.  ScalarSplitMix64 is the splitmix64 recurrence one draw at a
 time, generate_reference() the generator loop that tests each draw as a
 float and builds the whole alphabet, and serialize_reference() the
 writer that makes one string per record; the package's batched draws,
@@ -65,6 +67,25 @@ def occur_bruteforce(
         for i in range(w.size - span + 1)
         if contains(seq, window(w.queue, w.start + i, span))
     )
+
+
+def walk_reference(pending: int, ends: list[int], y: int, span: int) -> list[int]:
+    """One greedy prefix step over every offset d < span: the starts
+    waiting at d that find the item in y at offset d end there, and the
+    old ends[d] start waiting; trailing empty sets are dropped."""
+    hits: list[int] = []
+    n_ends = len(ends)
+    for d in range(span):
+        if d >= n_ends and not pending:
+            break
+        hit = pending & (y >> d)
+        hits.append(hit)
+        pending ^= hit
+        if d < n_ends:
+            pending |= ends[d]
+    while hits and not hits[-1]:
+        hits.pop()
+    return hits
 
 
 # Guards for the enumeration oracle. Enumeration cost explodes with

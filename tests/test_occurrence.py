@@ -23,7 +23,13 @@ from streamseq import (
 from streamseq.mining import MiningParams
 from streamseq.occurrence import _end_planes, _last_item, _walk
 from conftest import alternating_ab, queue_of, random_queue
-from oracle import brute_force_frequent, contains, occur_bruteforce, shrink_by_one
+from oracle import (
+    brute_force_frequent,
+    contains,
+    occur_bruteforce,
+    shrink_by_one,
+    walk_reference,
+)
 
 SPAN2 = CountParams(2)
 
@@ -227,7 +233,7 @@ def _count_checking_path(win, s, params, closed):
     if win._path is None:
         assert not uses_path
         return
-    span, nodes = win._path
+    span, _, nodes = win._path
     for j, (_, ends, planes) in enumerate(nodes):
         assert ends == _greedy_ends([n[0] for n in nodes[: j + 1]], win, span)
         assert ends or (j == len(nodes) - 1 and planes is None)
@@ -264,6 +270,28 @@ class TestOccurProperties:
         n = data.draw(st.integers(max(offsets, default=-1) + 1, span), label="n")
         ends = [sum(1 << i for i, o in enumerate(offsets) if o == e) for e in range(n)]
         assert _end_planes(ends, span) == _masked_end_planes(ends, span)
+
+    @_PROPERTY
+    @given(st.integers(1, 40), st.integers(0, 60), st.data())
+    def test_the_walk_equals_its_reference(self, span, size, data):
+        """_walk, which skips the offsets where nothing waits, gives the
+        ends the reference walk over every offset gives: after a prefix
+        whose ends start past leading empty offsets, as a deep prefix's
+        do, with nothing or every legal start pending, and over windows
+        narrower than the span, which have no legal start."""
+        y = data.draw(st.integers(0, (1 << size) - 1), label="y")
+        pending = data.draw(st.sampled_from([0, (1 << max(0, size - span + 1)) - 1]))
+        lead = data.draw(st.integers(0, span), label="lead")
+        n = data.draw(st.integers(lead, span), label="n")
+        # each start's match so far ends at one offset lead + o in [lead, n),
+        # or nowhere (o = -1)
+        offsets = data.draw(
+            st.lists(st.integers(-1, n - lead - 1), max_size=size), label="offsets"
+        )
+        ends = [0] * lead + [
+            sum(1 << i for i, o in enumerate(offsets) if o == e) for e in range(n - lead)
+        ]
+        assert _walk(pending, ends, y, span) == walk_reference(pending, ends, y, span)
 
     @_PROPERTY
     @given(
@@ -465,7 +493,7 @@ class TestOccurProperties:
         assert {item for _, item in w._lasts} == set(w.alphabet())
         assert sum(len(planes) for planes in w._lasts.values()) <= len(w.alphabet()) * 8
         assert all(plane >> w.size == 0 for planes in w._lasts.values() for plane in planes)
-        span, nodes = w._path
+        span, _, nodes = w._path
         assert span == 256 and len(nodes) == 1 and len(nodes[0][1]) <= span
 
 

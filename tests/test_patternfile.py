@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,41 @@ def test_empty_sections_round_trip():
 def test_blank_and_comment_lines_are_skipped():
     text = GOLDEN.replace("span=2\n", "span=2\n\n# a comment\n  \t\n  # indented\n")
     assert load_pattern_file(text) == load_pattern_file(GOLDEN)
+
+
+# a header under which <a> counting 1 is frequent, for one entry-like line
+_HEAD = (
+    "format=1\nwindow_size=4\nmin_supp=1/5\nmin_nbd_supp=1/10\n"
+    "span=2\nmax_len=3\nblocks=0:4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("L=3\n", "line 8: unknown header key 'L'"),
+        ("L\t\n", "line 8: entry needs tag, labels and count"),
+        (" L\ta\t1\n", "line 8: unknown section ' L'"),
+        ("NBD\ta\t-1\n", "line 8: bad count '-1'"),
+        ("L\ta\t1\nNBD\ta\t1\n", "line 9: duplicate entry <a>"),
+    ],
+)
+def test_a_line_like_an_entry_is_refused_as_what_it_is(lines, message):
+    with pytest.raises(PatternFileError, match=f"^{re.escape(message)}$"):
+        load_pattern_file(_HEAD + lines)
+
+
+@pytest.mark.parametrize(
+    "line, frequent",
+    [
+        ("#\tL\ta\t1\n", {}),
+        ("  # L\ta\t1\n", {}),
+        ("L\ta\t1 \n", {Sequence.of("a"): 1}),
+    ],
+)
+def test_a_line_like_an_entry_is_read_as_what_it_is(line, frequent):
+    ps = load_pattern_file(_HEAD + line)
+    assert ps.frequent == frequent and ps.border == {}
 
 
 class TestLoadRejectsMalformedInput:
