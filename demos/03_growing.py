@@ -47,7 +47,7 @@ dw = window(q, 2500, 500)
 old = mine([w0], params)
 part = mine([dw], params)
 ius_cost = CostCounter()
-upd = ius_update(UpdateInput(q, old, part), cost=ius_cost)
+upd = ius_update(UpdateInput(old, [w0], part, [dw]), cost=ius_cost)
 
 # the naive path: one full pass over both blocks
 full_cost = CostCounter()

@@ -169,8 +169,10 @@ def cmd_update(args: argparse.Namespace) -> int:
         start = max((end for _, end in old.blocks), default=0)
     dw = window(queue, start, args.size)
     part = mine([dw], old.params)
-    result = ius_update(UpdateInput(queue, old, part))
-    _write_text(args.out, dump_pattern_file(result))
+    # the update rescans the window the increment was mined over; the old
+    # side's windows follow, so a log too short for both names the increment
+    inp = UpdateInput(old, [window(queue, s, e - s) for s, e in old.blocks], part, [dw])
+    _write_text(args.out, dump_pattern_file(ius_update(inp)))
     return 0
 
 

@@ -9,8 +9,10 @@ else a rescan of that side's blocks, and the composed count is their
 sum.  This is the negative-border scheme of Thomas et al. (KDD 1997).
 
 The result equals mine(old_blocks + delta_blocks) exactly, both sections
-and every count, provided each pattern set was mined over its recorded
-blocks of the one queue the update rescans:
+and every count, provided each pattern set was mined over the windows
+given with it.  UpdateInput takes those windows from the caller that
+mined them and checks that they have the set's recorded blocks, all of
+one queue:
 
   * Level 1 is seeded with the singles either side stored.  A single
     neither side stored is at or below the border threshold on both
@@ -25,42 +27,47 @@ is ever recomputed from the stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import IncompatiblePatternSetsError, ParameterError
+from .errors import ContractError, IncompatiblePatternSetsError, ParameterError
 from .mining import PatternSet, _levelwise
-from .model import Sequence, StreamQueue
-from .occurrence import CostCounter, ViewWindow, occur_partitioned, window
+from .model import Sequence
+from .occurrence import CostCounter, ViewWindow, occur_partitioned
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateInput:
     """Everything ius_update needs.
 
     old/delta are the mined pattern sets of the two window parts, both
-    mined over `queue` under the same parameters.  old_blocks and
-    delta_blocks are the windows of each set's recorded blocks, built
-    here and kept only for rescans; a block that does not fit the queue
-    raises BoundsError.  The composed window is old's blocks then
-    delta's; like any pattern set's blocks they may leave gaps but may
-    not overlap.
+    mined under the same parameters.  old_blocks and delta_blocks are
+    the windows each set was mined over, as the caller built them, kept
+    as tuples and used only for rescans.  Each side's windows must have
+    that set's recorded (start, end) ranges, in order, and every window
+    must view one queue; otherwise ContractError, since a rescan over
+    other tuples than the stored counts cover gives a wrong pattern set.
+    A head window passes, its range being its plain window's.  The
+    composed window is old's blocks then delta's; like any pattern set's
+    blocks they may leave gaps but may not overlap.
     """
 
-    queue: StreamQueue
     old: PatternSet
+    old_blocks: tuple[ViewWindow, ...]
     delta: PatternSet
-    old_blocks: list[ViewWindow] = field(init=False)
-    delta_blocks: list[ViewWindow] = field(init=False)
+    delta_blocks: tuple[ViewWindow, ...]
 
     def __post_init__(self) -> None:
         if self.delta.params != self.old.params:
             raise IncompatiblePatternSetsError(
                 "pattern sets were mined under different parameters"
             )
-        self.old_blocks, self.delta_blocks = (
-            [window(self.queue, s, e - s) for s, e in ps.blocks]
-            for ps in (self.old, self.delta)
-        )
+        for name, ps in (("old_blocks", self.old), ("delta_blocks", self.delta)):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+            ranges = tuple((w.start, w.end) for w in getattr(self, name))
+            if ranges != ps.blocks:
+                raise ContractError(f"{name} cover {ranges}, not the blocks {ps.blocks}")
+        if len({id(w.queue) for w in self.old_blocks + self.delta_blocks}) > 1:
+            raise ContractError("the windows of an update must all view the same queue")
 
 
 def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:

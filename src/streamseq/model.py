@@ -86,7 +86,7 @@ class StreamQueue:
     event type whose bit i is set when the type is in tuple i.  Each
     bitmap is held as a bytes-like row, little-endian and canonical: no
     trailing zero byte, so equal bitmaps are equal rows.  A window cuts
-    its range straight from the row; mask() decodes the whole row to an
+    its range straight from the row, and its mask() reads that cut as an
     int.  Iterating or indexing the queue yields each tuple's label set,
     a frozenset[str], so StreamQueue(zip(q.times, q)) == q.  A queue
     built from (time, labels) rows keeps its label sets and builds its
@@ -205,10 +205,6 @@ class StreamQueue:
                     columns.setdefault(label, []).append(i)
             self._bitmaps = {label: _bitmap(col) for label, col in columns.items()}
         return self._bitmaps
-
-    def mask(self, item: str) -> int:
-        """Bitmap of the tuples holding `item`: bit i is set for tuple i."""
-        return int.from_bytes(self._type_bitmaps().get(item, b""), "little")
 
     def alphabet(self) -> list[str]:
         """All labels present, sorted."""

@@ -224,20 +224,17 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
         part = mine([dw], cfg.params)
         if cfg.timing == COST_UNITS:
             upd_cost = CostCounter()
-            upd_input = UpdateInput(queue, base, part)
-            # the same ranges, over the windows the base and increment mines used
-            upd_input.old_blocks, upd_input.delta_blocks = [w0], [dw]
-            upd = ius_update(upd_input, cost=upd_cost)
+            upd = ius_update(UpdateInput(base, [w0], part, [dw]), cost=upd_cost)
             t_full: float = _remine_charge(w0, labels0, dw, cfg.params.span, upd_cost)
             t_ius: float = upd_cost.window_evaluations
         else:
             t_full, full = _median_time(
-                cfg.repetitions,
-                lambda: [window(queue, b.start, b.size) for b in (w0, dw)],
-                lambda blocks: mine(blocks, cfg.params),
+                cfg.repetitions, lambda: _fresh(w0, dw), lambda bs: mine(bs, cfg.params)
             )
             t_ius, upd = _median_time(
-                cfg.repetitions, lambda: UpdateInput(queue, base, part), ius_update
+                cfg.repetitions,
+                lambda: UpdateInput(base, _fresh(w0), part, _fresh(dw)),
+                ius_update,
             )
             if upd.frequent != full.frequent:
                 raise ContractError(
@@ -258,6 +255,11 @@ def run_sweep(queue: StreamQueue, cfg: SweepConfig) -> list[SweepPoint]:
             )
         )
     return points
+
+
+def _fresh(*windows: ViewWindow) -> list[ViewWindow]:
+    """New windows of the given ones' ranges, their memos empty."""
+    return [window(w.queue, w.start, w.size) for w in windows]
 
 
 def _median_time(reps: int, make, call) -> tuple[float, object]:

@@ -137,7 +137,7 @@ def test_criterion_3_incremental_update_matches_full_mine():
         k = rng.randint(10, n - 10)
         w0 = window(q, 0, k)
         dw = window(q, k, n - k)
-        upd = ius_update(UpdateInput(q, mine([w0], params), mine([dw], params)))
+        upd = ius_update(UpdateInput(mine([w0], params), [w0], mine([dw], params), [dw]))
         full = mine([w0, dw], params)
         assert upd.frequent == full.frequent
 

@@ -227,6 +227,50 @@ def test_update_starts_after_the_last_mined_tuple_by_default(tmp_path):
     assert "blocks=100:200,0:50,200:260\n" in p2.read_text()
 
 
+def test_update_rescans_the_window_it_mined_the_increment_over(tmp_path, monkeypatch):
+    log = gen_log(tmp_path / "s.log")
+    base, out = tmp_path / "base.patterns", tmp_path / "x.patterns"
+    flags = ["--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3"]
+    assert run("mine", str(log), str(base), "--size", "150", *flags) == 0
+    mined, updated = [], []
+    real_mine, real_update = cli.mine, cli.ius_update
+
+    def mine(blocks, params, cost=None):
+        mined.append(blocks)
+        return real_mine(blocks, params, cost)
+
+    def ius_update(inp, cost=None):
+        updated.append(inp)
+        return real_update(inp, cost)
+
+    monkeypatch.setattr(cli, "mine", mine)
+    monkeypatch.setattr(cli, "ius_update", ius_update)
+    assert run("update", str(log), str(base), str(out), "--size", "50") == 0
+    [[dw]], [inp] = mined, updated
+    assert len(inp.delta_blocks) == 1 and inp.delta_blocks[0] is dw
+    assert [(w.start, w.end) for w in inp.old_blocks] == [(0, 150)]
+
+
+def test_update_of_blocks_past_a_truncated_log_is_3(tmp_path, capsys):
+    # the old side's windows are built after the increment is mined, so
+    # an increment that fits leaves the old blocks' error to report
+    log = gen_log(tmp_path / "s.log")
+    base, out = tmp_path / "base.patterns", tmp_path / "x.patterns"
+    flags = ["--min-supp", "0.1", "--min-nbd-supp", "0.05", "--span", "3"]
+    assert run("mine", str(log), str(base), "--size", "150", *flags) == 0
+    short = tmp_path / "short.log"
+    short.write_text("".join(log.read_text().splitlines(keepends=True)[:120]))
+    m = len(parse_event_log(short.read_text()))
+    assert 1 <= m < 150
+    capsys.readouterr()
+    code = run("update", str(short), str(base), str(out), "--start", "0", "--size", "1")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: window [0, 150) does not fit a queue of {m} tuples\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -100,7 +100,7 @@ def _update_input():
     q = _queue()
     old = mine([window(q, 0, 60)], PARAMS)
     delta = mine([window(q, 60, 20)], PARAMS)
-    return UpdateInput(q, old, delta)
+    return UpdateInput(old, [window(q, 0, 60)], delta, [window(q, 60, 20)])
 
 
 def test_ius_update_calls_the_hook_once_per_rescan_per_side(calls):

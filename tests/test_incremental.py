@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ def _mine_and_update(q, split, params, cost=None):
     dw = window(q, split, len(q) - split)
     old = mine([w0], params)
     part = mine([dw], params)
-    return ius_update(UpdateInput(q, old, part), cost=cost)
+    return ius_update(UpdateInput(old, [w0], part, [dw]), cost=cost)
 
 
 def _double(q):
@@ -80,8 +81,8 @@ class TestEquivalenceWithRemining:
         params = MiningParams(Fraction(1, 5), Fraction(1, 10), CountParams(3), max_len=3)
         q = random_queue(rng, 48, ["a", "b", "c"])
         w0, d1, d2 = window(q, 0, 16), window(q, 16, 16), window(q, 32, 16)
-        step1 = ius_update(UpdateInput(q, mine([w0], params), mine([d1], params)))
-        step2 = ius_update(UpdateInput(q, step1, mine([d2], params)))
+        step1 = ius_update(UpdateInput(mine([w0], params), [w0], mine([d1], params), [d1]))
+        step2 = ius_update(UpdateInput(step1, [w0, d1], mine([d2], params), [d2]))
         full = mine([w0, d1, d2], params)
         assert step2.frequent == full.frequent
         assert step2.border == full.border
@@ -112,8 +113,8 @@ class TestUpdateProperties:
         old_blocks, delta_blocks = split
         supp = Fraction(pct, 100)
         params = MiningParams(supp, supp / 3, CountParams(span), max_len=max_len)
-        q = old_blocks[0].queue
-        upd = ius_update(UpdateInput(q, mine(old_blocks, params), mine(delta_blocks, params)))
+        old, part = mine(old_blocks, params), mine(delta_blocks, params)
+        upd = ius_update(UpdateInput(old, old_blocks, part, delta_blocks))
         full = mine(old_blocks + delta_blocks, params)
         assert (upd.frequent, upd.border, upd.blocks) == (
             full.frequent,
@@ -143,10 +144,9 @@ class TestUpdateProperties:
         old_blocks, delta_blocks = split
         supp = Fraction(pct, 100)
         params = MiningParams(supp, supp / 3, CountParams(span), max_len=max_len)
-        q = old_blocks[0].queue
         old, part = mine(old_blocks, params), mine(delta_blocks, params)
         for result in (old, part, mine(old_blocks + delta_blocks, params),
-                       ius_update(UpdateInput(q, old, part))):
+                       ius_update(UpdateInput(old, old_blocks, part, delta_blocks))):
             result.validate()
 
 
@@ -195,18 +195,64 @@ class TestInputValidation:
         q, params, w0, dw = self._pieces()
         other = MiningParams(Fraction(1, 3), Fraction(1, 5), CountParams(2))
         with pytest.raises(IncompatiblePatternSetsError):
-            UpdateInput(q, mine([w0], params), mine([dw], other))
+            UpdateInput(mine([w0], params), [w0], mine([dw], other), [dw])
 
     def test_blocks_past_the_queue_rejected(self):
-        # the windows come from the pattern sets' blocks, so sets mined
-        # over a longer queue do not fit a shorter one
+        # the caller builds the windows of each set's blocks, so sets
+        # mined over a longer queue do not fit a shorter one
         q, params, w0, dw = self._pieces()
         old, delta = mine([w0], params), mine([dw], params)
         short = queue_of("a", "b", "a")
         with pytest.raises(BoundsError):
-            UpdateInput(short, old, delta)
-        inp = UpdateInput(q, old, delta)
-        assert (inp.old_blocks, inp.delta_blocks) == ([w0], [dw])
+            [window(short, s, e - s) for ps in (old, delta) for s, e in ps.blocks]
+        inp = UpdateInput(old, [w0], delta, [dw])
+        assert (inp.old_blocks, inp.delta_blocks) == ((w0,), (dw,))
+
+    def _halves(self):
+        """Two halves of a 40-tuple queue, each mined over its own window."""
+        q = random_queue(random.Random(7), 40, ["a", "b", "c"])
+        params = MiningParams(Fraction(1, 5), Fraction(1, 10), CountParams(2), max_len=3)
+        w0, dw = window(q, 0, 20), window(q, 20, 20)
+        return q, params, w0, dw, mine([w0], params), mine([dw], params)
+
+    def test_windows_off_their_sets_blocks_rejected(self):
+        # rescanning [5, 20) for an old set mined over [0, 20) would drop
+        # <a,b>, a border sequence of count 6, from a pattern set that
+        # still records the blocks ((0, 20), (20, 40)) and validates
+        q, params, w0, dw, old, delta = self._halves()
+        full = mine([w0, dw], params)
+        assert full.border[Sequence.of("a", "b")] == 6
+        upd = ius_update(UpdateInput(old, [w0], delta, [dw]))
+        assert (upd.frequent, upd.border, upd.blocks) == (
+            full.frequent, full.border, full.blocks
+        )
+        other = StreamQueue(zip(q.times, q))
+        assert other == q and other is not q
+        for old_blocks, delta_blocks in (
+            ([window(q, 5, 15)], [dw]),
+            ([], [dw]),
+            ([w0], [window(q, 20, 19)]),
+            ([w0], [window(q, 20, 10), window(q, 30, 10)]),
+            ([dw], [w0]),
+            ([window(other, 0, 20)], [dw]),
+            ([w0], [window(other, 20, 20)]),
+        ):
+            with pytest.raises(ContractError):
+                UpdateInput(old, old_blocks, delta, delta_blocks)
+        inp = UpdateInput(old, [w0], delta, [dw])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inp.old_blocks = [window(q, 5, 15)]
+        assert inp.old_blocks[0] is w0 and inp.delta_blocks[0] is dw
+
+    def test_a_head_window_passes_as_its_range(self):
+        q, params, w0, _, old, _ = self._halves()
+        head = window(q, 20, 20)._head(12)
+        delta = mine([head], params)
+        upd = ius_update(UpdateInput(old, [w0], delta, [head]))
+        full = mine([w0, window(q, 20, 12)], params)
+        assert (upd.frequent, upd.border, upd.blocks) == (
+            full.frequent, full.border, full.blocks
+        )
 
     def test_overlapping_blocks_rejected_but_gaps_allowed(self):
         q = queue_of("a", "b", "a", "b", "a", "b")
@@ -214,7 +260,7 @@ class TestInputValidation:
         w0 = window(q, 0, 3)
         for dw, overlaps in ((window(q, 2, 3), True), (window(q, 0, 3), True),
                              (window(q, 4, 2), False)):
-            inp = UpdateInput(q, mine([w0], params), mine([dw], params))
+            inp = UpdateInput(mine([w0], params), [w0], mine([dw], params), [dw])
             if overlaps:
                 with pytest.raises(ContractError):
                     ius_update(inp)

@@ -359,8 +359,9 @@ def test_an_already_built_queue_needs_no_label_check(monkeypatch):
     q = random_queue(random.Random(8), 120, ["a", "b", "c", "d"])
     params = MiningParams(Fraction(1, 5), Fraction(1, 10), CountParams(4), max_len=3)
     monkeypatch.setattr(model, "_check_label", counted)
-    old = mine([window(q, 0, 90)], params)
-    grown = ius_update(UpdateInput(q, old, mine([window(q, 90, 30)], params)))
+    w0, dw = window(q, 0, 90), window(q, 90, 30)
+    old = mine([w0], params)
+    grown = ius_update(UpdateInput(old, [w0], mine([dw], params), [dw]))
     assert any(len(s) == 3 for s in grown.frequent)  # the search reached level 3
     assert checks == []
     assert isinstance(params.supp_threshold(120), int)

@@ -224,16 +224,17 @@ class TestStreamQueue:
 
     def test_mask_index(self):
         q = queue_of("ab", "b", "a", "c")
-        assert q.mask("a") == 0b0101
-        assert q.mask("b") == 0b0011
-        assert q.mask("nope") == 0
+        w = window(q, 0, len(q))
+        assert w.mask("a") == 0b0101
+        assert w.mask("b") == 0b0011
+        assert w.mask("nope") == 0
 
     def test_mask_consistent_with_scan(self):
         rng = random.Random(7)
         q = random_queue(rng, 60, ["a", "b", "c", "d"])
         for label in "abcd":
             expected = [i for i, t in enumerate(q) if label in t]
-            m = q.mask(label)
+            m = window(q, 0, len(q)).mask(label)
             assert [i for i in range(len(q)) if m >> i & 1] == expected
             assert m.bit_length() <= len(q)
 
@@ -718,8 +719,9 @@ class TestEventLogProperties:
         assert len(q) == len(ref)
         assert q.times == ref.times
         assert q.alphabet() == ref.alphabet()
+        whole, whole_ref = window(q, 0, len(q)), window(ref, 0, len(ref))
         for label in ref.alphabet():
-            assert q.mask(label) == ref.mask(label)
+            assert whole.mask(label) == whole_ref.mask(label)
         assert q == ref and hash(q) == hash(ref)
         assert list(q) == list(ref)
         out = serialize_event_log(q)

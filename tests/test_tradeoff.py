@@ -416,9 +416,7 @@ def _reference_sweep(queue, cfg):
         part = mine([dw], cfg.params)
         full_cost, upd_cost = CostCounter(), CostCounter()
         full = mine([w0, dw], cfg.params, cost=full_cost)
-        upd_input = UpdateInput(queue, base, part)
-        upd_input.old_blocks, upd_input.delta_blocks = [w0], [dw]
-        upd = ius_update(upd_input, cost=upd_cost)
+        upd = ius_update(UpdateInput(base, [w0], part, [dw]), cost=upd_cost)
         assert upd.frequent == full.frequent
         t_full, t_ius = full_cost.window_evaluations, upd_cost.window_evaluations
         if t_ius == 0:
