@@ -3,7 +3,8 @@
 Everything raised on purpose by this package derives from StreamSeqError,
 so callers can catch one base class at an API boundary.  ValueError is a
 second base on the input-validation subclasses because most of them signal
-a bad argument in the ordinary Python sense.
+a bad argument in the ordinary Python sense.  _check_int is the one rule for
+an integer parameter, so every such refusal reads alike.
 """
 
 from __future__ import annotations
@@ -16,6 +17,16 @@ class StreamSeqError(Exception):
 class ParameterError(StreamSeqError, ValueError):
     """A parameter is out of its documented domain (bad span, thresholds
     out of order, nonsensical generator settings, ...)."""
+
+
+def _check_int(name: str, value: object, low: int | None = None) -> None:
+    """Raise ParameterError unless `value` is an int, not a bool, and at
+    least `low` when `low` is given."""
+    if not isinstance(value, int) or isinstance(value, bool) or (
+        low is not None and value < low
+    ):
+        rule = "an int" if low is None else f"an integer >= {low}"
+        raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
 class BoundsError(StreamSeqError, IndexError):

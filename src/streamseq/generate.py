@@ -56,8 +56,8 @@ from numbers import Real
 from operator import gt
 from typing import Iterator
 
-from .errors import ParameterError
-from .model import Sequence, StreamQueue, _check_int
+from .errors import ParameterError, _check_int
+from .model import Sequence, StreamQueue
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # the Weyl increment
@@ -220,17 +220,12 @@ class GenConfig:
             object.__setattr__(
                 self, "embedded_after", tuple(tuple(e) for e in self.embedded_after)
             )
-        for name in ("n_types", "n_events", "seed"):
-            _check_int(name, getattr(self, name))
-        if self.drift_at is not None:
-            _check_int("drift_at", self.drift_at)
-        if self.n_types < 1:
-            raise ParameterError(f"n_types must be >= 1, got {self.n_types}")
+        _check_int("n_types", self.n_types, 1)
         if self.n_types > 1 << 64:
             # past 2**64 no 64-bit draw can stand for a uniform type index
             raise ParameterError(f"n_types must be <= 2**64, got {self.n_types}")
-        if self.n_events < 1:
-            raise ParameterError(f"n_events must be >= 1, got {self.n_events}")
+        _check_int("n_events", self.n_events, 1)
+        _check_int("seed", self.seed)
         _check_real("tuple_fill", self.tuple_fill)
         if not 1.0 <= self.tuple_fill <= self.n_types:
             raise ParameterError(
@@ -240,8 +235,8 @@ class GenConfig:
             raise ParameterError(
                 "drift_at and embedded_after must be given together"
             )
-        if self.drift_at is not None and self.drift_at < 1:
-            raise ParameterError(f"drift_at must be >= 1, got {self.drift_at}")
+        if self.drift_at is not None:
+            _check_int("drift_at", self.drift_at, 1)
         for plist in (self.embedded, self.embedded_after or ()):
             for seq, rate in plist:
                 if not isinstance(seq, Sequence):

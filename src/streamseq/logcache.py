@@ -21,7 +21,8 @@ The sidecar holds, in order, every integer little-endian:
                                 every sidecar written before it;
                                 model.py holds only the stream model
                                 and the log format, so a change to
-                                counting alone retires none
+                                counting or to a parameter rule
+                                (errors._check_int) alone retires none
       n (8), table (8),         the sizes of the copy, the label table
       k (8), area (8)           and the bitmap area in bytes, and the
                                 number of timestamps

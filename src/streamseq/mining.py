@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence as PySequence, Union
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, _check_int
 from .model import Sequence
 from .occurrence import CostCounter, CountParams, ViewWindow, occur_partitioned
 
@@ -84,9 +84,8 @@ class MiningParams:
                 "thresholds must satisfy 0 < min_nbd_supp <= min_supp <= 1, got "
                 f"min_supp={self.min_supp}, min_nbd_supp={self.min_nbd_supp}"
             )
-        m = self.max_len
-        if m is not None and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
-            raise ParameterError(f"max_len must be an integer >= 1, got {m!r}")
+        if self.max_len is not None:
+            _check_int("max_len", self.max_len, 1)
 
     @property
     def span(self) -> int:

@@ -30,10 +30,12 @@ oracle).  A queue built from (time, labels) rows keeps its label sets
 and derives its bitmaps on first use.
 
 This module holds the stream model and the log format, and nothing of
-counting: the windows that counting reads a queue through, and their
-memos, live with the counter (occurrence.ViewWindow).  So the log cache,
-which keys every sidecar on this file (logcache), survives a change to
-counting.
+counting and no parameter rule: the windows that counting reads a queue
+through, and their memos, live with the counter (occurrence.ViewWindow),
+and the rule for an integer parameter lives beside the error it raises
+(errors._check_int).  So the log cache, which keys every sidecar on this
+file (logcache), survives a change to counting or to a parameter's
+domain.
 
 Everything here is immutable after construction, which is what makes a
 queue safe to share between the miner, the incremental updater and the
@@ -227,12 +229,6 @@ def _set_bits(m: int) -> Iterator[int]:
     while i >= 0:
         yield i
         i = bits.find("1", i + 1)
-
-
-def _check_int(name: str, value: object) -> None:
-    """Raise ParameterError unless `value` is an int and not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterError(f"{name} must be an int, got {value!r}")
 
 
 class Sequence(tuple):

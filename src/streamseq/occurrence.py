@@ -81,8 +81,8 @@ from functools import reduce
 from operator import or_
 from typing import Iterable
 
-from .errors import BoundsError, ParameterError, UndefinedSupportError
-from .model import Sequence, StreamQueue, _check_int
+from .errors import BoundsError, UndefinedSupportError, _check_int
+from .model import Sequence, StreamQueue
 
 # a matched prefix's last item, its ends and, once built, its end planes
 _PathNode = tuple[str, list[int], list[int] | None]
@@ -232,8 +232,7 @@ class CountParams:
     span: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.span, int) or isinstance(self.span, bool) or self.span < 1:
-            raise ParameterError(f"span must be an integer >= 1, got {self.span!r}")
+        _check_int("span", self.span, 1)
 
 
 @dataclass

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distance import distance
-from .errors import BoundsError, ContractError, ParameterError
+from .errors import BoundsError, ContractError, ParameterError, _check_int
 from .incremental import UpdateInput, ius_update, speedup
 from .mining import MiningParams, mine
-from .model import StreamQueue, _check_int
+from .model import StreamQueue
 from .occurrence import CostCounter, ViewWindow, window
 
 COST_UNITS = "cost_units"
@@ -54,22 +54,16 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_sizes", tuple(self.delta_sizes))
-        _check_int("initial_size", self.initial_size)
-        for d in self.delta_sizes:
-            _check_int("every delta size", d)
-        _check_int("repetitions", self.repetitions)
-        if self.initial_size < 1:
-            raise ParameterError(f"initial_size must be >= 1, got {self.initial_size}")
+        _check_int("initial_size", self.initial_size, 1)
         if not self.delta_sizes:
             raise ParameterError("delta_sizes must not be empty")
-        if any(d < 1 for d in self.delta_sizes):
-            raise ParameterError("every delta size must be >= 1")
+        for d in self.delta_sizes:
+            _check_int("every delta size", d, 1)
         if any(b <= a for a, b in zip(self.delta_sizes, self.delta_sizes[1:])):
             raise ParameterError("delta sizes must strictly increase")
         if self.timing not in (COST_UNITS, WALL_CLOCK):
             raise ParameterError(f"unknown timing mode {self.timing!r}")
-        if self.repetitions < 1:
-            raise ParameterError("repetitions must be >= 1")
+        _check_int("repetitions", self.repetitions, 1)
 
 
 @dataclass(frozen=True)
@@ -296,9 +290,7 @@ def recommend(points: list[SweepPoint], initial_size: int) -> Recommendation:
     """
     if len(points) < 2:
         raise ContractError("recommend needs at least two sweep points")
-    _check_int("initial_size", initial_size)
-    if initial_size < 1:
-        raise ParameterError(f"initial_size must be >= 1, got {initial_size}")
+    _check_int("initial_size", initial_size, 1)
     sp, df = _series(points)
     degenerate = (max(sp) == min(sp)) or (max(df) == min(df))
     crossings = [] if degenerate else find_intersections(

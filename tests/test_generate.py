@@ -168,9 +168,12 @@ class TestGenConfig:
     @pytest.mark.parametrize(
         "given, message",
         [
-            ({"n_types": 0}, "n_types must be >= 1, got 0"),
-            ({"n_events": 0}, "n_events must be >= 1, got 0"),
-            ({"drift_at": 0, "embedded_after": ()}, "drift_at must be >= 1, got 0"),
+            ({"n_types": 0}, "n_types must be an integer >= 1, got 0"),
+            ({"n_events": 0}, "n_events must be an integer >= 1, got 0"),
+            (
+                {"drift_at": 0, "embedded_after": ()},
+                "drift_at must be an integer >= 1, got 0",
+            ),
             (
                 {"embedded": ((("E001",), 10.0),)},
                 r"embedded pattern \('E001',\) is not a Sequence",

@@ -79,10 +79,12 @@ def test_the_sidecar_layout_is_pinned(tmp_path):
 
 
 def test_the_parser_key_covers_no_counting_code():
-    # windows and their memos live with the counter, so a change to
-    # counting keeps every sidecar: the key is the parser's file alone
+    # windows and their memos live with the counter, and the integer rule
+    # beside its error, so a change to counting or to a parameter's domain
+    # keeps every sidecar: the key is the parser's file alone
     assert streamseq.ViewWindow.__module__ == "streamseq.occurrence"
-    for name in ("ViewWindow", "window"):
+    assert streamseq.errors._check_int.__module__ == "streamseq.errors"
+    for name in ("ViewWindow", "window", "_check_int"):
         assert not hasattr(streamseq.model, name)
     source = inspect.getsourcefile(parse_event_log)
     assert inspect.getsourcefile(StreamQueue) == source

@@ -219,7 +219,8 @@ class TestRecommend:
 
     def test_rejects_an_initial_size_below_1(self):
         pts = _points([10, 20], [2.0, 1.0], [0.0, 1.0])
-        with pytest.raises(ParameterError, match="^initial_size must be >= 1, got 0$"):
+        message = "^initial_size must be an integer >= 1, got 0$"
+        with pytest.raises(ParameterError, match=message):
             recommend(pts, 0)
 
     def test_needs_two_points(self):
@@ -376,7 +377,8 @@ class TestRunSweep:
             SweepConfig(initial_size=1, delta_sizes=(), params=_params())
         with pytest.raises(ParameterError):
             SweepConfig(initial_size=1, delta_sizes=(5, 5), params=_params())
-        with pytest.raises(ParameterError, match="^every delta size must be >= 1$"):
+        message = "^every delta size must be an integer >= 1, got 0$"
+        with pytest.raises(ParameterError, match=message):
             SweepConfig(initial_size=1, delta_sizes=(0, 5), params=_params())
         with pytest.raises(ParameterError):
             SweepConfig(initial_size=1, delta_sizes=(1,), params=_params(), timing="gpu")
