@@ -301,18 +301,15 @@ def mine(
     ContractError too, since the sum would count that tuple twice; gaps
     between blocks are allowed.  Both are refused before anything is
     counted.  An empty window yields an empty PatternSet.  Level 1
-    counts the singles of the blocks' labels, in Sequence order: one
-    block's sorted alphabet, or the sorted union of several.  Iteration
-    order of candidates is the Sequence total order at every level, so
-    results (and any attached CostCounter) are reproducible run to run.
+    counts the singles of the blocks' labels, in Sequence order: the
+    sorted union of the blocks' alphabets.  Iteration order of
+    candidates is the Sequence total order at every level, so results
+    (and any attached CostCounter) are reproducible run to run.
     """
     blocks = list(blocks)
     if any(b.queue is not blocks[0].queue for b in blocks):
         raise ContractError("blocks of one window must all view the same queue")
-    if len(blocks) == 1:
-        labels = blocks[0].alphabet()
-    else:
-        labels = sorted({label for b in blocks for label in b.alphabet()})
+    labels = sorted({label for b in blocks for label in b.alphabet()})
     cp = params.count_params
     return _levelwise(
         [Sequence._unchecked((label,)) for label in labels],

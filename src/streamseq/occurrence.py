@@ -51,7 +51,7 @@ digit width (30 bits in CPython):
     of a wider parent, matches exactly the parent's matching starts
     below d - span + 1.  The parent keeps each sequence's start set, as
     the last item's comparison (or a single item's cover) gives it, and
-    every head counts it with one AND, with the head's start mask, and
+    every head counts it with one AND, with the head's legal starts, and
     one popcount.  A sweep's increments are heads of its widest one, so
     each sequence is matched once per sweep, not once per increment.
     Any other read of a head, such as a cut of a label, is its own.
@@ -62,11 +62,12 @@ The trade-offs are the rare item and the memory at a huge span.  On
 two positions would cost microseconds; a single item takes 0.1 ms
 there.  At the spans the benchmark uses, 4 and 32, a type in one tuple
 of 50 counts 4 to 25 times faster than that walk did.  A window's
-counting memos hold (last items) * b + (path) ints of W bits, the path
-being each node's ends, at most span of them, and its b planes.  On
-the benchmark's seed-1 deep stream (20,000 tuples, span 32, max_len 5)
-one mine's traced peak is 1.6 MiB; on 4,000 of its tuples at span 256
-and max_len 2 it is 7.3 MiB.  A cost-unit sweep of the seed-1 trend
+counting memos hold (last items) * b + (path) + 1 ints of W bits, the
+path being each node's ends, at most span of them, and its b planes,
+and the 1 the window's legal starts.  On the benchmark's seed-1 deep
+stream (20,000 tuples, span 32, max_len 5) one mine's traced peak is
+1.6 MiB; on 4,000 of its tuples at span 256 and max_len 2 it is
+7.3 MiB.  A cost-unit sweep of the seed-1 trend
 stream (w0 20,000, increments 2,000..18,000, span 4) peaks at 2.3 MiB.
 
 The tests hold occur() to an independent brute-force counter in their
@@ -125,8 +126,8 @@ class ViewWindow:
                     a sequence of two or more (_last_offsets)
       _starts       (span, sequence) -> the sequence's set of matching
                     starts, bit i for start i; kept only in a parent
-      _start_masks  span -> a head's legal starts, its low
-                    size - span + 1 bits; kept only in a head
+      _start_masks  span -> the window's legal starts, its low
+                    size - span + 1 bits (_legal_starts)
 
     Each memo entry, and the whole of `_firsts`, is written in a single
     statement, so a reader never sees one half-written.  So windows, as
@@ -166,6 +167,13 @@ class ViewWindow:
         head = ViewWindow(self.queue, self.start, size)
         head._parent = self
         return head
+
+    def _legal_starts(self, span: int) -> int:
+        """The starts at which a span-wide match fits, the low size - span + 1
+        bits, or 0 when the window is narrower than the span."""
+        if span not in self._start_masks:
+            self._start_masks[span] = self._low >> (span - 1)
+        return self._start_masks[span]
 
     def __len__(self) -> int:
         return self.size
@@ -327,8 +335,9 @@ def occur_partitioned(
     starts and counts 0.  A root window counts the popcount of its start
     set for seq (_match).  A head window (ViewWindow._head) counts its
     parent's start set for seq, matched once and kept in the parent's
-    `_starts`, ANDed with the head's start mask, its low size - span + 1
-    bits, which the head builds once per span: one AND and one popcount.
+    `_starts`, ANDed with the head's legal starts, its low
+    size - span + 1 bits (ViewWindow._legal_starts): one AND and one
+    popcount.
     The memos (ViewWindow) never change a result.
     """
     span = params.span
@@ -345,9 +354,7 @@ def occur_partitioned(
         found = parent._starts.get((span, seq))
         if found is None:
             found = parent._starts[span, seq] = _match(seq, parent, span)
-        starts = w._start_masks.get(span)
-        if starts is None:
-            starts = w._start_masks[span] = w._low >> (span - 1)
+        starts = w._start_masks.get(span) or w._legal_starts(span)
         total += (found & starts).bit_count()
     return total
 
@@ -362,15 +369,15 @@ def _match(seq: Sequence, w: ViewWindow, span: int) -> int:
     seq[:-1] matched greedily (_walk, along the window's matched path:
     _prefix_planes; a prefix equal to the one the path spells reads its
     last node), then closed by its last item (_last_item).  The
-    legal starts, the low size - span + 1 bits, are built only where
-    they are read: for a single, and for a walk from the root of the
-    path, whose first item every legal start waits for.
+    legal starts (ViewWindow._legal_starts) are read for a single, and
+    for a walk from the root of the path, whose first item every legal
+    start waits for.
     """
     y = w._cuts.get(seq[-1]) or w.mask(seq[-1])
     if not y:
         return 0
     if len(seq) == 1:
-        return _cover(y, span) & ((1 << (w.size - span + 1)) - 1)
+        return _cover(y, span) & w._legal_starts(span)
     prefix = seq[:-1]
     memo = w._path
     if memo is not None and memo[1] == prefix and memo[0] == span:
@@ -416,7 +423,7 @@ def _prefix_planes(w: ViewWindow, span: int, prefix: tuple[str, ...]) -> list[in
         return path[k - 1][2]
     nodes: list[_PathNode] = list(path[:k])
     for item in prefix[k:]:
-        pending, ends = (0, nodes[-1][1]) if nodes else ((1 << (w.size - span + 1)) - 1, [])
+        pending, ends = (0, nodes[-1][1]) if nodes else (w._legal_starts(span), [])
         ends = _walk(pending, ends, w.mask(item), span)
         nodes.append((item, ends, None))
         if not ends:

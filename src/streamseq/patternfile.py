@@ -19,11 +19,17 @@ exists, and a PatternSet holds the ranges as int pairs.  The header is
 required, its ranges may not overlap, and window_size= must equal their
 total size: the counts are only meaningful against the exact tuples
 they were taken over, so a file that disagrees with itself is refused.
+
+_HEADER is the one statement of the header: each key, in file order,
+with the reader of its value text and the writer of a PatternSet's
+value.  dump_pattern_file writes the table's rows and load_pattern_file
+reads them, and the keys a file must hold are the table's, but max_len.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .errors import PatternFileError, ParameterError, ContractError
 from .mining import MiningParams, PatternSet
@@ -32,35 +38,12 @@ from .occurrence import CountParams
 
 FORMAT_VERSION = "1"
 
-_HEADER_ORDER = (
-    "format",
-    "window_size",
-    "min_supp",
-    "min_nbd_supp",
-    "span",
-    "max_len",
-    "blocks",
-)
 
-
-def dump_pattern_file(ps: PatternSet) -> str:
-    """Serialize a PatternSet; inverse of load_pattern_file."""
-    p = ps.params
-    head = {
-        "format": FORMAT_VERSION,
-        "window_size": str(ps.window_size),
-        "min_supp": str(p.min_supp),
-        "min_nbd_supp": str(p.min_nbd_supp),
-        "span": str(p.span),
-        "max_len": "none" if p.max_len is None else str(p.max_len),
-        "blocks": ",".join(f"{start}:{end}" for start, end in ps.blocks),
-    }
-    lines = [f"{k}={head[k]}" for k in _HEADER_ORDER]
-    for section, family in (("L", ps.frequent), ("NBD", ps.border)):
-        for seq in sorted(family):
-            fields = [section, *seq, str(family[seq])]
-            lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
+def _count(value: str) -> int:
+    n = int(value, 10)
+    if n < 0:
+        raise ValueError
+    return n
 
 
 def _parse_block(tok: str) -> tuple[int, int]:
@@ -70,26 +53,33 @@ def _parse_block(tok: str) -> tuple[int, int]:
     return int(start, 10), int(end, 10)
 
 
-def _parse_header_value(key: str, value: str, line_no: int):
-    try:
-        if key == "window_size":
-            n = int(value, 10)
-            if n < 0:
-                raise ValueError
-            return n
-        if key in ("min_supp", "min_nbd_supp"):
-            return Fraction(value)
-        if key == "span":
-            return int(value, 10)
-        if key == "max_len":
-            return None if value == "none" else int(value, 10)
-        if key == "blocks":
-            return tuple(_parse_block(tok) for tok in value.split(",")) if value else ()
-        if key == "format":
-            return value
-    except (ValueError, ZeroDivisionError):
-        raise PatternFileError(f"line {line_no}: bad value for {key}: {value!r}") from None
-    raise PatternFileError(f"line {line_no}: unknown header key {key!r}")
+# key -> (reader of its value text, writer of a PatternSet's value), in
+# file order; a reader raises ValueError or ZeroDivisionError on a bad value
+_HEADER: dict[str, tuple[Callable[[str], object], Callable[[PatternSet], object]]] = {
+    "format": (str, lambda ps: FORMAT_VERSION),
+    "window_size": (_count, lambda ps: ps.window_size),
+    "min_supp": (Fraction, lambda ps: ps.params.min_supp),
+    "min_nbd_supp": (Fraction, lambda ps: ps.params.min_nbd_supp),
+    "span": (lambda v: int(v, 10), lambda ps: ps.params.span),
+    "max_len": (
+        lambda v: None if v == "none" else int(v, 10),
+        lambda ps: "none" if ps.params.max_len is None else ps.params.max_len,
+    ),
+    "blocks": (
+        lambda v: tuple(_parse_block(tok) for tok in v.split(",")) if v else (),
+        lambda ps: ",".join(f"{start}:{end}" for start, end in ps.blocks),
+    ),
+}
+
+
+def dump_pattern_file(ps: PatternSet) -> str:
+    """Serialize a PatternSet; inverse of load_pattern_file."""
+    lines = [f"{key}={write(ps)}" for key, (_, write) in _HEADER.items()]
+    for section, family in (("L", ps.frequent), ("NBD", ps.border)):
+        for seq in sorted(family):
+            fields = [section, *seq, str(family[seq])]
+            lines.append("\t".join(fields))
+    return "\n".join(lines) + "\n"
 
 
 def load_pattern_file(text: str) -> PatternSet:
@@ -99,7 +89,8 @@ def load_pattern_file(text: str) -> PatternSet:
     three tab-separated fields before any test for a blank or comment
     line; such a line is neither, so an entry takes no strip.  Any
     other line with a tab is a malformed entry, and a line without one
-    a header line.
+    a header line.  Each section keeps its entries in file order, which
+    for any file dump_pattern_file wrote is sorted order.
     """
     header: dict = {}
     frequent: dict[Sequence, int] = {}
@@ -146,9 +137,17 @@ def load_pattern_file(text: str) -> PatternSet:
             key = key.strip()
             if key in header:
                 raise PatternFileError(f"line {line_no}: duplicate header key {key!r}")
-            header[key] = _parse_header_value(key, value.strip(), line_no)
+            if key not in _HEADER:
+                raise PatternFileError(f"line {line_no}: unknown header key {key!r}")
+            value = value.strip()
+            try:
+                header[key] = _HEADER[key][0](value)
+            except (ValueError, ZeroDivisionError):
+                raise PatternFileError(
+                    f"line {line_no}: bad value for {key}: {value!r}"
+                ) from None
 
-    missing = [k for k in _HEADER_ORDER if k not in header and k != "max_len"]
+    missing = [k for k in _HEADER if k not in header and k != "max_len"]
     if missing:
         raise PatternFileError(f"missing header keys: {missing}")
     if header["format"] != FORMAT_VERSION:
@@ -165,8 +164,8 @@ def load_pattern_file(text: str) -> PatternSet:
     ps = PatternSet(
         params=params,
         blocks=header["blocks"],
-        frequent={s: frequent[s] for s in sorted(frequent)},
-        border={s: border[s] for s in sorted(border)},
+        frequent=frequent,
+        border=border,
     )
     if header["window_size"] != ps.window_size:
         raise PatternFileError(

@@ -292,6 +292,32 @@ class TestLoadRejectsMalformedInput:
         with pytest.raises(PatternFileError, match=message):
             load_pattern_file(GOLDEN.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("window_size=4\n", "window_size=four\n",
+             "line 2: bad value for window_size: 'four'"),
+            ("min_supp=1/2\n", "min_supp=half\n", "line 3: bad value for min_supp: 'half'"),
+            ("min_nbd_supp=1/5\n", "min_nbd_supp=1/0\n",
+             "line 4: bad value for min_nbd_supp: '1/0'"),
+            ("span=2\n", "span= 2.5 \n", "line 5: bad value for span: '2.5'"),
+            ("max_len=3\n", "max_len=None\n", "line 6: bad value for max_len: 'None'"),
+            ("blocks=0:4\n", "blocks=0-4\n", "line 7: bad value for blocks: '0-4'"),
+            ("format=1\n", "format=2\n", "unsupported format '2'"),
+            ("format=1\n", "format=1\nsupport=1/2\n", "line 2: unknown header key 'support'"),
+            ("span=2\n", "span=2\n span =3\n", "line 6: duplicate header key 'span'"),
+            *[
+                (line, "", f"missing header keys: ['{line.partition('=')[0]}']")
+                for line in ("format=1\n", "window_size=4\n", "min_supp=1/2\n",
+                             "min_nbd_supp=1/5\n", "span=2\n", "blocks=0:4\n")
+            ],
+        ],
+    )
+    def test_each_header_refusal_is_named_exactly(self, old, new, message):
+        assert old in GOLDEN
+        with pytest.raises(PatternFileError, match=f"^{re.escape(message)}$"):
+            load_pattern_file(GOLDEN.replace(old, new))
+
     def test_truncated_entry_line(self):
         with pytest.raises(PatternFileError):
             load_pattern_file(GOLDEN + "L\n")
