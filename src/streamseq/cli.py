@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from .distance import distance, pattern_keys
@@ -28,7 +29,7 @@ from .mining import MiningParams, mine
 from .logcache import read_queue
 from .model import Sequence, serialize_event_log
 from .occurrence import CostCounter, CountParams, window
-from .patternfile import dump_pattern_file, load_pattern_file
+from .patternfile import _count, dump_pattern_file, load_pattern_file
 from .tradeoff import (
     COST_UNITS,
     WALL_CLOCK,
@@ -49,12 +50,9 @@ def _fraction_flag(text: str) -> Fraction:
 
 def _count_flag(text: str) -> int:
     try:
-        count = int(text, 10)
-        if count >= 0:
-            return count
+        return _count(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a count >= 0: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a count >= 0: {text!r}")
 
 
 def _sizes_flag(text: str) -> tuple[int, ...]:
@@ -128,11 +126,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     params = _mining_params(args)
     queue = read_queue(args.log)
-    blocks = []
-    at = args.start
-    for size in args.size:
-        blocks.append(window(queue, at, size))
-        at += size
+    starts = accumulate(args.size, initial=args.start)
+    blocks = [window(queue, at, size) for at, size in zip(starts, args.size)]
     cost = CostCounter()
     result = mine(blocks, params, cost=cost)
     _write_text(args.out, dump_pattern_file(result))

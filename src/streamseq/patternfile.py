@@ -20,6 +20,14 @@ required, its ranges may not overlap, and window_size= must equal their
 total size: the counts are only meaningful against the exact tuples
 they were taken over, so a file that disagrees with itself is refused.
 
+_count is the one count rule: int(text, 10), refused below 0, so it
+takes what int takes, a sign, underscores between digits and any
+Unicode decimal digit among them.  It reads window_size= and each
+entry's count, and the command line reads its counts (--start, --size,
+--deltas) through it.  A block's ends stay digits only: read by
+_count, refused block texts such as "0: 4", "+0:4" and "0:4_0" would
+load.
+
 _HEADER is the one statement of the header: each key, in file order,
 with the reader of its value text and the writer of a PatternSet's
 value.  dump_pattern_file writes the table's rows and load_pattern_file
@@ -100,15 +108,10 @@ def load_pattern_file(text: str) -> PatternSet:
         fields = line.split("\t")
         tag = fields[0]
         if tag in ("L", "NBD") and len(fields) > 2:
-            count_str = fields[-1]
             try:
-                count = int(count_str, 10)
-                if count < 0:
-                    raise ValueError
+                count = _count(fields[-1])
             except ValueError:
-                raise PatternFileError(
-                    f"line {line_no}: bad count {count_str!r}"
-                ) from None
+                raise PatternFileError(f"line {line_no}: bad count {fields[-1]!r}") from None
             labels = fields[1:-1]
             if not checked.issuperset(labels):
                 for label in labels:

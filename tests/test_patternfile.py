@@ -14,7 +14,7 @@ from streamseq import (
     mine,
     window,
 )
-from streamseq import patternfile
+from streamseq import cli, patternfile
 from streamseq.model import _check_label
 from streamseq.patternfile import dump_pattern_file, load_pattern_file
 from conftest import alternating_ab, labels, queue_of, random_queue
@@ -196,6 +196,54 @@ def test_a_line_like_an_entry_is_read_as_what_it_is(line, frequent):
     assert ps.frequent == frequent and ps.border == {}
 
 
+# a header under which <a> counting anything from 1 to 50 is frequent
+_WIDE_HEAD = (
+    "format=1\nwindow_size=50\nmin_supp=1/100\nmin_nbd_supp=1/200\n"
+    "span=1\nblocks=0:50\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("+5", 5), ("5_0", 50), ("05", 5), ("-0", 0),
+        ("٥", 5),  # ARABIC-INDIC DIGIT FIVE, a decimal digit to int
+        ("-1", None), ("5.0", None), ("0x5", None), ("x", None), ("", None),
+    ],
+)
+def test_window_size_entry_counts_and_cli_sizes_read_one_count_rule(text, value, capsys):
+    # window_size= must equal the total of blocks=, so the block is as
+    # long as the value read; a refused text is refused before the check
+    sized = (
+        f"format=1\nwindow_size={text}\nmin_supp=1/2\nmin_nbd_supp=1/5\n"
+        f"span=1\nblocks=0:{5 if value is None else value}\n"
+    )
+    entry = _WIDE_HEAD + f"L\ta\t{text}\n"
+    parser = cli.build_parser("update")
+    argv = ["update", "log", "old", "out", f"--size={text}"]
+    if value is None:
+        with pytest.raises(PatternFileError,
+                           match=f"^line 2: bad value for window_size: {re.escape(repr(text))}$"):
+            load_pattern_file(sized)
+        with pytest.raises(PatternFileError, match=f"^line 7: bad count {re.escape(repr(text))}$"):
+            load_pattern_file(entry)
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"streamseq update: error: argument --size: not a count >= 0: {text!r}"
+        )
+        return
+    assert load_pattern_file(sized).window_size == value
+    if value:
+        assert load_pattern_file(entry).frequent == {Sequence.of("a"): value}
+    else:
+        # read as 0, which no stored count may be
+        with pytest.raises(PatternFileError,
+                           match="^inconsistent pattern file: <a> count 0 not above 0$"):
+            load_pattern_file(entry)
+    assert parser.parse_args(argv).size == value
+
+
 class TestLoadRejectsMalformedInput:
     def test_missing_header_key(self):
         with pytest.raises(PatternFileError):
@@ -303,6 +351,10 @@ class TestLoadRejectsMalformedInput:
             ("span=2\n", "span= 2.5 \n", "line 5: bad value for span: '2.5'"),
             ("max_len=3\n", "max_len=None\n", "line 6: bad value for max_len: 'None'"),
             ("blocks=0:4\n", "blocks=0-4\n", "line 7: bad value for blocks: '0-4'"),
+            # a block end is digits only, stricter than a count
+            ("blocks=0:4\n", "blocks=0: 4\n", "line 7: bad value for blocks: '0: 4'"),
+            ("blocks=0:4\n", "blocks=+0:4\n", "line 7: bad value for blocks: '+0:4'"),
+            ("blocks=0:4\n", "blocks=0:4_0\n", "line 7: bad value for blocks: '0:4_0'"),
             ("format=1\n", "format=2\n", "unsupported format '2'"),
             ("format=1\n", "format=1\nsupport=1/2\n", "line 2: unknown header key 'support'"),
             ("span=2\n", "span=2\n span =3\n", "line 6: duplicate header key 'span'"),
