@@ -37,15 +37,19 @@ digit width (30 bits in CPython):
     planes each, and compared plane by plane.  The end planes cost
     O(len(ends) * W / word) once per prefix node, the item's
     offset planes O(span * W / word) once per (span, item) and window.
-  * A window keeps its matched path: one node per prefix length, for
-    the last prefix asked, and the items those nodes spell.  A
+  * A window keeps its matched path: the nodes of the last prefix
+    asked, one per prefix length, and the items that prefix spells.  A
     candidate whose prefix is those items reads the last node's end
     planes after one tuple compare.  Any other walks only the prefix
     items past the head it shares with the path, so its cost is the
     item steps of the new items plus its last item.  An item step
     after a prefix of k items skips the offsets up to k - 1, where no
     start waits yet.  The candidates of a mining level arrive sorted,
-    so each prefix node is matched once per block.
+    so each prefix node is matched once per level.  A prefix whose
+    parent, one item shorter, the level before closed resumes from
+    the parent's matched starts and end planes, which give back its
+    ends in 2 * (2 ** b - 1) big-int operations, and walks only its
+    last item.  So a mine walks each prefix node once per block.
   * Nested windows read one start set.  Whether start i matches depends
     only on the tuples [i, i+span), so a head window, the first d tuples
     of a wider parent, matches exactly the parent's matching starts
@@ -62,13 +66,16 @@ The trade-offs are the rare item and the memory at a huge span.  On
 two positions would cost microseconds; a single item takes 0.1 ms
 there.  At the spans the benchmark uses, 4 and 32, a type in one tuple
 of 50 counts 4 to 25 times faster than that walk did.  A window's
-counting memos hold (last items) * b + (path) + 1 ints of W bits, the
-path being each node's ends, at most span of them, and its b planes,
-and the 1 the window's legal starts.  On the benchmark's seed-1 deep
-stream (20,000 tuples, span 32, max_len 5) one mine's traced peak is
-1.6 MiB; on 4,000 of its tuples at span 256 and max_len 2 it is
-7.3 MiB.  A cost-unit sweep of the seed-1 trend
-stream (w0 20,000, increments 2,000..18,000, span 4) peaks at 2.3 MiB.
+counting memos hold (last items) * b + (path) + (closed prefixes) *
+(b + 1) + 1 ints of W bits, the path being each node's ends, at most
+span of them, and its b planes, the closed prefixes those of the last
+two lengths closed, each its matched starts and b end planes, and the
+1 the window's legal starts.  On the benchmark's seed-1 deep stream
+(20,000 tuples, span 32, max_len 5) one mine's traced peak is 2.2 MiB;
+on 4,000 of its tuples at span 256 and max_len 2 it is 8.2 MiB, as
+level 2 closes every single and max_len 2 reads none of them.  A
+cost-unit sweep of the seed-1 trend stream (w0 20,000, increments
+2,000..18,000, span 4) peaks at 3.7 MiB.
 
 The tests hold occur() to an independent brute-force counter in their
 oracle, tests/oracle.py.
@@ -85,8 +92,8 @@ from typing import Iterable
 from .errors import BoundsError, UndefinedSupportError, _check_int
 from .model import Sequence, StreamQueue
 
-# a matched prefix's last item, its ends and, once built, its end planes
-_PathNode = tuple[str, list[int], list[int] | None]
+# a matched prefix's ends and, once built, its end planes
+_PathNode = tuple[list[int], list[int] | None]
 
 
 class ViewWindow:
@@ -104,7 +111,7 @@ class ViewWindow:
     tuple in the parent lies below d, and occur_partitioned counts a
     head from the parent's start sets.
 
-    A window holds six memos.  They never change a result and take no
+    A window holds seven memos.  They never change a result and take no
     part in equality or in what a window means.  Here b is the bit
     length of span - 1, and L the last offset within the span, past a
     start, where an item sits (module docstring):
@@ -113,11 +120,12 @@ class ViewWindow:
                     filled by mask()
       _firsts       each present label, sorted, -> the index of its
                     first tuple; asked only of a parent (_first_tuples)
-      _path         (span, prefix, nodes): one _PathNode (item,
-                    ends, end planes or None) per prefix length of the
-                    last prefix matched at that span, up to its first
-                    node that matches nowhere, and `prefix`, the items
-                    of those nodes, which _match compares a
+      _path         (span, prefix, nodes): one _PathNode (ends, end
+                    planes or None) per prefix length of the last
+                    prefix matched at that span, from the shortest it
+                    walked or resumed from (_closed) up to its first
+                    node that matches nowhere, and `prefix`, its items
+                    up to that node, which _match compares a
                     candidate's prefix with; the next prefix replaces
                     the nodes from the first item where the two
                     differ (_prefix_planes)
@@ -128,6 +136,12 @@ class ViewWindow:
                     starts, bit i for start i; kept only in a parent
       _start_masks  span -> the window's legal starts, its low
                     size - span + 1 bits (_legal_starts)
+      _closed       (span, length) -> prefix -> (matched starts, end
+                    planes), for each prefix whose end planes
+                    _prefix_planes built; read and dropped by the first
+                    prefix one item longer that resumes from it, and
+                    the length dropped whole once a prefix two items
+                    longer closes
 
     Each memo entry, and the whole of `_firsts`, is written in a single
     statement, so a reader never sees one half-written.  So windows, as
@@ -137,7 +151,7 @@ class ViewWindow:
 
     __slots__ = (
         "queue", "start", "size", "_low", "_parent",
-        "_cuts", "_firsts", "_path", "_lasts", "_starts", "_start_masks",
+        "_cuts", "_firsts", "_path", "_lasts", "_starts", "_start_masks", "_closed",
     )
 
     def __init__(self, queue: StreamQueue, start: int, size: int) -> None:
@@ -159,6 +173,7 @@ class ViewWindow:
         self._lasts: dict[tuple[int, str], list[int]] = {}
         self._starts: dict[tuple[int, Sequence], int] = {}
         self._start_masks: dict[int, int] = {}
+        self._closed: dict[tuple[int, int], dict[tuple[str, ...], tuple[int, list[int]]]] = {}
 
     def _head(self, size: int) -> ViewWindow:
         """The window of this one's first `size` tuples, as a head of it."""
@@ -381,7 +396,7 @@ def _match(seq: Sequence, w: ViewWindow, span: int) -> int:
     prefix = seq[:-1]
     memo = w._path
     if memo is not None and memo[1] == prefix and memo[0] == span:
-        planes = memo[2][-1][2]  # the prefix closed last, or None where it fails
+        planes = memo[2][-1][1]  # the prefix closed last, or None where it fails
     else:
         planes = _prefix_planes(w, span, prefix)
     if planes is None:
@@ -405,10 +420,16 @@ def _prefix_planes(w: ViewWindow, span: int, prefix: tuple[str, ...]) -> list[in
 
     A prefix walks only its items past the head it shares with the
     window's matched path (module docstring), so the candidates of a
-    level, which arrive sorted, match each prefix node once; planes are
-    built once, for the node a candidate closes, and the path is
-    replaced by the prefix's nodes in one statement.  A walk from the
-    root starts with every legal start of w pending.
+    level, which arrive sorted, match each prefix node once.  A prefix
+    that shares less than its parent, prefix[:-1], with the path, and
+    whose parent's planes a shorter prefix closed (ViewWindow._closed),
+    takes the parent's ends from those planes (_split_ends) and walks
+    only its last item; the path then holds the nodes from the parent
+    on.  So the levels of a mine match each prefix node once.  Planes
+    are built once, for the node a candidate closes, and noted in
+    `_closed`; the path is replaced by the prefix's nodes in one
+    statement.  A walk from the root starts with every legal start of w
+    pending.
     """
     memo = w._path
     items, path = memo[1:] if memo is not None and memo[0] == span else ((), ())
@@ -417,28 +438,43 @@ def _prefix_planes(w: ViewWindow, span: int, prefix: tuple[str, ...]) -> list[in
         if a != b:
             break
         k += 1
-    if k and not path[k - 1][1]:
+    skip = len(items) - len(path)  # the path's first node is that of items[:skip + 1]
+    nodes: list[_PathNode] = list(path[: k - skip]) if k > skip else []
+    if nodes and not nodes[-1][0]:
         return None  # a shared head that matches nowhere
-    if k == len(prefix) and path[k - 1][2] is not None:
-        return path[k - 1][2]
-    nodes: list[_PathNode] = list(path[:k])
+    if nodes and k == len(prefix) and nodes[-1][1] is not None:
+        return nodes[-1][1]
+    if not nodes:
+        k = skip = 0
+    parent = prefix[:-1]
+    if k < len(parent):
+        closed = w._closed.get((span, len(parent)))
+        entry = closed.pop(parent, None) if closed else None
+        if entry is not None:
+            matched, planes = entry
+            nodes, k = [(_split_ends(matched, planes), planes)], len(parent)
+            skip = k - 1
     for item in prefix[k:]:
-        pending, ends = (0, nodes[-1][1]) if nodes else (w._legal_starts(span), [])
+        pending, ends = (0, nodes[-1][0]) if nodes else (w._legal_starts(span), [])
         ends = _walk(pending, ends, w.mask(item), span)
-        nodes.append((item, ends, None))
+        nodes.append((ends, None))
         if not ends:
             break
-    item, ends, _ = nodes[-1]
+    ends = nodes[-1][0]
     planes = None
     if ends:
-        planes = _end_planes(ends, span)
-        nodes[-1] = (item, ends, planes)
-    w._path = (span, tuple(node[0] for node in nodes), tuple(nodes))
+        planes, matched = _end_planes(ends, span)
+        nodes[-1] = (ends, planes)
+        n = len(prefix)
+        w._closed.pop((span, n - 2), None)
+        w._closed.setdefault((span, n), {})[prefix] = (matched, planes)
+    w._path = (span, prefix[: skip + len(nodes)], tuple(nodes))
     return planes
 
 
-def _end_planes(ends: list[int], span: int) -> list[int]:
-    """The complemented planes of the end offsets E that `ends` holds.
+def _end_planes(ends: list[int], span: int) -> tuple[list[int], int]:
+    """The complemented planes of the end offsets E that `ends` holds,
+    and the matched starts, the OR of all ends.
 
     ends[e] is the set of starts whose match ends at offset e < span,
     one offset per start.  Plane k, for k below (span - 1).bit_length(),
@@ -447,14 +483,37 @@ def _end_planes(ends: list[int], span: int) -> list[int]:
     reduction builds them in about 2 * len(ends) ORs: plane k is the OR
     of the even-indexed sets of level k, level 0 being ends, and level
     k + 1 ORs level k's adjacent pairs, so its set j holds the starts
-    with E >> (k + 1) == j.
+    with E >> (k + 1) == j.  The last level is one set, the matched
+    starts, since len(ends) <= span <= 2 ** len(planes).
     """
     planes = []
     for _ in range((span - 1).bit_length()):
         even, odd = ends[::2], ends[1::2]
         planes.append(reduce(or_, even, 0))
         ends = [*map(or_, even, odd), *even[len(odd):]]
-    return planes
+    return planes, reduce(or_, ends, 0)
+
+
+def _split_ends(matched: int, planes: list[int]) -> list[int]:
+    """The ends list whose matched starts and end planes (_end_planes)
+    are `matched` and `planes`, without trailing empty sets.
+
+    Splitting runs from the high plane down: at plane k each set j,
+    the starts with E >> (k + 1) == j, splits into its starts in the
+    plane, whose bit k is clear, as set 2j, and the rest as set 2j + 1.
+    That is 2 * (2 ** b - 1) big-int operations for b planes, against
+    about four per offset for each item a walk from the root takes.
+    """
+    ends = [matched]
+    for plane in reversed(planes):
+        split = []
+        for s in ends:
+            low = s & plane
+            split += low, s ^ low
+        ends = split
+    while not ends[-1]:
+        ends.pop()
+    return ends
 
 
 def _last_item(w: ViewWindow, span: int, item: str, planes: list[int]) -> int:

@@ -2,7 +2,7 @@ import pickle
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, cycle
+from itertools import compress, cycle, product
 from operator import or_
 
 import pytest
@@ -11,17 +11,20 @@ from hypothesis import given, settings, strategies as st
 from streamseq import (
     CostCounter,
     CountParams,
+    GenConfig,
     ParameterError,
     Sequence,
     UndefinedSupportError,
+    generate,
     mine,
     occur,
     occur_partitioned,
     support,
     window,
 )
-from streamseq.mining import MiningParams
-from streamseq.occurrence import _end_planes, _last_item, _walk
+from streamseq import occurrence
+from streamseq.mining import MiningParams, gen_candidates
+from streamseq.occurrence import _end_planes, _last_item, _split_ends, _walk
 from conftest import alternating_ab, queue_of, random_queue
 from oracle import (
     brute_force_frequent,
@@ -223,31 +226,45 @@ def _direct_last_offsets(win, span, item):
 
 def _count_checking_path(win, s, params, closed):
     """Check occur(s, win, params) against the oracle, and win's matched
-    path after it: each node's ends equal a fresh greedy match of the
-    path's items up to it, and its planes, once built, equal the direct
-    ones; only the last node may match nowhere.  When the count closed
-    s's last item, which it does when the prefix matches somewhere,
-    note (window, span, last item) in `closed`."""
+    path after it: the path holds the nodes of its items' last prefixes,
+    one per length, and each node's ends equal a fresh greedy match of
+    its prefix, and its planes, once built, equal the direct ones; only
+    the last node may match nowhere.  When the count closed s's last
+    item, which it does when the prefix matches somewhere, note
+    (window, span, last item) in `closed`."""
     assert occur(s, win, params) == occur_bruteforce(s, win, params)
     uses_path = len(s) > 1 and params.span <= win.size and win.mask(s[-1])
     if win._path is None:
         assert not uses_path
         return
-    span, _, nodes = win._path
-    for j, (_, ends, planes) in enumerate(nodes):
-        assert ends == _greedy_ends([n[0] for n in nodes[: j + 1]], win, span)
+    span, items, nodes = win._path
+    skip = len(items) - len(nodes)  # node j is that of items[:skip + j + 1]
+    assert nodes and skip >= 0
+    for j, (ends, planes) in enumerate(nodes):
+        assert ends == _greedy_ends(items[: skip + j + 1], win, span)
         assert ends or (j == len(nodes) - 1 and planes is None)
         assert planes is None or planes == _direct_end_planes(ends, span)
     if uses_path:
         prefix = s[:-1]
         assert span == params.span
-        items = tuple(node[0] for node in nodes)
         assert items[: len(prefix)] == prefix[: len(items)]
         if occur_bruteforce(prefix, win, params):
-            assert nodes[len(prefix) - 1][2] is not None
+            assert skip < len(prefix) <= len(items)
+            assert nodes[len(prefix) - 1 - skip][1] is not None
             closed.add((id(win), span, s[-1]))
         else:
-            assert len(nodes) <= len(prefix) and not nodes[-1][1]
+            assert len(items) <= len(prefix) and not nodes[-1][0]
+
+
+def _check_closed_prefixes(win):
+    """Every prefix win notes as closed, under its span and length, keeps
+    the OR of a fresh greedy match's ends and that match's direct end
+    planes."""
+    for (span, n), entries in win._closed.items():
+        for prefix, (matched, planes) in entries.items():
+            ends = _greedy_ends(prefix, win, span)
+            assert len(prefix) == n and ends
+            assert matched == reduce(or_, ends) and planes == _direct_end_planes(ends, span)
 
 
 def _check_last_offsets(win, closed):
@@ -269,7 +286,25 @@ class TestOccurProperties:
         offsets = data.draw(st.lists(st.integers(-1, span - 1), max_size=80), label="offsets")
         n = data.draw(st.integers(max(offsets, default=-1) + 1, span), label="n")
         ends = [sum(1 << i for i, o in enumerate(offsets) if o == e) for e in range(n)]
-        assert _end_planes(ends, span) == _masked_end_planes(ends, span)
+        assert _end_planes(ends, span)[0] == _masked_end_planes(ends, span)
+
+    @_PROPERTY
+    @given(st.sampled_from([1, 2, 4, 8, 16, 32]) | st.integers(1, 40), st.data())
+    def test_the_ends_split_back_out_of_their_planes(self, span, data):
+        """_split_ends, given the end planes and matched starts
+        _end_planes gives, rebuilds the ends list a match leaves: one
+        offset per start, below the span, leading offsets empty as a
+        deep prefix's are, and the last offset not empty."""
+        lead = data.draw(st.integers(0, span - 1), label="lead")
+        n = data.draw(st.integers(lead + 1, span), label="n")
+        offsets = data.draw(
+            st.lists(st.sampled_from([-1, *range(lead, n)]), max_size=80), label="offsets"
+        )
+        offsets.insert(data.draw(st.integers(0, len(offsets)), label="at"), n - 1)
+        ends = [sum(1 << i for i, o in enumerate(offsets) if o == e) for e in range(n)]
+        planes, matched = _end_planes(ends, span)
+        assert matched == reduce(or_, ends)
+        assert _split_ends(matched, planes) == ends
 
     @_PROPERTY
     @given(st.integers(1, 40), st.integers(0, 60), st.data())
@@ -316,7 +351,7 @@ class TestOccurProperties:
             ends = [
                 sum(1 << i for i, o in enumerate(offsets) if o == e) for e in range(n)
             ]
-            planes = _end_planes(ends, span)
+            planes, _ = _end_planes(ends, span)
             assert planes == _direct_end_planes(ends, span)
             found = _last_item(w, span, "a", planes)
             assert found == reduce(or_, _walk(0, ends, y, span), 0)
@@ -376,12 +411,14 @@ class TestOccurProperties:
         keeps exactly its direct offset planes.  A head window of every
         length, which counts through its parent's start sets, equals and
         counts as the plain window of its range, pickled or not, and the
-        parent matches each sequence once."""
+        parent matches each sequence once.  A level's candidates, counted
+        in order after the level before, resume from the prefixes that
+        level closed."""
         q = w.queue
         other = window(q, 0, len(q))
         p, p2 = CountParams(span), CountParams(span2)
         kinds = st.sampled_from(
-            ["again", "span", "other", "dead", "shared", "diverge", "longer"]
+            ["again", "span", "other", "dead", "shared", "diverge", "longer", "level"]
         )
         steps = []
         for s in sorted(set(seqs)):
@@ -404,14 +441,20 @@ class TestOccurProperties:
                     cut = data.draw(st.integers(0, len(s) - 1), label="cut")
                     tail = data.draw(_sequences, label="tail")
                     steps.append((w, p, Sequence.of(*s[:cut], *tail)))
-                else:  # s itself as the prefix
+                elif kind == "longer":  # s itself as the prefix
                     steps.append((w, p, Sequence.of(*s, data.draw(
                         st.sampled_from(_ROW_LABELS), label="last"))))
+                else:  # a level of s's length, then the level it joins into
+                    labels = data.draw(st.sets(st.sampled_from(_ROW_LABELS), max_size=2))
+                    before = sorted({s, *map(Sequence, product(labels, repeat=len(s)))})
+                    steps += [(w, p, t) for t in [*before, *gen_candidates(before)]]
         closed = set()
         for win, params, s in steps:
             _count_checking_path(win, s, params, closed)
         _check_last_offsets(w, closed)
         _check_last_offsets(other, closed)
+        _check_closed_prefixes(w)
+        _check_closed_prefixes(other)
 
         n = len(q)
         fresh, used = window(q, 0, n), window(q, 0, n)
@@ -493,8 +536,44 @@ class TestOccurProperties:
         assert {item for _, item in w._lasts} == set(w.alphabet())
         assert sum(len(planes) for planes in w._lasts.values()) <= len(w.alphabet()) * 8
         assert all(plane >> w.size == 0 for planes in w._lasts.values() for plane in planes)
-        span, _, nodes = w._path
-        assert span == 256 and len(nodes) == 1 and len(nodes[0][1]) <= span
+        # every single closed a pair, and keeps 8 end planes
+        assert list(w._closed) == [(256, 1)]
+        assert sorted(w._closed[256, 1]) == [(item,) for item in w.alphabet()]
+        assert all(len(planes) == 8 for _, planes in w._closed[256, 1].values())
+        span, items, nodes = w._path
+        assert span == 256 and len(items) == len(nodes) == 1
+        ends, planes = nodes[0]
+        assert ends == _greedy_ends(items, w, span) and len(ends) <= span
+        assert planes == _direct_end_planes(ends, span)
+
+
+def test_a_deep_mine_walks_each_prefix_node_once(monkeypatch):
+    """The benchmark's deep stream at its smoke size, seed 1, mined at
+    span 32 up to length 5: each level resumes from the end planes the
+    level before closed, so the mine walks each prefix node of its
+    candidates once, not once per level whose prefixes hold it."""
+    planted = tuple(
+        (Sequence.of(*(f"E{i:03d}" for i in range(k, k + 6))), 25.0) for k in (1, 7, 13, 19)
+    )
+    q = generate(GenConfig(n_types=194, n_events=8000, seed=1, embedded=planted))
+    walk, walks = occurrence._walk, [0]
+
+    def counting_walk(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(occurrence, "_walk", counting_walk)
+    mp = MiningParams(Fraction(3, 8), Fraction(1, 8), CountParams(32), max_len=5)
+    ps = mine([window(q, 0, 3000)], mp)
+    assert max(map(len, ps.frequent)) == 5
+    # the candidates of levels 2..5 join the frequent levels below them
+    nodes = {
+        cand[:j]
+        for m in range(1, 5)
+        for cand in gen_candidates(s for s in ps.frequent if len(s) == m)
+        for j in range(1, len(cand))
+    }
+    assert walks[0] == len(nodes)
 
 
 class TestSupport:

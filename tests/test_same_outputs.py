@@ -26,4 +26,4 @@ def test_a_changed_recommendation_format_differs_in_the_sweep_outputs_alone(tmp_
     assert sweep.startswith("sweep trend.log trend-curves.csv trend-rec.txt ")
     assert sweep.endswith(": stdout differs")
     assert rec == "file trend-rec.txt differs"
-    assert summary == "24 commands: 2 differences"
+    assert summary == "26 commands: 2 differences"

@@ -15,7 +15,10 @@ seed-1 trend and deep streams of bench/run.py:
   * diff of the base and the updated file, with and without
     --include-border;
   * two refusals: an update with a contradicting --span, and a mine
-    that starts past the log's end.
+    that starts past the log's end;
+  * two more deep mines: one with no --max-len, which reaches length 6,
+    and one at span 256 and --max-len 2 of a short window (4,000
+    tuples, 1,000 with --small), whose end planes number eight.
 
 --small uses the benchmark's smoke sizes instead of its full ones.  The
 exit codes, stdout and stderr of every command, and the SHA-256 of
@@ -126,6 +129,15 @@ def commands(small: bool) -> list[list[str]]:
             ["update", log, f"{name}-0.p", f"{name}-span.p", "--size", step, "--span", "5"],
             ["mine", log, f"{name}-past.p", "--start", events, "--size", w0, *flags],
         ]
+    # the deep flags without --max-len, and with --span and --max-len
+    # given again, which argparse reads as their last values
+    at = bench.DEEP_FLAGS.index("--max-len")
+    out += [
+        ["mine", "deep.log", "deep-unbounded.p", "--size", s.deep_w0,
+         *bench.DEEP_FLAGS[:at], *bench.DEEP_FLAGS[at + 2:]],
+        ["mine", "deep.log", "deep-span256.p", "--size", 1_000 if small else 4_000,
+         *bench.DEEP_FLAGS, "--span", "256", "--max-len", "2"],
+    ]
     return [[str(arg) for arg in argv] for argv in out]
 
 
