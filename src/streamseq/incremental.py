@@ -96,7 +96,7 @@ def ius_update(inp: UpdateInput, cost: CostCounter | None = None) -> PatternSet:
         return c + d
 
     singles = {s for ps in (old, dlt) for s in (*ps.frequent, *ps.border) if len(s) == 1}
-    return _levelwise(sorted(singles), count, old.params, old.blocks + dlt.blocks, cost)
+    return _levelwise(sorted(singles), count, old.params, old_blocks + delta_blocks, cost)
 
 
 def speedup(t_full: float, t_ius: float) -> float:

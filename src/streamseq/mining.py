@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Sequence as PySequence, Union
 from .errors import ContractError, ParameterError, _check_int
 from .model import Sequence
 from .occurrence import CostCounter, CountParams, ViewWindow, occur_partitioned
+from .occurrence import _end_search, _new_level
 
 ThresholdLike = Union[Fraction, int, str, float]
 
@@ -247,7 +248,7 @@ def _levelwise(
     singles: list[Sequence],
     count: Callable[[Sequence], int],
     params: MiningParams,
-    blocks: tuple[tuple[int, int], ...],
+    windows: tuple[ViewWindow, ...],
     cost: CostCounter | None = None,
 ) -> PatternSet:
     """The level-wise search shared by mine() and the incremental update.
@@ -256,12 +257,19 @@ def _levelwise(
     level m counts gen_candidates(frequent level m-1), looked up as this
     module's attribute once per level.  Each candidate is counted once,
     by `count`, and filed as frequent or border against the thresholds
-    for the total size of `blocks`.  The search stops at the first empty
-    frequent level or past max_len.  Candidates are visited in Sequence
-    order, so any cost `count` charges is reproducible run to run.
-    Given a counter, the search adds each level's number of candidates
-    to `cost.candidates`.
+    for the total size of `windows`, the blocks `count` counts over,
+    whose (start, end) ranges the result records.  The search stops at
+    the first empty frequent level or past max_len.  Candidates are
+    visited in Sequence order, so any cost `count` charges is
+    reproducible run to run.  Given a counter, the search adds each
+    level's number of candidates to `cost.candidates`.
+
+    The search owns the counting state it leaves on its windows, and
+    on each head window's parent, which counts for it: before each level
+    it tells them whether a longer level may follow (_new_level), and
+    it drops that state when it ends, however it ends (_end_search).
     """
+    blocks = tuple((w.start, w.end) for w in windows)
     result = PatternSet(params=params, blocks=blocks, frequent={}, border={})
     result.validate()  # refuses overlapping blocks before any counting
     thr_l = params.supp_threshold(result.window_size)
@@ -269,20 +277,24 @@ def _levelwise(
 
     candidates = singles
     m = 1
-    while candidates:
-        if cost is not None:
-            cost.candidates[m] = cost.candidates.get(m, 0) + len(candidates)
-        level: list[Sequence] = []
-        for cand in candidates:
-            c = count(cand)
-            if c > thr_l:
-                result.frequent[cand] = c
-                level.append(cand)
-            elif c > thr_n:
-                result.border[cand] = c
-        m += 1
-        within = params.max_len is None or m <= params.max_len
-        candidates = gen_candidates(level) if level and within else []
+    try:
+        while candidates:
+            within = params.max_len is None or m < params.max_len  # level m + 1 may follow
+            _new_level(windows, params.span, within)
+            if cost is not None:
+                cost.candidates[m] = cost.candidates.get(m, 0) + len(candidates)
+            level: list[Sequence] = []
+            for cand in candidates:
+                c = count(cand)
+                if c > thr_l:
+                    result.frequent[cand] = c
+                    level.append(cand)
+                elif c > thr_n:
+                    result.border[cand] = c
+            m += 1
+            candidates = gen_candidates(level) if level and within else []
+    finally:
+        _end_search(windows)
 
     return result
 
@@ -306,7 +318,7 @@ def mine(
     candidates is the Sequence total order at every level, so results
     (and any attached CostCounter) are reproducible run to run.
     """
-    blocks = list(blocks)
+    blocks = tuple(blocks)
     if any(b.queue is not blocks[0].queue for b in blocks):
         raise ContractError("blocks of one window must all view the same queue")
     labels = sorted({label for b in blocks for label in b.alphabet()})
@@ -315,6 +327,6 @@ def mine(
         [Sequence._unchecked((label,)) for label in labels],
         lambda seq: occur_partitioned(seq, blocks, cp, cost),
         params,
-        tuple((b.start, b.end) for b in blocks),
+        blocks,
         cost,
     )

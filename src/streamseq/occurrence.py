@@ -37,19 +37,23 @@ digit width (30 bits in CPython):
     planes each, and compared plane by plane.  The end planes cost
     O(len(ends) * W / word) once per prefix node, the item's
     offset planes O(span * W / word) once per (span, item) and window.
-  * A window keeps its matched path: the nodes of the last prefix
-    asked, one per prefix length, and the items that prefix spells.  A
-    candidate whose prefix is those items reads the last node's end
-    planes after one tuple compare.  Any other walks only the prefix
-    items past the head it shares with the path, so its cost is the
-    item steps of the new items plus its last item.  An item step
-    after a prefix of k items skips the offsets up to k - 1, where no
-    start waits yet.  The candidates of a mining level arrive sorted,
-    so each prefix node is matched once per level.  A prefix whose
-    parent, one item shorter, the level before closed resumes from
-    the parent's matched starts and end planes, which give back its
-    ends in 2 * (2 ** b - 1) big-int operations, and walks only its
-    last item.  So a mine walks each prefix node once per block.
+  * A window keeps its matched path: the last prefix asked, its end
+    planes and the ends of its parent, the prefix one item shorter.  A
+    candidate whose prefix is the path's reads its end planes after one
+    tuple compare.  Any other prefix walks only its last item, after
+    its parent's ends: the path's, when the two share the parent; else,
+    in a search, those the level before closed, given back from the
+    parent's matched starts and end planes in 2 * (2 ** b - 1) big-int
+    operations; else a walk from the root.  An item step after a prefix
+    of k items skips the offsets up to k - 1, where no start waits yet.
+    The candidates of a mining level arrive sorted, so the prefixes of
+    one parent come together, and a mine walks each prefix node once
+    per block.  What passes between levels belongs to the search
+    (mining._levelwise): it tells each window before each level whether
+    a longer level may follow, a level pops each parent it resumes and
+    drops those it passed, the last level notes none, and the search
+    clears it all, and the path, when it ends.  So outside a search a
+    prefix whose parent the path does not hold walks from the root.
   * Nested windows read one start set.  Whether start i matches depends
     only on the tuples [i, i+span), so a head window, the first d tuples
     of a wider parent, matches exactly the parent's matching starts
@@ -67,15 +71,17 @@ two positions would cost microseconds; a single item takes 0.1 ms
 there.  At the spans the benchmark uses, 4 and 32, a type in one tuple
 of 50 counts 4 to 25 times faster than that walk did.  A window's
 counting memos hold (last items) * b + (path) + (closed prefixes) *
-(b + 1) + 1 ints of W bits, the path being each node's ends, at most
-span of them, and its b planes, the closed prefixes those of the last
-two lengths closed, each its matched starts and b end planes, and the
-1 the window's legal starts.  On the benchmark's seed-1 deep stream
-(20,000 tuples, span 32, max_len 5) one mine's traced peak is 2.2 MiB;
-on 4,000 of its tuples at span 256 and max_len 2 it is 8.2 MiB, as
-level 2 closes every single and max_len 2 reads none of them.  A
-cost-unit sweep of the seed-1 trend stream (w0 20,000, increments
-2,000..18,000, span 4) peaks at 3.7 MiB.
+(b + 1) + 1 ints of W bits: the path holds its parent's ends, at most
+span of them, and its b planes; the closed prefixes, each its matched
+starts and b end planes, are those one level of a search closed and
+the next has not yet read, and only while the search runs; the 1 is
+the window's legal starts.  Traced peaks here are tracemalloc peaks of
+one call, with the queue's bitmaps built before tracing starts
+(tools/peaks.py).  On the benchmark's seed-1 deep stream (20,000
+tuples, span 32, max_len 5) one mine peaks at 1.9 MiB, and on 4,000 of
+its tuples at span 256 and max_len 2 at 7.2 MiB.  A cost-unit sweep of
+the seed-1 trend stream (w0 20,000, increments 2,000..18,000, span 4)
+peaks at 2.2 MiB.
 
 The tests hold occur() to an independent brute-force counter in their
 oracle, tests/oracle.py.
@@ -92,8 +98,8 @@ from typing import Iterable
 from .errors import BoundsError, UndefinedSupportError, _check_int
 from .model import Sequence, StreamQueue
 
-# a matched prefix's ends and, once built, its end planes
-_PathNode = tuple[list[int], list[int] | None]
+# closed prefixes of one length: prefix -> (matched starts, end planes)
+_Closed = dict[tuple[str, ...], tuple[int, list[int]]]
 
 
 class ViewWindow:
@@ -120,15 +126,12 @@ class ViewWindow:
                     filled by mask()
       _firsts       each present label, sorted, -> the index of its
                     first tuple; asked only of a parent (_first_tuples)
-      _path         (span, prefix, nodes): one _PathNode (ends, end
-                    planes or None) per prefix length of the last
-                    prefix matched at that span, from the shortest it
-                    walked or resumed from (_closed) up to its first
-                    node that matches nowhere, and `prefix`, its items
-                    up to that node, which _match compares a
-                    candidate's prefix with; the next prefix replaces
-                    the nodes from the first item where the two
-                    differ (_prefix_planes)
+      _path         (span, prefix, planes, ends): the last prefix
+                    matched, at that span, its end planes or None where
+                    it matches nowhere, and the ends of its parent,
+                    prefix[:-1]; _match reads the planes of a candidate
+                    whose prefix it is, _parent_ends the ends for a
+                    prefix of the same parent (_prefix_planes)
       _lasts        (span, item) -> the item's b L planes, plane k the
                     starts whose L has bit k set, for an item that ends
                     a sequence of two or more (_last_offsets)
@@ -136,17 +139,24 @@ class ViewWindow:
                     starts, bit i for start i; kept only in a parent
       _start_masks  span -> the window's legal starts, its low
                     size - span + 1 bits (_legal_starts)
-      _closed       (span, length) -> prefix -> (matched starts, end
-                    planes), for each prefix whose end planes
-                    _prefix_planes built; read and dropped by the first
-                    prefix one item longer that resumes from it, and
-                    the length dropped whole once a prefix two items
-                    longer closes
+      _closed       (span, parents, closing), only while a search
+                    counts over the window or a head of it, else None:
+                    `parents` maps each prefix the search's level
+                    before closed, at that span, to its (matched
+                    starts, end planes), each popped by the first
+                    prefix one item longer that resumes from it or
+                    dropped once the level passes it; `closing` takes
+                    the prefixes this level closes, or is None when no
+                    longer level may follow (_new_level, _end_search)
 
-    Each memo entry, and the whole of `_firsts`, is written in a single
-    statement, so a reader never sees one half-written.  So windows, as
-    their queues, are safe to share between the miner, the incremental
-    updater and the sweep driver without locking.
+    Each memo entry, and the whole of `_firsts`, `_path` and `_closed`,
+    is written in a single statement, so a reader never sees one
+    half-written, and every pop takes a default, so an entry another
+    count took first is a miss.  So windows, as their queues, are safe
+    to share between the miner, the incremental updater and the sweep
+    driver, and between threads, without locking: two searches over one
+    window may take each other's entries or drop them, which costs
+    walks but never changes a count.
     """
 
     __slots__ = (
@@ -169,11 +179,11 @@ class ViewWindow:
         self._parent: ViewWindow | None = None
         self._cuts: dict[str, int] = {}
         self._firsts: dict[str, int] | None = None
-        self._path: tuple[int, tuple[str, ...], tuple[_PathNode, ...]] | None = None
+        self._path: tuple[int, tuple[str, ...], list[int] | None, list[int]] | None = None
         self._lasts: dict[tuple[int, str], list[int]] = {}
         self._starts: dict[tuple[int, Sequence], int] = {}
         self._start_masks: dict[int, int] = {}
-        self._closed: dict[tuple[int, int], dict[tuple[str, ...], tuple[int, list[int]]]] = {}
+        self._closed: tuple[int, _Closed, _Closed | None] | None = None
 
     def _head(self, size: int) -> ViewWindow:
         """The window of this one's first `size` tuples, as a head of it."""
@@ -381,12 +391,11 @@ def _match(seq: Sequence, w: ViewWindow, span: int) -> int:
     A single item Y occurs at start i when Y's bitmap has a bit in
     [i, i+span), so its starts are the OR of Y shifted by 0..span-1
     (_cover), cut to the legal starts.  A longer seq is its prefix
-    seq[:-1] matched greedily (_walk, along the window's matched path:
-    _prefix_planes; a prefix equal to the one the path spells reads its
-    last node), then closed by its last item (_last_item).  The
-    legal starts (ViewWindow._legal_starts) are read for a single, and
-    for a walk from the root of the path, whose first item every legal
-    start waits for.
+    seq[:-1] matched greedily (_walk, from the window's matched path:
+    _prefix_planes; a prefix equal to the one the path holds reads its
+    end planes), then closed by its last item (_last_item).  The legal
+    starts (ViewWindow._legal_starts) are read for a single, and for a
+    walk from the root, whose first item every legal start waits for.
     """
     y = w._cuts.get(seq[-1]) or w.mask(seq[-1])
     if not y:
@@ -396,7 +405,7 @@ def _match(seq: Sequence, w: ViewWindow, span: int) -> int:
     prefix = seq[:-1]
     memo = w._path
     if memo is not None and memo[1] == prefix and memo[0] == span:
-        planes = memo[2][-1][1]  # the prefix closed last, or None where it fails
+        planes = memo[2]  # the prefix closed last, or None where it fails
     else:
         planes = _prefix_planes(w, span, prefix)
     if planes is None:
@@ -418,58 +427,74 @@ def _prefix_planes(w: ViewWindow, span: int, prefix: tuple[str, ...]) -> list[in
     """The end planes of prefix's match over w (_end_planes), or None
     when it matches nowhere.
 
-    A prefix walks only its items past the head it shares with the
-    window's matched path (module docstring), so the candidates of a
-    level, which arrive sorted, match each prefix node once.  A prefix
-    that shares less than its parent, prefix[:-1], with the path, and
-    whose parent's planes a shorter prefix closed (ViewWindow._closed),
-    takes the parent's ends from those planes (_split_ends) and walks
-    only its last item; the path then holds the nodes from the parent
-    on.  So the levels of a mine match each prefix node once.  Planes
-    are built once, for the node a candidate closes, and noted in
-    `_closed`; the path is replaced by the prefix's nodes in one
-    statement.  A walk from the root starts with every legal start of w
-    pending.
+    A prefix walks only its last item, after the ends of its parent,
+    prefix[:-1] (_parent_ends).  In a search, the planes it builds are
+    noted in `_closed` for the next level, unless none may follow.  The
+    path is then replaced, in one statement, by the prefix, its planes
+    and its parent's ends.
     """
-    memo = w._path
-    items, path = memo[1:] if memo is not None and memo[0] == span else ((), ())
-    k = 0
-    for a, b in zip(items, prefix):
-        if a != b:
-            break
-        k += 1
-    skip = len(items) - len(path)  # the path's first node is that of items[:skip + 1]
-    nodes: list[_PathNode] = list(path[: k - skip]) if k > skip else []
-    if nodes and not nodes[-1][0]:
-        return None  # a shared head that matches nowhere
-    if nodes and k == len(prefix) and nodes[-1][1] is not None:
-        return nodes[-1][1]
-    if not nodes:
-        k = skip = 0
-    parent = prefix[:-1]
-    if k < len(parent):
-        closed = w._closed.get((span, len(parent)))
-        entry = closed.pop(parent, None) if closed else None
-        if entry is not None:
-            matched, planes = entry
-            nodes, k = [(_split_ends(matched, planes), planes)], len(parent)
-            skip = k - 1
-    for item in prefix[k:]:
-        pending, ends = (0, nodes[-1][0]) if nodes else (w._legal_starts(span), [])
-        ends = _walk(pending, ends, w.mask(item), span)
-        nodes.append((ends, None))
-        if not ends:
-            break
-    ends = nodes[-1][0]
+    above = _parent_ends(w, span, prefix[:-1])
+    pending = 0 if len(prefix) > 1 else w._legal_starts(span)
+    ends = _walk(pending, above, w.mask(prefix[-1]), span)
     planes = None
     if ends:
         planes, matched = _end_planes(ends, span)
-        nodes[-1] = (ends, planes)
-        n = len(prefix)
-        w._closed.pop((span, n - 2), None)
-        w._closed.setdefault((span, n), {})[prefix] = (matched, planes)
-    w._path = (span, prefix[: skip + len(nodes)], tuple(nodes))
+        closed = w._closed
+        if closed is not None and closed[0] == span and closed[2] is not None:
+            closed[2][prefix] = (matched, planes)
+    w._path = (span, prefix, planes, above)
     return planes
+
+
+def _parent_ends(w: ViewWindow, span: int, parent: tuple[str, ...]) -> list[int]:
+    """The ends of parent's match over w, without trailing empty sets.
+
+    They are the path's when it holds the same parent, as it does for
+    every prefix of a level after the first of its parent, since
+    candidates arrive sorted.  Else, in a search (_new_level), a parent
+    the level before closed gives them back from its matched starts and
+    end planes (_split_ends); its entry is popped, with every entry that
+    sorts before it, since this level's parents come in sorted order
+    too.  Any other parent, such as every one outside a search, walks
+    from the root.
+    """
+    memo = w._path
+    if memo is not None and memo[1][:-1] == parent and memo[0] == span:
+        return memo[3]
+    closed = w._closed
+    if closed is not None and closed[0] == span:
+        # list() copies the keys in one step, as another search may pop them
+        for passed in [key for key in list(closed[1]) if key < parent]:
+            closed[1].pop(passed, None)
+        entry = closed[1].pop(parent, None)
+        if entry is not None:
+            return _split_ends(*entry)
+    ends = []
+    for i, item in enumerate(parent):
+        ends = _walk(0 if i else w._legal_starts(span), ends, w.mask(item), span)
+    return ends
+
+
+def _new_level(windows: Iterable[ViewWindow], span: int, longer: bool) -> None:
+    """Start a level of a search over `windows` at `span`.
+
+    A head window counts through its parent, so the parent takes its
+    part.  On each, the prefixes the level before closed become the
+    parents this level reads (_parent_ends), and the level notes the
+    prefixes it closes only when `longer`, when a longer level may
+    follow.  Whatever the level before left unread is dropped.
+    """
+    for w in (v if v._parent is None else v._parent for v in windows):
+        closed = w._closed
+        parents = closed[2] if closed is not None and closed[0] == span else None
+        w._closed = (span, parents or {}, {} if longer else None)
+
+
+def _end_search(windows: Iterable[ViewWindow]) -> None:
+    """Drop what a search left on `windows`, or on a head's parent: the
+    closed prefixes and the path."""
+    for w in (v if v._parent is None else v._parent for v in windows):
+        w._closed = w._path = None
 
 
 def _end_planes(ends: list[int], span: int) -> tuple[list[int], int]:

@@ -38,7 +38,7 @@ from streamseq import (
     serialize_event_log,
     window,
 )
-from streamseq import incremental, tradeoff
+from streamseq import incremental, occurrence, tradeoff
 from streamseq.cli import main as cli_main
 from streamseq.tradeoff import min_max_normalize
 
@@ -296,6 +296,28 @@ def test_desk_trend_sweep_cost_units_are_pinned():
     elapsed = time.monotonic() - t0
     assert elapsed < 30
     print(f"desk trend sweep: 9 (delta, t_full, t_ius) points exact: PASS ({elapsed:.1f}s)")
+
+
+def test_a_smoke_size_trend_sweep_walks_as_its_pin(monkeypatch):
+    # The benchmark's cost-unit trend sweep at its smoke size, seed 1:
+    # 10,000 events, a 2,000-tuple base and increments 200..1,800, each a
+    # head of the widest.  Every search resumes a level from the prefixes
+    # its own level before closed, on the base window and on the widest
+    # increment, which counts for its heads: 119 walks.  When windows
+    # kept the closed prefixes of earlier searches, an update resumed
+    # from those its increment's mine had left, and the sweep walked 115
+    # times; a search that left the heads' parent out walks more.
+    walk, walks = occurrence._walk, [0]
+
+    def counting_walk(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    q = generate(_trend_config(1, 10_000, drift_at=2_000))
+    cfg = SweepConfig(2_000, tuple(200 * i for i in range(1, 10)), _trend_params())
+    monkeypatch.setattr(occurrence, "_walk", counting_walk)
+    run_sweep(q, cfg)
+    assert walks[0] == 119
 
 
 def test_desk_trend_sweep_cost_units_decompose(monkeypatch):

@@ -1,7 +1,9 @@
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress, cycle, product
 from operator import or_
 
@@ -9,16 +11,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamseq import (
+    ContractError,
     CostCounter,
     CountParams,
     GenConfig,
     ParameterError,
     Sequence,
+    SweepConfig,
     UndefinedSupportError,
+    UpdateInput,
+    ViewWindow,
     generate,
+    ius_update,
     mine,
     occur,
     occur_partitioned,
+    run_sweep,
     support,
     window,
 )
@@ -226,44 +234,45 @@ def _direct_last_offsets(win, span, item):
 
 def _count_checking_path(win, s, params, closed):
     """Check occur(s, win, params) against the oracle, and win's matched
-    path after it: the path holds the nodes of its items' last prefixes,
-    one per length, and each node's ends equal a fresh greedy match of
-    its prefix, and its planes, once built, equal the direct ones; only
-    the last node may match nowhere.  When the count closed s's last
-    item, which it does when the prefix matches somewhere, note
-    (window, span, last item) in `closed`."""
+    path after it: the path holds its last prefix, whose planes, where
+    it matches, equal the direct planes of a fresh greedy match, and
+    the ends of that prefix's parent, which equal a fresh greedy match
+    of the parent.  When the count closed s's last item, which it does
+    when the prefix matches somewhere, note (window, span, last item)
+    in `closed`."""
     assert occur(s, win, params) == occur_bruteforce(s, win, params)
     uses_path = len(s) > 1 and params.span <= win.size and win.mask(s[-1])
     if win._path is None:
         assert not uses_path
         return
-    span, items, nodes = win._path
-    skip = len(items) - len(nodes)  # node j is that of items[:skip + j + 1]
-    assert nodes and skip >= 0
-    for j, (ends, planes) in enumerate(nodes):
-        assert ends == _greedy_ends(items[: skip + j + 1], win, span)
-        assert ends or (j == len(nodes) - 1 and planes is None)
-        assert planes is None or planes == _direct_end_planes(ends, span)
+    span, items, planes, above = win._path
+    ends = _greedy_ends(items, win, span)
+    assert items and above == _greedy_ends(items[:-1], win, span)
+    assert planes == (_direct_end_planes(ends, span) if ends else None)
     if uses_path:
         prefix = s[:-1]
         assert span == params.span
-        assert items[: len(prefix)] == prefix[: len(items)]
+        assert items == prefix
         if occur_bruteforce(prefix, win, params):
-            assert skip < len(prefix) <= len(items)
-            assert nodes[len(prefix) - 1 - skip][1] is not None
+            assert planes is not None
             closed.add((id(win), span, s[-1]))
         else:
-            assert len(items) <= len(prefix) and not nodes[-1][0]
+            assert planes is None and not ends
 
 
 def _check_closed_prefixes(win):
-    """Every prefix win notes as closed, under its span and length, keeps
-    the OR of a fresh greedy match's ends and that match's direct end
-    planes."""
-    for (span, n), entries in win._closed.items():
+    """Every prefix win notes as closed, in the search counting over it,
+    among the parents the level before closed or the prefixes this level
+    closes, each of one length, keeps the OR of a fresh greedy match's
+    ends and that match's direct end planes."""
+    if win._closed is None:
+        return
+    span, parents, closing = win._closed
+    for entries in (parents, closing or {}):
+        assert len({len(prefix) for prefix in entries}) <= 1
         for prefix, (matched, planes) in entries.items():
             ends = _greedy_ends(prefix, win, span)
-            assert len(prefix) == n and ends
+            assert ends
             assert matched == reduce(or_, ends) and planes == _direct_end_planes(ends, span)
 
 
@@ -407,13 +416,15 @@ class TestOccurProperties:
         repeated over one window, or over a pickled copy of a used one,
         equals a mine over a fresh one.  Prefixes that share a head with
         the path and then diverge, that extend it or stop short of it,
-        keep every path node equal to a fresh match, and each last item
-        keeps exactly its direct offset planes.  A head window of every
-        length, which counts through its parent's start sets, equals and
-        counts as the plain window of its range, pickled or not, and the
-        parent matches each sequence once.  A level's candidates, counted
-        in order after the level before, resume from the prefixes that
-        level closed."""
+        keep the path's planes and its parent's ends equal to fresh
+        matches, and each last item keeps exactly its direct offset
+        planes.  A head window of every length, which counts through its
+        parent's start sets, equals and counts as the plain window of its
+        range, pickled or not, and the parent matches each sequence once.
+        A level's candidates, counted in order after the level before in
+        one search, as mining._levelwise opens its levels, resume from
+        the prefixes that level closed, each equal to a fresh match while
+        the search runs, and the search leaves nothing behind."""
         q = w.queue
         other = window(q, 0, len(q))
         p, p2 = CountParams(span), CountParams(span2)
@@ -447,14 +458,23 @@ class TestOccurProperties:
                 else:  # a level of s's length, then the level it joins into
                     labels = data.draw(st.sets(st.sampled_from(_ROW_LABELS), max_size=2))
                     before = sorted({s, *map(Sequence, product(labels, repeat=len(s)))})
-                    steps += [(w, p, t) for t in [*before, *gen_candidates(before)]]
+                    # True and False open a level with and without a longer
+                    # one to follow, None ends the search
+                    steps += [(w, p, t) for t in [True, *before, False,
+                                                  *gen_candidates(before), None]]
         closed = set()
         for win, params, s in steps:
-            _count_checking_path(win, s, params, closed)
+            if isinstance(s, Sequence):
+                _count_checking_path(win, s, params, closed)
+                continue
+            _check_closed_prefixes(win)
+            if s is None:
+                occurrence._end_search([win])
+                assert (win._closed, win._path) == (None, None)
+            else:
+                occurrence._new_level([win], params.span, s)
         _check_last_offsets(w, closed)
         _check_last_offsets(other, closed)
-        _check_closed_prefixes(w)
-        _check_closed_prefixes(other)
 
         n = len(q)
         fresh, used = window(q, 0, n), window(q, 0, n)
@@ -526,25 +546,33 @@ class TestOccurProperties:
             assert head.alphabet() == plain.alphabet()
             assert not head._cuts
 
-    def test_a_wide_span_keeps_eight_planes_per_last_item(self):
+    def test_a_wide_span_keeps_eight_planes_per_last_item(self, monkeypatch):
         # at span 256 each last item keeps (256 - 1).bit_length() = 8
         # planes of the window's width, not an int per offset
         q = random_queue(random.Random(256), 700, list("abcdefgh"), max_fill=1)
         w = window(q, 0, len(q))
         mp = MiningParams(Fraction(1, 2), Fraction(1, 4), CountParams(256), max_len=2)
+        # every single closed a pair, and keeps 8 end planes, read during
+        # the search; the last level notes none
+        closed, prefix_planes = [], occurrence._prefix_planes
+
+        def checking_prefix_planes(win, span, prefix):
+            planes = prefix_planes(win, span, prefix)
+            assert win is w and w._closed == (256, {}, None)
+            assert w._path == (256, prefix, planes, [])  # a single's parent is the root
+            ends = _greedy_ends(prefix, w, 256)
+            assert ends and len(ends) <= 256
+            assert len(planes) == 8 and planes == _direct_end_planes(ends, 256)
+            closed.append(prefix)
+            return planes
+
+        monkeypatch.setattr(occurrence, "_prefix_planes", checking_prefix_planes)
         assert len(mine([w], mp).frequent) > len(w.alphabet())
         assert {item for _, item in w._lasts} == set(w.alphabet())
         assert sum(len(planes) for planes in w._lasts.values()) <= len(w.alphabet()) * 8
         assert all(plane >> w.size == 0 for planes in w._lasts.values() for plane in planes)
-        # every single closed a pair, and keeps 8 end planes
-        assert list(w._closed) == [(256, 1)]
-        assert sorted(w._closed[256, 1]) == [(item,) for item in w.alphabet()]
-        assert all(len(planes) == 8 for _, planes in w._closed[256, 1].values())
-        span, items, nodes = w._path
-        assert span == 256 and len(items) == len(nodes) == 1
-        ends, planes = nodes[0]
-        assert ends == _greedy_ends(items, w, span) and len(ends) <= span
-        assert planes == _direct_end_planes(ends, span)
+        assert closed == [(item,) for item in w.alphabet()]
+        assert (w._closed, w._path) == (None, None)
 
 
 def test_a_deep_mine_walks_each_prefix_node_once(monkeypatch):
@@ -574,6 +602,121 @@ def test_a_deep_mine_walks_each_prefix_node_once(monkeypatch):
         for j in range(1, len(cand))
     }
     assert walks[0] == len(nodes)
+
+
+@cache
+def _deep_queue():
+    """The benchmark's deep stream at its smoke size, seed 1."""
+    planted = tuple(
+        (Sequence.of(*(f"E{i:03d}" for i in range(k, k + 6))), 25.0) for k in (1, 7, 13, 19)
+    )
+    return generate(GenConfig(n_types=194, n_events=8000, seed=1, embedded=planted))
+
+
+_DEEP = MiningParams(Fraction(3, 8), Fraction(1, 8), CountParams(32), max_len=5)
+
+
+def _counting_walks(monkeypatch):
+    """Count occurrence._walk calls, through the module attribute, into
+    the one-element list returned."""
+    walk, walks = occurrence._walk, [0]
+
+    def counting_walk(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(occurrence, "_walk", counting_walk)
+    return walks
+
+
+def test_a_deep_update_walks_as_its_pin(monkeypatch):
+    """One update of the deep stream at the benchmark's smoke size: a
+    3,000-tuple base and a 1,000-tuple increment, each mined over the
+    windows the update rescans.  Its rescans resume each level from the
+    prefixes the level before closed on that side, in the update's own
+    search, so it walks 15 times, as it did when a window kept the
+    closed prefixes of earlier searches too."""
+    q = _deep_queue()
+    w0, dw = window(q, 0, 3000), window(q, 3000, 1000)
+    old, new = mine([w0], _DEEP), mine([dw], _DEEP)
+    walks = _counting_walks(monkeypatch)
+    grown = ius_update(UpdateInput(old, [w0], new, [dw]))
+    assert max(map(len, grown.frequent)) == 5
+    assert walks[0] == 15
+
+
+def test_nothing_of_a_search_outlives_it(monkeypatch):
+    """A search, mine's or ius_update's, owns the closed prefixes and the
+    path it leaves on the windows it counts over, and on a head window's
+    parent, which counts for the head: none holds either once the search
+    returns, or raises, nor once a cost-unit sweep, a chain of searches
+    over heads, returns."""
+    made, init = [], ViewWindow.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    def holding():
+        return [w for w in made if w._closed is not None or w._path is not None]
+
+    monkeypatch.setattr(ViewWindow, "__init__", recording_init)
+    q = _deep_queue()
+    w0, wide = window(q, 0, 3000), window(q, 3000, 1500)
+    dw = wide._head(1000)
+    old = mine([w0], _DEEP)
+    assert max(map(len, old.frequent)) == 5 and not holding()
+    new = mine([dw], _DEEP)
+    assert not holding()
+    ius_update(UpdateInput(old, [w0], new, [dw]))
+    assert not holding()
+    run_sweep(q, SweepConfig(3000, (500, 1000, 1500), _DEEP))
+    assert len(made) > 5 and not holding()
+    late = window(q, 2000, 1000)
+    with pytest.raises(ContractError, match="overlap"):
+        ius_update(UpdateInput(old, [w0], mine([late], _DEEP), [late]))
+    with pytest.raises(ContractError, match="overlap"):
+        mine([w0, late], _DEEP)
+    assert not holding()
+
+
+def test_threads_mining_shared_windows_count_as_one_thread():
+    """Windows are shared without locking (ViewWindow).  Four threads mine
+    the same deep windows, a root block and a head block, at once, with
+    the interpreter switching threads every 10 microseconds, so their
+    searches take and drop each other's closed prefixes and paths; every
+    result equals the single-threaded mine, and no window holds anything
+    of a search afterwards."""
+    q = _deep_queue()
+    want = mine([window(q, 0, 2000), window(q, 2000, 1000)], _DEEP)
+    wide = window(q, 2000, 1500)
+    shared = [window(q, 0, 2000), wide._head(1000)]
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(8):
+                results.append(mine(shared, _DEEP))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 32
+    for got in results:
+        assert (got.frequent, got.border) == (want.frequent, want.border)
+    for w in (*shared, wide):
+        assert (w._closed, w._path) == (None, None)
 
 
 class TestSupport:
